@@ -8,15 +8,18 @@ two lines with the rule firing strengths.
 import numpy as np
 
 from fuzzyrunoff import GaussianMf, TsModel, TsRule, predict, predict_batch
-from fuzzyrunoff.core import dump_model, firing_strength, parse_model, rule_output
+from fuzzyrunoff.core import dump_model, firing_matrix, parse_model, rule_output_matrix
 
 low = TsRule((GaussianMf(mean=0.0, width=1.5),), np.array([2.0, 0.5]))
 high = TsRule((GaussianMf(mean=10.0, width=1.5),), np.array([-3.0, 1.5]))
 model = TsModel((low, high))
 
-print("membership of x=1 in the low rule:", firing_strength(low, [1.0]))
-print("low-rule line at x=1: ", rule_output(low, [1.0]))
-print("high-rule line at x=1:", rule_output(high, [1.0]))
+# one row per input sample, one column per rule (low, high)
+firing = firing_matrix(model, [[1.0]])[0]
+lines = rule_output_matrix(model, [[1.0]])[0]
+print("membership of x=1 in the low rule:", firing[0])
+print("low-rule line at x=1: ", lines[0])
+print("high-rule line at x=1:", lines[1])
 print()
 
 # near a premise the model follows that rule's line; in between it blends

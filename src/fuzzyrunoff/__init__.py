@@ -20,7 +20,6 @@ from .clustering import (
     sc_partition,
 )
 from .core import (
-    FiringVector,
     GaussianMf,
     TsModel,
     TsRule,
@@ -53,7 +52,6 @@ __all__ = [
     "DataMatrix",
     "DataValidationError",
     "EventSeries",
-    "FiringVector",
     "FitReport",
     "GaussianMf",
     "IterationTrace",

@@ -14,18 +14,17 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
 
 from . import __version__, core
+from .atomicio import write_atomic, write_csv
 from .clustering import ClusterConfig, NumericalError
 from .dataio import (
-    EVENT_HEADER,
     DataValidationError,
     EventSeries,
     NormalizationRecord,
@@ -35,6 +34,7 @@ from .dataio import (
     load_event_csv,
     outside_unit_fraction,
     synth_storm,
+    write_event_csv,
 )
 from .evalmetrics import metric_set
 from .identify import fit_model
@@ -204,13 +204,6 @@ class Experiment:
         return value
 
 
-def _write_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_manifest(exp: Experiment, command: str) -> None:
     canonical = "\n".join(f"{k} = {exp.raw[k]}" for k in sorted(exp.raw))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
@@ -225,7 +218,7 @@ def _write_manifest(exp: Experiment, command: str) -> None:
         canonical,
         "",
     ]
-    _write_atomic(os.path.join(exp.out, f"manifest_{command}.txt"), "\n".join(lines))
+    write_atomic(os.path.join(exp.out, f"manifest_{command}.txt"), "\n".join(lines))
 
 
 def _combo_name(algorithm: str, stride: int, normalized: bool) -> str:
@@ -235,43 +228,6 @@ def _combo_name(algorithm: str, stride: int, normalized: bool) -> str:
 def _combo_label(algorithm: str, normalized: bool) -> str:
     label = algorithm.upper()
     return f"{label} (N)" if normalized else label
-
-
-# ---------------------------------------------------------------------------
-# Sidecar metadata for trained models
-# ---------------------------------------------------------------------------
-
-
-def _dump_meta(algorithm, stride, lag, record: NormalizationRecord | None) -> str:
-    lines = [
-        "format tsmeta-v1",
-        f"algorithm {algorithm}",
-        f"stride {stride}",
-        f"lag {lag}",
-        f"normalized {int(record is not None)}",
-    ]
-    if record is not None:
-        lines.append("norm_mins " + " ".join(repr(float(v)) for v in record.mins))
-        lines.append("norm_maxs " + " ".join(repr(float(v)) for v in record.maxs))
-    return "\n".join(lines) + "\n"
-
-
-def _parse_meta(text: str):
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            key, _, rest = line.partition(" ")
-            fields[key] = rest
-    if fields.get("format") != "tsmeta-v1":
-        raise DataValidationError(f"unsupported meta format {fields.get('format')!r}")
-    record = None
-    if fields.get("normalized") == "1":
-        record = NormalizationRecord(
-            mins=np.array([float(v) for v in fields["norm_mins"].split()]),
-            maxs=np.array([float(v) for v in fields["norm_maxs"].split()]),
-        )
-    return fields["algorithm"], int(fields["stride"]), int(fields["lag"]), record
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +242,8 @@ def cmd_synth(exp: Experiment) -> int:
     valid_seed = exp.get_int("synth_validation_seed", exp.seed + 1)
     for name, seed in (("train.csv", train_seed), ("validation.csv", valid_seed)):
         series = synth_storm(seed, duration, exp.base_interval, params)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(EVENT_HEADER)
-        for k in range(len(series)):
-            writer.writerow([repr(float(series.timestamps[k]))]
-                            + [repr(float(v)) for v in series.rain[k]]
-                            + [repr(float(series.head[k]))])
         path = os.path.join(exp.out, name)
-        _write_atomic(path, buf.getvalue())
+        write_event_csv(series, path)
         print(f"wrote {path} ({len(series)} samples)")
     _write_manifest(exp, "synth")
     return 0
@@ -321,8 +270,8 @@ def cmd_sweep(exp: Experiment) -> int:
         report.to_csv(os.path.join(exp.out, f"validity_{algorithm}.csv"))
         lines = [f"consensus {report.consensus}"]
         lines += [f"{name} {c}" for name, c in sorted(report.per_index_optimum.items())]
-        _write_atomic(os.path.join(exp.out, f"optima_{algorithm}.txt"),
-                      "\n".join(lines) + "\n")
+        write_atomic(os.path.join(exp.out, f"optima_{algorithm}.txt"),
+                     "\n".join(lines) + "\n")
         print(f"{algorithm}: consensus C = {report.consensus} "
               f"(per-index {report.per_index_optimum})")
     _write_manifest(exp, "sweep")
@@ -351,12 +300,13 @@ def cmd_train(exp: Experiment) -> int:
                 cfg = exp.cluster_config(algorithm)
                 c_range = exp.sweep_range if sweep_requested and algorithm != "sc" else None
                 model, fit = fit_model(sset.joined(), cfg, c_range=c_range)
+                record = sset.normalization
+                norm = None if record is None else (tuple(record.mins.tolist()),
+                                                    tuple(record.maxs.tolist()))
+                scheme = core.Scheme(algorithm, stride, lag_eff, norm)
                 name = _combo_name(algorithm, stride, normalized)
-                _write_atomic(os.path.join(models_dir, f"{name}.model.txt"),
-                              core.dump_model(model))
-                _write_atomic(os.path.join(models_dir, f"{name}.meta.txt"),
-                              _dump_meta(algorithm, stride, lag_eff,
-                                         sset.normalization))
+                core.save_model(replace(model, scheme=scheme),
+                                os.path.join(models_dir, f"{name}.model.txt"))
                 fit.to_csv(os.path.join(reports_dir, f"fit_{name}.csv"))
                 print(f"trained {name}: rules={fit.n_rules} "
                       f"train_rmse={fit.train.rmse:.6g}")
@@ -389,29 +339,34 @@ def cmd_evaluate(exp: Experiment) -> int:
     rows = []
     extrapolation = []
     for name in names:
-        model = core.load_model(os.path.join(models_dir, f"{name}.model.txt"))
-        meta_text = open(os.path.join(models_dir, f"{name}.meta.txt"),
-                         encoding="utf-8").read()
-        algorithm, stride, lag, record = _parse_meta(meta_text)
-        if stride not in allowed:
+        path = os.path.join(models_dir, f"{name}.model.txt")
+        try:
+            model = core.load_model(path)
+        except (OSError, ValueError) as exc:
+            raise DataValidationError(f"{path}: {exc}") from exc
+        scheme = model.scheme
+        if scheme is None:
+            raise DataValidationError(f"{path}: format tsmodel-v1 records no training "
+                                      "scheme; retrain the model to evaluate it")
+        record = NormalizationRecord(*scheme.normalization) if scheme.normalization else None
+        if scheme.stride not in allowed:
             raise ConfigError(
-                f"model {name} was trained for stride {stride}, "
+                f"model {name} was trained for stride {scheme.stride}, "
                 f"which is not in the configured strides {sorted(allowed)}"
             )
-        vset = build_supervised(validation, lag=lag, stride=stride,
+        vset = build_supervised(validation, lag=scheme.lag, stride=scheme.stride,
                                 normalization=record if record else False)
         yhat = core.predict_batch(model, vset.x)
-        label = _combo_label(algorithm, record is not None)
-        rows.append(_metric_row(label, stride, "validation",
+        label = _combo_label(scheme.algorithm, record is not None)
+        rows.append(_metric_row(label, scheme.stride, "validation",
                                 metric_set(vset.y, yhat)))
         if include_train:
-            tset = build_supervised(train_series, lag=lag, stride=stride,
+            tset = build_supervised(train_series, lag=scheme.lag, stride=scheme.stride,
                                     normalization=record if record else False)
-            rows.append(_metric_row(label, stride, "train",
+            rows.append(_metric_row(label, scheme.stride, "train",
                                     metric_set(tset.y, core.predict_batch(model, tset.x))))
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        header, columns = ["index", "observed", "predicted"], [vset.y, yhat]
         if record is not None:
             # validation values outside the training min-max appear out of
             # [0, 1]; summarised per combination in extrapolation.csv
@@ -419,31 +374,16 @@ def cmd_evaluate(exp: Experiment) -> int:
                 [name, repr(outside_unit_fraction(
                     np.concatenate([vset.x.ravel(), vset.y])))]
             )
-            writer.writerow(["index", "observed", "predicted",
-                             "observed_mm", "predicted_mm"])
-            obs_mm = record.denormalize_y(vset.y)
-            pred_mm = record.denormalize_y(yhat)
-            for k in range(vset.n_rows):
-                writer.writerow([k, repr(float(vset.y[k])), repr(float(yhat[k])),
-                                 repr(float(obs_mm[k])), repr(float(pred_mm[k]))])
-        else:
-            writer.writerow(["index", "observed", "predicted"])
-            for k in range(vset.n_rows):
-                writer.writerow([k, repr(float(vset.y[k])), repr(float(yhat[k]))])
-        _write_atomic(os.path.join(series_dir, f"series_{name}.csv"), buf.getvalue())
+            header += ["observed_mm", "predicted_mm"]
+            columns += [record.denormalize_y(vset.y), record.denormalize_y(yhat)]
+        write_csv(os.path.join(series_dir, f"series_{name}.csv"), header,
+                  ([k] + [repr(float(c[k])) for c in columns] for k in range(vset.n_rows)))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["algorithm", "scheme", "split", "rmse", "ve", "ce", "r"])
-    writer.writerows(rows)
     report_path = os.path.join(exp.out, "forecast_report.csv")
-    _write_atomic(report_path, buf.getvalue())
+    write_csv(report_path, ["algorithm", "scheme", "split", "rmse", "ve", "ce", "r"], rows)
     if extrapolation:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["combination", "outside_unit_fraction"])
-        writer.writerows(extrapolation)
-        _write_atomic(os.path.join(exp.out, "extrapolation.csv"), buf.getvalue())
+        write_csv(os.path.join(exp.out, "extrapolation.csv"),
+                  ["combination", "outside_unit_fraction"], extrapolation)
     _write_manifest(exp, "evaluate")
     print(f"wrote {report_path} ({len(rows)} rows)")
     return 0
@@ -480,7 +420,7 @@ def cmd_compare(exp: Experiment) -> int:
             lines.append(f"| {i} | {r['algorithm']} | {rmse_v:.6g} | {delta:+.6g} |")
         lines.append("")
     path = os.path.join(exp.out, "compare.md")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     _write_manifest(exp, "compare")
     print(f"wrote {path}")
     return 0

@@ -19,10 +19,11 @@ summation order, so iteration traces reproduce bit-for-bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .atomicio import write_csv
 
 
 class NumericalError(RuntimeError):
@@ -31,10 +32,9 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class DataMatrix:
-    """N joined samples Z_k = [x_k1 .. x_kn, y_k] with optional column units."""
+    """N joined samples Z_k = [x_k1 .. x_kn, y_k]."""
 
     z: np.ndarray
-    units: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
@@ -42,8 +42,6 @@ class DataMatrix:
             raise ValueError(f"data matrix must be 2-d, got shape {self.z.shape}")
         if not np.all(np.isfinite(self.z)):
             raise ValueError("data matrix contains non-finite entries")
-        if self.units is not None and len(self.units) != self.z.shape[1]:
-            raise ValueError("units metadata must have one entry per column")
 
     @property
     def n_samples(self) -> int:
@@ -93,8 +91,7 @@ class ClusterSet:
 
     centers: np.ndarray      # (C, d)
     covariances: np.ndarray  # (C, d, d)
-    norms: np.ndarray        # (C, d, d), det-normalised inverses scaled by rho
-    rho: float = 1.0
+    norms: np.ndarray        # (C, d, d), unit-determinant scaled inverses
 
 
 @dataclass
@@ -150,11 +147,9 @@ class IterationTrace:
         return len(self.objective)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "objective", "delta_u", "converged"])
-            for i, (j, d) in enumerate(zip(self.objective, self.delta_u)):
-                w.writerow([i, repr(j), repr(d), int(self.converged)])
+        write_csv(path, ["iteration", "objective", "delta_u", "converged"],
+                  ([i, repr(j), repr(d), int(self.converged)]
+                   for i, (j, d) in enumerate(zip(self.objective, self.delta_u))))
 
 
 def _as_z(data) -> np.ndarray:
@@ -232,8 +227,9 @@ def update_covariances(data, partition, centers, m: float, gamma: float) -> np.n
     return covs
 
 
-def norm_matrices(covariances: np.ndarray, rho: float = 1.0) -> np.ndarray:
-    """Norm-inducing matrices rho * det(F_i)^(1/d) * F_i^{-1} (det = rho^d)."""
+def norm_matrices(covariances: np.ndarray) -> np.ndarray:
+    """Norm-inducing matrices det(F_i)^(1/d) * F_i^{-1}, with d the dimension
+    of the clustering space, so each has unit determinant."""
     covariances = np.asarray(covariances, dtype=float)
     d = covariances.shape[-1]
     out = np.empty_like(covariances)
@@ -241,22 +237,8 @@ def norm_matrices(covariances: np.ndarray, rho: float = 1.0) -> np.ndarray:
         det = float(np.linalg.det(f))
         if det <= 0:
             raise NumericalError(f"covariance of cluster {i} is not positive definite")
-        out[i] = rho * det ** (1.0 / d) * np.linalg.inv(f)
+        out[i] = det ** (1.0 / d) * np.linalg.inv(f)
     return out
-
-
-def gk_distance(z_k, v_i, f_i, rho: float = 1.0) -> float:
-    """Squared distance (Z-v)^T (rho det(F)^(1/d) F^{-1}) (Z-v).
-
-    The exponent uses the dimension d of the clustering space, so with
-    rho = 1 the induced norm matrix always has unit determinant.
-    """
-    z_k = np.asarray(z_k, dtype=float)
-    v_i = np.asarray(v_i, dtype=float)
-    f_i = np.asarray(f_i, dtype=float)
-    a = norm_matrices(f_i[None, :, :], rho)[0]
-    diff = z_k - v_i
-    return float(diff @ a @ diff)
 
 
 def _squared_distances(z: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -304,7 +286,7 @@ def _objective(u: np.ndarray, d2: np.ndarray, m: float) -> float:
     return float(((u**m) * d2).sum())
 
 
-def run_gk(data, cfg: ClusterConfig, rho: float = 1.0):
+def run_gk(data, cfg: ClusterConfig):
     """Gustafson-Kessel alternating optimisation.
 
     Loops centers -> covariances -> induced distances -> memberships until
@@ -312,15 +294,15 @@ def run_gk(data, cfg: ClusterConfig, rho: float = 1.0):
     cfg.max_iter is hit (then the trace is returned non-converged; no
     error).  Returns (PartitionMatrix, ClusterSet, IterationTrace).
     """
-    return _run_alternating(data, cfg, adaptive_norm=True, rho=rho)
+    return _run_alternating(data, cfg, adaptive_norm=True)
 
 
 def run_fcm(data, cfg: ClusterConfig):
     """Fuzzy c-means: the same loop with the identity norm (spherical)."""
-    return _run_alternating(data, cfg, adaptive_norm=False, rho=1.0)
+    return _run_alternating(data, cfg, adaptive_norm=False)
 
 
-def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool, rho: float):
+def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
     cfg.validate()
     z = _as_z(data)
     n, d = z.shape
@@ -335,7 +317,7 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool, rho: float):
         centers = update_centers(z, u, cfg.m)
         if adaptive_norm:
             covs = update_covariances(z, u, centers, cfg.m, cfg.gamma)
-            norms = norm_matrices(covs, rho)
+            norms = norm_matrices(covs)
         else:
             norms = eye
         d2 = _squared_distances(z, centers, norms)
@@ -350,7 +332,7 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool, rho: float):
     if not adaptive_norm:
         # descriptive only; the loop itself used the identity norm
         covs = update_covariances(z, u, centers, cfg.m, cfg.gamma)
-    clusters = ClusterSet(centers=centers, covariances=covs, norms=np.array(norms), rho=rho)
+    clusters = ClusterSet(centers=centers, covariances=covs, norms=np.array(norms))
     return PartitionMatrix(u), clusters, trace
 
 
@@ -436,7 +418,7 @@ def sc_partition(data, centers, m: float = 2.0):
     d2 = _squared_distances(zn, cn, eye)
     part = update_memberships(d2, m)
     covs = scatter_matrices(z, part.u, centers, m)
-    clusters = ClusterSet(centers=centers, covariances=covs, norms=np.array(eye), rho=1.0)
+    clusters = ClusterSet(centers=centers, covariances=covs, norms=np.array(eye))
     return part, clusters
 
 

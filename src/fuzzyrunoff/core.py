@@ -24,22 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomicio import write_atomic
+
 # Below this total firing mass an input is considered outside every rule's
 # region and the nearest-rule fallback applies (the weighted average would
 # divide by ~0).
 DEGENERACY_FLOOR = 1e-12
-
-_degenerate_fallbacks = 0
-
-
-def degenerate_fallback_count() -> int:
-    """Number of predictions that used the nearest-rule fallback so far."""
-    return _degenerate_fallbacks
-
-
-def reset_degenerate_fallback_count() -> None:
-    global _degenerate_fallbacks
-    _degenerate_fallbacks = 0
 
 
 @dataclass(frozen=True)
@@ -88,10 +78,30 @@ class TsRule:
 
 
 @dataclass(frozen=True)
+class Scheme:
+    """How a model's training rows were built: the clustering ``algorithm``,
+    the prediction ``stride`` and rainfall ``lag`` in samples, and the
+    min-max ``normalization`` (mins, maxs) of the supervised columns, which
+    is None for a dimensional model."""
+
+    algorithm: str
+    stride: int
+    lag: int
+    normalization: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+
+    def __post_init__(self):
+        if self.stride < 1 or self.lag < 0:
+            raise ValueError(f"scheme needs stride >= 1 and lag >= 0, got {self.stride}, {self.lag}")
+
+
+@dataclass(frozen=True)
 class TsModel:
-    """Immutable Takagi-Sugeno model; safe for concurrent read-only use."""
+    """Immutable Takagi-Sugeno model; safe for concurrent read-only use.
+
+    ``scheme`` is None for a model built or fitted outside the CLI."""
 
     rules: tuple[TsRule, ...]
+    scheme: Scheme | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -134,53 +144,6 @@ class TsModel:
         return self._thetas
 
 
-@dataclass(frozen=True)
-class FiringVector:
-    """Per-rule truth values for one input sample."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("firing vector must be a non-empty 1-d array")
-        if np.any(v < 0) or np.any(v > 1):
-            raise ValueError("firing strengths must lie in [0, 1]")
-
-    @property
-    def degenerate(self) -> bool:
-        return float(self.values.sum()) < DEGENERACY_FLOOR
-
-
-def mf_eval(mf: GaussianMf, x: float) -> float:
-    """Membership of scalar ``x``, exp(-(x-mean)^2 / width^2), in [0, 1]."""
-    if not math.isfinite(x):
-        raise ValueError(f"input must be finite, got {x}")
-    return math.exp(-((x - mf.mean) ** 2) / mf.width**2)
-
-
-def firing_strength(rule: TsRule, x) -> float:
-    """Truth value of one rule: minimum membership across input dimensions."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (rule.input_dim,):
-        raise ValueError(
-            f"input length {x.shape} does not match rule dimension {rule.input_dim}"
-        )
-    return min(mf_eval(mf, xj) for mf, xj in zip(rule.premise, x))
-
-
-def rule_output(rule: TsRule, x) -> float:
-    """Affine consequent value theta_0 + sum_j x_j * theta_j."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (rule.input_dim,):
-        raise ValueError(
-            f"input length {x.shape} does not match rule dimension {rule.input_dim}"
-        )
-    theta = rule.consequent
-    return float(theta[0] + (x * theta[1:]).sum())
-
 def firing_matrix(model: TsModel, X) -> np.ndarray:
     """(N, C) min-operator firing strengths for every row of ``X``."""
     X = _check_batch(model, X)
@@ -221,8 +184,8 @@ def predict(model: TsModel, x) -> float:
 
     Weighted average of the rule outputs with the firing strengths as
     weights.  When all firings underflow (input far outside every cluster)
-    the output of the nearest rule is returned instead and the module-level
-    fallback counter is incremented.
+    the output of the nearest rule is returned instead.  This is
+    :func:`predict_batch` on a one-row matrix, so both agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.input_dim,):
@@ -234,7 +197,6 @@ def predict(model: TsModel, x) -> float:
 
 def predict_batch(model: TsModel, X) -> np.ndarray:
     """Vectorised :func:`predict` over the rows of an (N, n) matrix."""
-    global _degenerate_fallbacks
     X = _check_batch(model, X)
     if not np.all(np.isfinite(X)):
         bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
@@ -248,7 +210,6 @@ def predict_batch(model: TsModel, X) -> np.ndarray:
     if degenerate.any():
         idx = nearest_rule_index(model, X[degenerate])
         yhat[degenerate] = outputs[degenerate, idx]
-        _degenerate_fallbacks += int(degenerate.sum())
     return yhat
 
 
@@ -267,7 +228,7 @@ def _check_batch(model: TsModel, X) -> np.ndarray:
 # Serialisation: versioned plain text, value-exact round trip.
 # ---------------------------------------------------------------------------
 
-_FORMAT_TAG = "tsmodel-v1"
+_FORMAT_TAG = "tsmodel-v2"
 
 
 def _fmt_floats(values) -> str:
@@ -276,12 +237,19 @@ def _fmt_floats(values) -> str:
 
 
 def dump_model(model: TsModel) -> str:
-    """Serialise a model to the versioned plain-text format."""
+    """Serialise a model and its scheme, if any, to the versioned text format."""
     lines = [
         f"format {_FORMAT_TAG}",
         f"input_dim {model.input_dim}",
         f"rule_count {model.rule_count}",
     ]
+    scheme = model.scheme
+    if scheme is not None:
+        lines += [f"algorithm {scheme.algorithm}", f"stride {scheme.stride}",
+                  f"lag {scheme.lag}"]
+        if scheme.normalization is not None:
+            lines.append("norm_mins " + _fmt_floats(scheme.normalization[0]))
+            lines.append("norm_maxs " + _fmt_floats(scheme.normalization[1]))
     for i, rule in enumerate(model.rules):
         lines.append(f"rule {i}")
         lines.append("means " + _fmt_floats(m.mean for m in rule.premise))
@@ -290,43 +258,68 @@ def dump_model(model: TsModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split())
+
+
+def _value(entries: dict, key: str, convert):
+    """Convert the ``key`` line of ``entries``, naming the line on failure."""
+    if key not in entries:
+        raise ValueError(f"missing '{key}' line")
+    lineno, rest = entries[key]
+    try:
+        return convert(rest)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad {key} value {rest!r}") from None
+
+
 def parse_model(text: str) -> TsModel:
-    """Inverse of :func:`dump_model`; values are restored bit-exactly."""
-    fields = {}
+    """Inverse of :func:`dump_model`; values are restored bit-exactly.
+
+    Also reads ``tsmodel-v1`` text, which yields a model without a scheme.
+    A malformed file raises ValueError naming the bad line or missing key.
+    """
+    header: dict[str, tuple[int, str]] = {}
     rules_raw: list[dict] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
+        key, _, rest = line.strip().partition(" ")
         if key == "rule":
             rules_raw.append({})
         elif key in ("means", "widths", "theta"):
             if not rules_raw:
                 raise ValueError(f"line {lineno}: '{key}' before any rule header")
-            rules_raw[-1][key] = np.array([float(t) for t in rest.split()])
-        else:
-            fields[key] = rest
-    if fields.get("format") != _FORMAT_TAG:
-        raise ValueError(f"unsupported model format: {fields.get('format')!r}")
-    n = int(fields["input_dim"])
-    c = int(fields["rule_count"])
+            rules_raw[-1][key] = (lineno, rest)
+        elif key:
+            header[key] = (lineno, rest)
+    tag = header.get("format", (0, None))[1]
+    if tag not in ("tsmodel-v1", _FORMAT_TAG):  # v1 files carry no scheme
+        raise ValueError(f"unsupported model format: {tag!r}")
+    n = _value(header, "input_dim", int)
+    c = _value(header, "rule_count", int)
     if len(rules_raw) != c:
         raise ValueError(f"expected {c} rules, found {len(rules_raw)}")
     rules = []
-    for raw in rules_raw:
-        premise = tuple(
-            GaussianMf(mean, width) for mean, width in zip(raw["means"], raw["widths"])
-        )
-        if len(premise) != n:
-            raise ValueError("rule premise length does not match input_dim")
-        rules.append(TsRule(premise, raw["theta"]))
-    return TsModel(tuple(rules))
+    for i, raw in enumerate(rules_raw):
+        try:
+            means, widths, theta = (_value(raw, k, _floats) for k in ("means", "widths", "theta"))
+            if len(means) != n or len(widths) != n:
+                raise ValueError(f"premise length does not match input_dim {n}")
+            rules.append(TsRule(tuple(map(GaussianMf, means, widths)), theta))
+        except ValueError as exc:
+            raise ValueError(f"rule {i}: {exc}") from None
+    scheme = None
+    if "algorithm" in header:
+        normalization = None
+        if "norm_mins" in header or "norm_maxs" in header:
+            normalization = (_value(header, "norm_mins", _floats),
+                             _value(header, "norm_maxs", _floats))
+        scheme = Scheme(header["algorithm"][1], _value(header, "stride", int),
+                        _value(header, "lag", int), normalization)
+    return TsModel(tuple(rules), scheme)
 
 
 def save_model(model: TsModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_model(model))
+    write_atomic(path, dump_model(model))
 
 
 def load_model(path) -> TsModel:

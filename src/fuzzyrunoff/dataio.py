@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomicio import write_csv
 from .clustering import DataMatrix
 
 EVENT_HEADER = ("timestamp", "rain1", "rain2", "rain3", "head")
@@ -72,18 +73,6 @@ class EventSeries:
     def base_interval(self) -> float:
         return float(self.timestamps[1] - self.timestamps[0])
 
-    @property
-    def rain1(self) -> np.ndarray:
-        return self.rain[:, 0]
-
-    @property
-    def rain2(self) -> np.ndarray:
-        return self.rain[:, 1]
-
-    @property
-    def rain3(self) -> np.ndarray:
-        return self.rain[:, 2]
-
 
 def load_event_csv(path, base_interval: float) -> EventSeries:
     """Parse an event CSV (header ``timestamp,rain1,rain2,rain3,head``).
@@ -134,15 +123,12 @@ def load_event_csv(path, base_interval: float) -> EventSeries:
 
 def write_event_csv(series: EventSeries, path) -> None:
     """Write an event CSV that round-trips through load_event_csv exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EVENT_HEADER)
-        for k in range(len(series)):
-            w.writerow(
-                [repr(float(series.timestamps[k]))]
-                + [repr(float(v)) for v in series.rain[k]]
-                + [repr(float(series.head[k]))]
-            )
+    write_csv(path, EVENT_HEADER, (
+        [repr(float(series.timestamps[k]))]
+        + [repr(float(v)) for v in series.rain[k]]
+        + [repr(float(series.head[k]))]
+        for k in range(len(series))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +152,12 @@ def _lagged_correlation(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarra
     return out
 
 
-def estimate_lag(series: EventSeries, max_lag: int | None = None,
-                 mode: str = "shared"):
+def estimate_lag(series: EventSeries, max_lag: int | None = None) -> int:
     """Delay (in samples) from rainfall to outlet response.
 
-    ``shared`` (default) returns one lag: the argmax of the correlation
-    between the summed rainfall and the head, so all input channels shift by
-    the same delay.  ``per-channel`` returns an array of three per-channel
-    argmax lags.  Ties resolve to the smallest lag.
+    The argmax of the correlation between the summed rainfall and the head,
+    so all input channels shift by the same delay.  Ties resolve to the
+    smallest lag.
     """
     n = len(series)
     if max_lag is None:
@@ -182,25 +166,10 @@ def estimate_lag(series: EventSeries, max_lag: int | None = None,
         raise DataValidationError(
             f"series length {n} must exceed twice the lag window {max_lag}"
         )
-    if mode == "shared":
-        total = series.rain.sum(axis=1)
-        if not np.any(total > 0):
-            raise DataValidationError("all rainfall channels are zero")
-        corr = _lagged_correlation(total, series.head, max_lag)
-        return _argmax_lag(corr)
-    if mode == "per-channel":
-        lags = np.empty(3, dtype=int)
-        for j in range(3):
-            channel = series.rain[:, j]
-            if not np.any(channel > 0):
-                raise DataValidationError(f"rainfall channel rain{j + 1} is all zero")
-            corr = _lagged_correlation(channel, series.head, max_lag)
-            lags[j] = _argmax_lag(corr)
-        return lags
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _argmax_lag(corr: np.ndarray) -> int:
+    total = series.rain.sum(axis=1)
+    if not np.any(total > 0):
+        raise DataValidationError("all rainfall channels are zero")
+    corr = _lagged_correlation(total, series.head, max_lag)
     if np.all(np.isnan(corr)):
         raise DataValidationError("correlation undefined at every lag")
     return int(np.nanargmax(corr))
@@ -276,14 +245,6 @@ class SupervisedSet:
         """Clustering-space matrix [X | y]."""
         return DataMatrix(np.hstack([self.x, self.y[:, None]]))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(SUPERVISED_COLUMNS)
-            for k in range(self.n_rows):
-                w.writerow([repr(float(v)) for v in self.x[k]]
-                           + [repr(float(self.y[k]))])
-
 
 def build_supervised(series: EventSeries, lag: int, stride: int,
                      normalization=False) -> SupervisedSet:
@@ -325,28 +286,6 @@ def build_supervised(series: EventSeries, lag: int, stride: int,
         x = record.normalize_x(x)
         y = record.normalize_y(y)
     return SupervisedSet(x=x, y=y, stride=stride, lag=lag, normalization=record)
-
-
-def apply_normalization(record: NormalizationRecord, sset: SupervisedSet) -> SupervisedSet:
-    """Scale a dimensional supervised set with an existing record."""
-    if sset.normalization is not None:
-        raise ValueError("supervised set is already normalised")
-    return SupervisedSet(
-        x=record.normalize_x(sset.x),
-        y=record.normalize_y(sset.y),
-        stride=sset.stride,
-        lag=sset.lag,
-        normalization=record,
-    )
-
-
-def invert_normalization(record: NormalizationRecord, predictions) -> np.ndarray:
-    """Map normalised target predictions back to output units.
-
-    Values outside [0, 1] are allowed (extrapolation); callers can flag them
-    with :func:`outside_unit_fraction`.
-    """
-    return record.denormalize_y(np.asarray(predictions, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Model identification: from a fuzzy partition to a full TS model.
 
 Premise parameters come from membership-weighted statistics of the input
-columns; consequents come from one global least-squares problem whose
+columns; consequents come from a single least-squares problem whose
 regressor row for sample k concatenates, over rules i, the normalised truth
 value times [1, x_k].  The solve uses an orthogonal-triangular factorisation
 with column pivoting (no explicit normal-equation inversion), which stays
@@ -11,7 +11,6 @@ solution.
 
 from __future__ import annotations
 
-import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -19,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import core
+from .atomicio import write_csv
 from .clustering import NumericalError, _as_u, _as_z, ClusterConfig, run_clustering
 from .evalmetrics import MetricSet, metric_set
 from .validity import sweep_clusters
@@ -79,7 +79,7 @@ def normalized_truth(model: core.TsModel, X) -> np.ndarray:
 
 
 def build_regressors(X, truth) -> np.ndarray:
-    """(N, C*(n+1)) global regressor matrix.
+    """(N, C*(n+1)) regressor matrix shared by all rules.
 
     Row k is the concatenation over rules i of truth_ik * [1, x_k1 .. x_kn].
     """
@@ -151,19 +151,16 @@ class FitReport:
     consensus_c: int | None = None  # set when the rule count came from a sweep
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["algorithm", "n_rules", "m", "seed", "converged", "n_iterations",
-                 "residual_norm", "train_rmse", "train_ve", "train_ce", "train_r",
-                 "consensus_c"]
-            )
-            w.writerow(
-                [self.algorithm, self.n_rules, repr(self.m), self.seed,
-                 int(self.converged), self.n_iterations, repr(self.residual_norm),
-                 repr(self.train.rmse), repr(self.train.ve), repr(self.train.ce),
-                 repr(self.train.r), "" if self.consensus_c is None else self.consensus_c]
-            )
+        write_csv(
+            path,
+            ["algorithm", "n_rules", "m", "seed", "converged", "n_iterations",
+             "residual_norm", "train_rmse", "train_ve", "train_ce", "train_r",
+             "consensus_c"],
+            [[self.algorithm, self.n_rules, repr(self.m), self.seed,
+              int(self.converged), self.n_iterations, repr(self.residual_norm),
+              repr(self.train.rmse), repr(self.train.ve), repr(self.train.ce),
+              repr(self.train.r), "" if self.consensus_c is None else self.consensus_c]],
+        )
 
 
 def _solve_stable(pi, y):

@@ -11,11 +11,11 @@ centers, always through the plain Euclidean norm of the clustering space.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomicio import write_csv
 from .clustering import (
     ClusterConfig,
     DataMatrix,
@@ -171,14 +171,12 @@ class ValidityReport:
 
     def to_csv(self, path) -> None:
         names = list(INDEX_DIRECTIONS)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["C"] + names)
-            for row, c in enumerate(self.c_values):
-                w.writerow([c] + [repr(self.table[name][row]) for name in names])
+        write_csv(path, ["C"] + names,
+                  ([c] + [repr(self.table[name][row]) for name in names]
+                   for row, c in enumerate(self.c_values)))
 
 
-def sweep_clusters(data, cfg_template: ClusterConfig, c_range, algorithm: str | None = None) -> ValidityReport:
+def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport:
     """Cluster for each C in ``c_range`` and score all six indices.
 
     Per-index optimum follows the index direction; the consensus C is the
@@ -187,12 +185,11 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range, algorithm: str | 
     error propagates.  Only the gk and fcm algorithms sweep - subtractive
     clustering derives its count from the radius, not from a C input.
     """
-    algorithm = algorithm or cfg_template.algorithm
-    if algorithm not in ("gk", "fcm"):
+    if cfg_template.algorithm not in ("gk", "fcm"):
         raise ValueError(
-            f"sweep supports 'gk' and 'fcm', not {algorithm!r}"
+            f"sweep supports 'gk' and 'fcm', not {cfg_template.algorithm!r}"
         )
-    runner = run_gk if algorithm == "gk" else run_fcm
+    runner = run_gk if cfg_template.algorithm == "gk" else run_fcm
     z = _as_z(data)
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values:
@@ -207,7 +204,7 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range, algorithm: str | 
     table = {name: [] for name in names}
     failures: dict[int, str] = {}
     for c in c_values:
-        cfg = replace(cfg_template, algorithm=algorithm, n_clusters=c)
+        cfg = replace(cfg_template, n_clusters=c)
         try:
             part, clusters, _ = runner(data, cfg)
             values = all_indices(part, data, clusters.centers)

@@ -1,10 +1,14 @@
 import csv
+import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
-from fuzzyrunoff import cli
-from fuzzyrunoff.dataio import load_event_csv
+from fuzzyrunoff import cli, core
+from fuzzyrunoff.atomicio import write_atomic
+from fuzzyrunoff.dataio import estimate_lag, load_event_csv
 
 BASE_CONFIG = (
     "seed = 11\n"
@@ -205,6 +209,89 @@ class TestEvaluate:
         run(tmp_path, "evaluate", config, monkeypatch)
         rows = self.read_report(tmp_path)
         assert {r["split"] for r in rows} == {"train", "validation"}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Output directory holding the synthesised events and one trained
+    dimensional gk model; tests copy it before changing anything."""
+    out = tmp_path_factory.mktemp("trained") / "out"
+    config = write_model_config(out)
+    assert cli.main(["synth", "--config", config, "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+    return out
+
+
+def write_model_config(out):
+    out.mkdir(parents=True, exist_ok=True)
+    path = out.parent / "model.conf"
+    path.write_text(BASE_CONFIG.replace("out/", f"{out}/")
+                    + "algorithms = gk\nstrides = 1\nnormalization = off\n")
+    return str(path)
+
+
+class TestModelFile:
+    MODEL = "models/gk_s1_dim.model.txt"
+
+    def evaluate_copy(self, trained, tmp_path, edit):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        path = out / self.MODEL
+        path.write_text(edit(path.read_text()))
+        config = write_model_config(out)
+        return cli.main(["evaluate", "--config", config, "--out", str(out)]), path
+
+    def test_model_carries_its_scheme_and_no_sidecar(self, trained):
+        model = core.load_model(trained / self.MODEL)
+        lag = int(estimate_lag(load_event_csv(trained / "train.csv", 30.0), max_lag=15))
+        assert model.scheme == core.Scheme("gk", 1, max(0, lag - 1))
+        assert sorted(os.listdir(trained / "models")) == ["gk_s1_dim.model.txt"]
+
+    @pytest.mark.parametrize("pattern,replacement,message", [
+        (r"means [^\n]*\n", "", "rule 0: missing 'means' line"),
+        (r"widths [^\n]*\n", "", "rule 0: missing 'widths' line"),
+        (r"theta [^\n]*\n", "", "rule 0: missing 'theta' line"),
+        (r"input_dim [^\n]*\n", "", "missing 'input_dim' line"),
+        (r"rule_count \d+", "rule_count x", "line 3: bad rule_count value 'x'"),
+        (r"tsmodel-v2", "tsmodel-v9", "unsupported model format: 'tsmodel-v9'"),
+    ])
+    def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys,
+                                         pattern, replacement, message):
+        rc, path = self.evaluate_copy(
+            trained, tmp_path, lambda t: re.sub(pattern, replacement, t, count=1))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ")
+        assert message in err
+
+    def test_v1_model_must_be_retrained(self, trained, tmp_path, capsys):
+        def to_v1(text):
+            text = text.replace("tsmodel-v2", "tsmodel-v1")
+            return re.sub(r"(algorithm|stride|lag|norm_mins|norm_maxs) [^\n]*\n", "", text)
+
+        rc, path = self.evaluate_copy(trained, tmp_path, to_v1)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and "retrain" in err
+
+
+class TestAtomicWrites:
+    def test_foreign_tmp_untouched_and_no_temp_left(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "train.csv.tmp").write_text("another writer's file")
+        assert run(tmp_path, "synth", write_config(tmp_path), monkeypatch) == 0
+        assert (out / "train.csv.tmp").read_text() == "another writer's file"
+        assert sorted(os.listdir(out)) == ["manifest_synth.txt", "train.csv",
+                                           "train.csv.tmp", "validation.csv"]
+
+    def test_failed_write_keeps_target_and_removes_temp(self, tmp_path):
+        target = tmp_path / "report.csv"
+        write_atomic(target, "old\n")
+        with pytest.raises(TypeError):
+            write_atomic(target, b"not text")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["report.csv"]
 
 
 class TestCompare:

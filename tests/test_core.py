@@ -5,15 +5,15 @@ import pytest
 
 from fuzzyrunoff import core
 from fuzzyrunoff.core import (
-    FiringVector,
+    DEGENERACY_FLOOR,
     GaussianMf,
+    Scheme,
     TsModel,
     TsRule,
-    firing_strength,
-    mf_eval,
+    firing_matrix,
     predict,
     predict_batch,
-    rule_output,
+    rule_output_matrix,
 )
 
 
@@ -26,34 +26,45 @@ def x_for_membership(mf: GaussianMf, target: float) -> float:
     return mf.mean + mf.width * math.sqrt(-math.log(target))
 
 
+def membership(mf: GaussianMf, x: float) -> float:
+    """Membership of scalar ``x``: the firing of a one-input, one-rule model."""
+    model = TsModel((TsRule((mf,), np.zeros(2)),))
+    return float(firing_matrix(model, [[x]])[0, 0])
+
+
+def rule_outputs(rules, x) -> np.ndarray:
+    """Affine consequent value of each rule at the single input ``x``."""
+    return rule_output_matrix(TsModel(tuple(rules)), [x])[0]
+
+
 class TestGaussianMf:
     def test_peak_at_mean(self):
-        assert mf_eval(GaussianMf(5.0, 2.0), 5.0) == 1.0
+        assert membership(GaussianMf(5.0, 2.0), 5.0) == 1.0
 
     def test_unit_offset(self):
-        assert mf_eval(GaussianMf(0.0, 1.0), 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert membership(GaussianMf(0.0, 1.0), 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_far_tail(self):
-        assert mf_eval(GaussianMf(0.0, 1.0), 10.0) == pytest.approx(math.exp(-100), rel=1e-12)
+        assert membership(GaussianMf(0.0, 1.0), 10.0) == pytest.approx(math.exp(-100), rel=1e-12)
 
     def test_no_factor_two_in_denominator(self):
         # exp(-(x-m)^2 / s^2), not exp(-(x-m)^2 / (2 s^2))
-        assert mf_eval(GaussianMf(0.0, 2.0), 2.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert membership(GaussianMf(0.0, 2.0), 2.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_symmetry_about_mean(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             mf = GaussianMf(rng.normal(), abs(rng.normal()) + 0.1)
             d = rng.normal() * 3
-            left = mf_eval(mf, mf.mean - d)
-            right = mf_eval(mf, mf.mean + d)
+            left = membership(mf, mf.mean - d)
+            right = membership(mf, mf.mean + d)
             assert abs(left - right) <= 1e-12
 
     def test_result_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             mf = GaussianMf(rng.normal(), abs(rng.normal()) + 1e-3)
-            v = mf_eval(mf, rng.normal() * 10)
+            v = membership(mf, rng.normal() * 10)
             assert 0.0 <= v <= 1.0
 
     def test_rejects_nonpositive_width(self):
@@ -63,45 +74,46 @@ class TestGaussianMf:
             GaussianMf(0.0, -1.0)
 
     def test_rejects_nonfinite_input(self):
+        model = TsModel((single_input_rule(0.0, 1.0, [0.0, 1.0]),))
         with pytest.raises(ValueError):
-            mf_eval(GaussianMf(0.0, 1.0), float("nan"))
+            predict(model, [float("nan")])
         with pytest.raises(ValueError):
-            mf_eval(GaussianMf(0.0, 1.0), float("inf"))
+            predict(model, [float("inf")])
 
 
 class TestFiring:
     def test_minimum_of_memberships(self):
         mfs = (GaussianMf(0.0, 1.0), GaussianMf(0.0, 1.0), GaussianMf(0.0, 1.0))
-        rule = TsRule(mfs, np.zeros(4))
+        model = TsModel((TsRule(mfs, np.zeros(4)),))
         x = np.array([x_for_membership(m, t) for m, t in zip(mfs, (0.8, 0.3, 0.5))])
-        assert firing_strength(rule, x) == pytest.approx(0.3, rel=1e-12)
+        assert firing_matrix(model, [x])[0, 0] == pytest.approx(0.3, rel=1e-12)
 
     def test_all_mfs_peak(self):
         rule = TsRule((GaussianMf(1.0, 0.5), GaussianMf(-2.0, 3.0)), np.zeros(3))
-        assert firing_strength(rule, [1.0, -2.0]) == 1.0
+        assert firing_matrix(TsModel((rule,)), [[1.0, -2.0]])[0, 0] == 1.0
 
-    def test_single_input_equals_mf_eval(self):
+    def test_single_input_equals_membership(self):
         mf = GaussianMf(2.0, 1.5)
-        rule = TsRule((mf,), np.zeros(2))
-        assert firing_strength(rule, [3.3]) == mf_eval(mf, 3.3)
+        expected = math.exp(-((3.3 - 2.0) ** 2) / 1.5**2)
+        assert membership(mf, 3.3) == pytest.approx(expected, rel=1e-15)
 
     def test_dimension_mismatch(self):
-        rule = single_input_rule(0.0, 1.0, [0.0, 0.0])
+        model = TsModel((single_input_rule(0.0, 1.0, [0.0, 0.0]),))
         with pytest.raises(ValueError):
-            firing_strength(rule, [1.0, 2.0])
+            firing_matrix(model, [[1.0, 2.0]])
 
 
 class TestRuleOutput:
     def test_affine(self):
-        assert rule_output(single_input_rule(0, 1, [1.0, 2.0]), [3.0]) == 7.0
+        assert rule_outputs([single_input_rule(0, 1, [1.0, 2.0])], [3.0])[0] == 7.0
 
     def test_zero_coefficients(self):
         rule = TsRule((GaussianMf(0, 1), GaussianMf(0, 1)), np.zeros(3))
-        assert rule_output(rule, [17.0, -4.0]) == 0.0
+        assert rule_outputs([rule], [17.0, -4.0])[0] == 0.0
 
     def test_intercept_only(self):
         rule = TsRule((GaussianMf(0, 1), GaussianMf(0, 1)), [5.5, 0.0, 0.0])
-        assert rule_output(rule, [123.0, -9.0]) == 5.5
+        assert rule_outputs([rule], [123.0, -9.0])[0] == 5.5
 
 
 class TestPredict:
@@ -109,7 +121,7 @@ class TestPredict:
         rule = single_input_rule(0.0, 1.0, [2.0, -1.0])
         model = TsModel((rule,))
         # any firing > 0 cancels in the weighted average
-        assert predict(model, [2.5]) == rule_output(rule, [2.5])
+        assert predict(model, [2.5]) == rule_outputs([rule], [2.5])[0]
 
     def test_two_rules_equal_firing(self):
         # symmetric rules, sample at midpoint -> equal weights
@@ -158,7 +170,7 @@ class TestPredict:
             )
             model = TsModel(rules)
             x = rng.normal(size=n)
-            outs = [rule_output(r, x) for r in rules]
+            outs = rule_outputs(rules, x)
             y = predict(model, x)
             assert min(outs) - 1e-9 <= y <= max(outs) + 1e-9
 
@@ -216,23 +228,22 @@ class TestDegenerateFallback:
 
     def test_fallback_picks_nearest_rule(self):
         model = self.make_far_model()
-        core.reset_degenerate_fallback_count()
+        # both inputs underflow every firing, so the fallback decides
+        firing = firing_matrix(model, [[-500.0], [510.0]])
+        assert np.all(firing.sum(axis=1) < DEGENERACY_FLOOR)
         assert predict(model, [-500.0]) == 1.0   # nearest premise mean is rule 0
         assert predict(model, [510.0]) == 2.0    # nearest is rule 1
-        assert core.degenerate_fallback_count() == 2
-        core.reset_degenerate_fallback_count()
 
     def test_firing_vector_degeneracy_flag(self):
-        assert FiringVector(np.array([0.0, 0.0])).degenerate
-        assert not FiringVector(np.array([0.5, 0.2])).degenerate
+        total = firing_matrix(self.make_far_model(), [[-500.0], [0.05]]).sum(axis=1)
+        assert total[0] < DEGENERACY_FLOOR
+        assert not total[1] < DEGENERACY_FLOOR
 
     def test_fallback_is_continuous_by_region(self):
         model = self.make_far_model()
-        core.reset_degenerate_fallback_count()
         # everything left of the midpoint maps to rule 0's output
         for x in (-300.0, -100.0, -50.0):
             assert predict(model, [x]) == 1.0
-        core.reset_degenerate_fallback_count()
 
 
 class TestImmutability:
@@ -290,3 +301,42 @@ class TestSerialization:
         text = text.replace("rule_count 1", "rule_count 2")
         with pytest.raises(ValueError):
             core.parse_model(text)
+
+    def test_scheme_roundtrip(self):
+        rules = (single_input_rule(0.5, 2.0, [1.0, -3.0]),)
+        for scheme in (Scheme("gk", 2, 12),
+                       Scheme("sc", 1, 0, ((-0.1, 0.0), (187.4, 9.600000000000001)))):
+            back = self.roundtrip(TsModel(rules, scheme))
+            assert back.scheme == scheme
+            assert np.array_equal(back.consequents, np.array([[1.0, -3.0]]))
+        assert self.roundtrip(TsModel(rules)).scheme is None
+
+    def test_reads_v1_text(self):
+        # written by the v1 serialiser, before models carried their scheme
+        v1 = ("format tsmodel-v1\ninput_dim 2\nrule_count 2\n"
+              "rule 0\nmeans 0.3333333333333333 -2.5\nwidths 3.141592653589793 0.1\n"
+              "theta 2.718281828459045 -0.14285714285714285 1e-300\n"
+              "rule 1\nmeans 7.0 0.0\nwidths 1e-08 2.0\ntheta -0.0 500000.0 1.25\n")
+        model = core.parse_model(v1)
+        assert model.scheme is None
+        assert np.array_equal(model.premise_means, [[1 / 3, -2.5], [7.0, 0.0]])
+        assert np.array_equal(model.premise_widths, [[math.pi, 0.1], [1e-8, 2.0]])
+        assert np.array_equal(model.consequents,
+                              [[math.e, -1 / 7, 1e-300], [-0.0, 5e5, 1.25]])
+        assert math.copysign(1.0, model.consequents[1, 0]) == -1.0
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.replace("means 0.5\n", ""), "rule 0: missing 'means' line"),
+        (lambda t: t.replace("widths 2.0\n", ""), "rule 0: missing 'widths' line"),
+        (lambda t: t.replace("theta 1.0 -3.0\n", ""), "rule 0: missing 'theta' line"),
+        (lambda t: t.replace("input_dim 1\n", ""), "missing 'input_dim' line"),
+        (lambda t: t.replace("rule_count 1", "rule_count x"), "line 3: bad rule_count"),
+        (lambda t: t.replace("widths 2.0", "widths 2.o"), "rule 0: line 9: bad widths"),
+        (lambda t: t.replace("stride 2", "stride two"), "line 5: bad stride"),
+        (lambda t: t.replace("tsmodel-v2", "tsmodel-v9"), "unsupported model format"),
+    ])
+    def test_malformed_file_names_line_or_key(self, edit, message):
+        text = core.dump_model(TsModel((single_input_rule(0.5, 2.0, [1.0, -3.0]),),
+                                       Scheme("gk", 2, 12)))
+        with pytest.raises(ValueError, match=message):
+            core.parse_model(edit(text))

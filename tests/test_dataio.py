@@ -7,10 +7,8 @@ from fuzzyrunoff.dataio import (
     NormalizationRecord,
     StormParams,
     SupervisedSet,
-    apply_normalization,
     build_supervised,
     estimate_lag,
-    invert_normalization,
     load_event_csv,
     outside_unit_fraction,
     synth_storm,
@@ -57,7 +55,6 @@ class TestEventSeries:
 
     def test_channel_accessors(self):
         s = simple_series(5)
-        assert np.array_equal(s.rain1, s.rain[:, 0])
         assert len(s) == 5
         assert s.base_interval == 30.0
 
@@ -140,12 +137,6 @@ class TestEstimateLag:
         assert got == oracle
         assert got in (4, 5, 6)
 
-    def test_per_channel_mode(self):
-        s = delayed_series(5)
-        lags = estimate_lag(s, max_lag=10, mode="per-channel")
-        assert lags.shape == (3,)
-        assert np.all(lags == 5)
-
     def test_all_zero_rainfall_rejected(self):
         n = 50
         s = EventSeries(np.arange(n) * 30.0, np.zeros((n, 3)),
@@ -188,7 +179,7 @@ class TestBuildSupervised:
         s = simple_series(50)
         sset = build_supervised(s, lag=1, stride=1, normalization=True)
         assert sset.normalization is not None
-        y_back = invert_normalization(sset.normalization, sset.y)
+        y_back = sset.normalization.denormalize_y(sset.y)
         raw = build_supervised(s, lag=1, stride=1)
         assert np.allclose(y_back, raw.y, atol=1e-12)
         assert sset.y.min() >= -1e-12 and sset.y.max() <= 1 + 1e-12
@@ -215,15 +206,6 @@ class TestBuildSupervised:
         assert z.shape == (29, 5)
         assert np.array_equal(z[:, 4], sset.y)
 
-    def test_csv_export(self, tmp_path):
-        s = simple_series(20)
-        sset = build_supervised(s, lag=0, stride=1)
-        path = tmp_path / "set.csv"
-        sset.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "y_prev,rain1,rain2,rain3,head"
-        assert len(lines) == sset.n_rows + 1
-
 
 class TestNormalization:
     def test_column_scaling(self):
@@ -246,13 +228,17 @@ class TestNormalization:
         normalized = rec.normalize_y(np.array([12.0]))
         assert normalized[0] == pytest.approx(1.2, rel=1e-12)
         assert outside_unit_fraction(normalized) == 1.0
-        assert invert_normalization(rec, normalized)[0] == pytest.approx(12.0, rel=1e-12)
+        assert rec.denormalize_y(normalized)[0] == pytest.approx(12.0, rel=1e-12)
 
     def test_apply_normalization_guard(self):
+        # a training record re-applied to its own series reproduces the
+        # training set; anything but False, True or a record is refused
         s = simple_series(30)
         sset = build_supervised(s, lag=0, stride=1, normalization=True)
-        with pytest.raises(ValueError, match="already"):
-            apply_normalization(sset.normalization, sset)
+        again = build_supervised(s, lag=0, stride=1, normalization=sset.normalization)
+        assert np.array_equal(again.x, sset.x) and np.array_equal(again.y, sset.y)
+        with pytest.raises(ValueError, match="normalization must be"):
+            build_supervised(s, lag=0, stride=1, normalization="yes")
 
     def test_order_preserving(self):
         rng = np.random.default_rng(3)
