@@ -7,12 +7,13 @@ two lines with the rule firing strengths.
 
 import numpy as np
 
-from fuzzyrunoff import GaussianMf, TsModel, TsRule, predict, predict_batch
+from fuzzyrunoff import TsModel, predict, predict_batch
 from fuzzyrunoff.core import dump_model, firing_matrix, parse_model, rule_output_matrix
 
-low = TsRule((GaussianMf(mean=0.0, width=1.5),), np.array([2.0, 0.5]))
-high = TsRule((GaussianMf(mean=10.0, width=1.5),), np.array([-3.0, 1.5]))
-model = TsModel((low, high))
+# one row per rule (low, high): Gaussian premise mean and width per input,
+# then the affine consequent, intercept first
+model = TsModel(premise_means=[[0.0], [10.0]], premise_widths=[[1.5], [1.5]],
+                consequents=[[2.0, 0.5], [-3.0, 1.5]])
 
 # one row per input sample, one column per rule (low, high)
 firing = firing_matrix(model, [[1.0]])[0]

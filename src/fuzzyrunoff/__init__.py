@@ -20,9 +20,7 @@ from .clustering import (
     sc_partition,
 )
 from .core import (
-    GaussianMf,
     TsModel,
-    TsRule,
     load_model,
     predict,
     predict_batch,
@@ -53,7 +51,6 @@ __all__ = [
     "DataValidationError",
     "EventSeries",
     "FitReport",
-    "GaussianMf",
     "IterationTrace",
     "MetricSet",
     "NormalizationRecord",
@@ -62,7 +59,6 @@ __all__ = [
     "StormParams",
     "SupervisedSet",
     "TsModel",
-    "TsRule",
     "ValidityReport",
     "build_supervised",
     "ce",

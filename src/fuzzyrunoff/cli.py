@@ -53,7 +53,8 @@ class ConfigError(ValueError):
 def parse_config(path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

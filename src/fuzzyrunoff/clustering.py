@@ -330,8 +330,9 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
             trace.converged = True
             break
     if not adaptive_norm:
-        # descriptive only; the loop itself used the identity norm
-        covs = update_covariances(z, u, centers, cfg.m, cfg.gamma)
+        # descriptive only; the loop itself used the identity norm and never
+        # inverts these, so they are neither regularised nor checked
+        covs = scatter_matrices(z, u, centers, cfg.m)
     clusters = ClusterSet(centers=centers, covariances=covs, norms=np.array(norms))
     return PartitionMatrix(u), clusters, trace
 

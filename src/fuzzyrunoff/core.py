@@ -19,7 +19,6 @@ other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,51 +29,6 @@ from .atomicio import write_atomic
 # region and the nearest-rule fallback applies (the weighted average would
 # divide by ~0).
 DEGENERACY_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class GaussianMf:
-    """Gaussian membership function with peak value 1 at ``mean``."""
-
-    mean: float
-    width: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.width)):
-            raise ValueError("GaussianMf parameters must be finite")
-        if self.width <= 0:
-            raise ValueError(f"GaussianMf width must be > 0, got {self.width}")
-
-
-@dataclass(frozen=True)
-class TsRule:
-    """One rule: per-input Gaussian premises plus an affine consequent.
-
-    ``consequent`` has length n+1: intercept first, then one coefficient per
-    input dimension.
-    """
-
-    premise: tuple[GaussianMf, ...]
-    consequent: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "premise", tuple(self.premise))
-        theta = np.array(self.consequent, dtype=float)
-        theta.setflags(write=False)
-        object.__setattr__(self, "consequent", theta)
-        n = len(self.premise)
-        if n == 0:
-            raise ValueError("rule needs at least one input dimension")
-        if theta.shape != (n + 1,):
-            raise ValueError(
-                f"consequent length must be n+1={n + 1}, got shape {theta.shape}"
-            )
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("consequent coefficients must be finite")
-
-    @property
-    def input_dim(self) -> int:
-        return len(self.premise)
 
 
 @dataclass(frozen=True)
@@ -94,54 +48,48 @@ class Scheme:
             raise ValueError(f"scheme needs stride >= 1 and lag >= 0, got {self.stride}, {self.lag}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TsModel:
     """Immutable Takagi-Sugeno model; safe for concurrent read-only use.
 
-    ``scheme`` is None for a model built or fitted outside the CLI."""
+    Row i of each parameter matrix is rule i: ``premise_means`` and
+    ``premise_widths`` (C, n) hold its Gaussian premises, ``consequents``
+    (C, n+1) its affine coefficients, intercept first.  The matrices are
+    read-only copies of the arguments.  ``scheme`` is None for a model built
+    or fitted outside the CLI."""
 
-    rules: tuple[TsRule, ...]
+    premise_means: np.ndarray
+    premise_widths: np.ndarray
+    consequents: np.ndarray
     scheme: Scheme | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        if len(self.rules) < 1:
-            raise ValueError("model needs at least one rule")
-        n = self.rules[0].input_dim
-        if any(r.input_dim != n for r in self.rules):
-            raise ValueError("all rules must share the same input dimension")
-        # Parameter matrices cached for vectorised evaluation.
-        means = np.array([[mf.mean for mf in r.premise] for r in self.rules])
-        widths = np.array([[mf.width for mf in r.premise] for r in self.rules])
-        thetas = np.array([r.consequent for r in self.rules])
-        for a in (means, widths, thetas):
+        for name in ("premise_means", "premise_widths", "consequents"):
+            a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
-        object.__setattr__(self, "_means", means)
-        object.__setattr__(self, "_widths", widths)
-        object.__setattr__(self, "_thetas", thetas)
+            object.__setattr__(self, name, a)
+        means, widths, theta = self.premise_means, self.premise_widths, self.consequents
+        if means.ndim != 2 or 0 in means.shape:
+            raise ValueError(f"model needs at least one rule and one input, "
+                             f"got premise means of shape {means.shape}")
+        c, n = means.shape
+        if widths.shape != (c, n) or theta.shape != (c, n + 1):
+            raise ValueError(f"expected widths of shape {(c, n)} and consequents of shape "
+                             f"{(c, n + 1)}, got {widths.shape} and {theta.shape}")
+        finite = np.isfinite(np.hstack([means, widths, theta])).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"rule {int(np.argmin(finite))}: parameters must be finite")
+        positive = (widths > 0).all(axis=1)
+        if not positive.all():
+            raise ValueError(f"rule {int(np.argmin(positive))}: premise widths must be > 0")
 
     @property
     def input_dim(self) -> int:
-        return self.rules[0].input_dim
+        return self.premise_means.shape[1]
 
     @property
     def rule_count(self) -> int:
-        return len(self.rules)
-
-    @property
-    def premise_means(self) -> np.ndarray:
-        """(C, n) matrix of premise means."""
-        return self._means
-
-    @property
-    def premise_widths(self) -> np.ndarray:
-        """(C, n) matrix of premise widths."""
-        return self._widths
-
-    @property
-    def consequents(self) -> np.ndarray:
-        """(C, n+1) matrix of consequent coefficients, intercept first."""
-        return self._thetas
+        return self.premise_means.shape[0]
 
 
 def firing_matrix(model: TsModel, X) -> np.ndarray:
@@ -250,11 +198,10 @@ def dump_model(model: TsModel) -> str:
         if scheme.normalization is not None:
             lines.append("norm_mins " + _fmt_floats(scheme.normalization[0]))
             lines.append("norm_maxs " + _fmt_floats(scheme.normalization[1]))
-    for i, rule in enumerate(model.rules):
-        lines.append(f"rule {i}")
-        lines.append("means " + _fmt_floats(m.mean for m in rule.premise))
-        lines.append("widths " + _fmt_floats(m.width for m in rule.premise))
-        lines.append("theta " + _fmt_floats(rule.consequent))
+    rows = zip(model.premise_means, model.premise_widths, model.consequents)
+    for i, (means, widths, theta) in enumerate(rows):
+        lines += [f"rule {i}", "means " + _fmt_floats(means),
+                  "widths " + _fmt_floats(widths), "theta " + _fmt_floats(theta)]
     return "\n".join(lines) + "\n"
 
 
@@ -298,13 +245,12 @@ def parse_model(text: str) -> TsModel:
     c = _value(header, "rule_count", int)
     if len(rules_raw) != c:
         raise ValueError(f"expected {c} rules, found {len(rules_raw)}")
-    rules = []
+    rows = []
     for i, raw in enumerate(rules_raw):
         try:
-            means, widths, theta = (_value(raw, k, _floats) for k in ("means", "widths", "theta"))
-            if len(means) != n or len(widths) != n:
-                raise ValueError(f"premise length does not match input_dim {n}")
-            rules.append(TsRule(tuple(map(GaussianMf, means, widths)), theta))
+            rows.append([_value(raw, k, _floats) for k in ("means", "widths", "theta")])
+            if [len(row) for row in rows[-1]] != [n, n, n + 1]:
+                raise ValueError(f"row lengths do not match input_dim {n}")
         except ValueError as exc:
             raise ValueError(f"rule {i}: {exc}") from None
     scheme = None
@@ -315,7 +261,8 @@ def parse_model(text: str) -> TsModel:
                              _value(header, "norm_maxs", _floats))
         scheme = Scheme(header["algorithm"][1], _value(header, "stride", int),
                         _value(header, "lag", int), normalization)
-    return TsModel(tuple(rules), scheme)
+    means, widths, theta = ([row[k] for row in rows] for k in range(3))
+    return TsModel(means, widths, theta, scheme)
 
 
 def save_model(model: TsModel, path) -> None:

@@ -20,6 +20,7 @@ import scipy.linalg
 from . import core
 from .atomicio import write_csv
 from .clustering import NumericalError, _as_u, _as_z, ClusterConfig, run_clustering
+from .dataio import DataValidationError
 from .evalmetrics import MetricSet, metric_set
 from .validity import sweep_clusters
 
@@ -195,6 +196,9 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
     n = z.shape[1] - 1
     if n < 1:
         raise ValueError("joined data needs at least one input column")
+    X, y = z[:, :n], z[:, n]
+    if y.size and np.all(y == y[0]):
+        raise DataValidationError(f"output column is constant ({float(y[0])!r}); there is nothing to fit")
     consensus = None
     if c_range is not None:
         if cfg.algorithm == "sc":
@@ -210,23 +214,12 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
         means = premise_means(data, part, cfg.m)
         widths = premise_widths(data, part, cfg.m, means)
     c = means.shape[0]
-    blank = np.zeros(n + 1)
-    shell = core.TsModel(tuple(
-        core.TsRule(
-            tuple(core.GaussianMf(means[i, j], widths[i, j]) for j in range(n)),
-            blank,
-        )
-        for i in range(c)
-    ))
-    X, y = z[:, :n], z[:, n]
+    shell = core.TsModel(means, widths, np.zeros((c, n + 1)))
     with _stage("consequent estimation"):
         truth = normalized_truth(shell, X)
         pi = build_regressors(X, truth)
         zeta, residual_norm = _solve_stable(pi, y)
-    theta = zeta.reshape(c, n + 1)
-    model = core.TsModel(tuple(
-        core.TsRule(rule.premise, theta[i]) for i, rule in enumerate(shell.rules)
-    ))
+    model = replace(shell, consequents=zeta.reshape(c, n + 1))
     yhat = core.predict_batch(model, X)
     report = FitReport(
         algorithm=cfg.algorithm,

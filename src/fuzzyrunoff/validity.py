@@ -88,20 +88,12 @@ def partition_index(partition, data, centers) -> float:
 def _min_separation(sep: np.ndarray):
     """Smallest off-diagonal squared center separation and its row index.
 
-    Ties resolve to the lexicographically first (i, j) pair, so the result
-    is deterministic.
+    Ties resolve to the lexicographically first (i, j) pair (row-major
+    argmin), so the result is deterministic.
     """
-    c = sep.shape[0]
-    best = None
-    best_i = -1
-    for i in range(c):
-        for j in range(c):
-            if i == j:
-                continue
-            if best is None or sep[i, j] < best:
-                best = sep[i, j]
-                best_i = i
-    return float(best), best_i
+    off = sep + np.diag(np.full(sep.shape[0], np.inf))
+    k = int(np.argmin(off))
+    return float(off.flat[k]), k // sep.shape[0]
 
 
 def separation_index(partition, data, centers) -> float:

@@ -256,10 +256,8 @@ def test_09_refit_self_consistency():
     """Refitting noise-free data from a known 2-rule model reaches training
     RMSE < 1e-3 in < 5 s."""
     t0 = time.time()
-    gen = core.TsModel((
-        core.TsRule((core.GaussianMf(0.0, 1.5),), np.array([2.0, 0.5])),
-        core.TsRule((core.GaussianMf(10.0, 1.5),), np.array([-3.0, 1.5])),
-    ))
+    gen = core.TsModel(premise_means=[[0.0], [10.0]], premise_widths=[[1.5], [1.5]],
+                       consequents=[[2.0, 0.5], [-3.0, 1.5]])
     x = np.concatenate([np.linspace(-2.0, 2.0, 120),
                         np.linspace(8.0, 12.0, 120)])[:, None]
     y = core.predict_batch(gen, x)

@@ -1,7 +1,10 @@
 import csv
+import gc
 import os
 import re
 import shutil
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +38,21 @@ def run(tmp_path, command, config, monkeypatch):
     return cli.main([command, "--config", config])
 
 
+def write_degenerate_event(tmp_path, n_rows, dead_gauge=False, constant_head=False):
+    """out/train.csv with random rain and head, except that the third gauge
+    reads 0 throughout (``dead_gauge``) or the head stays at 5.0."""
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = ["timestamp,rain1,rain2,rain3,head"]
+    rng = np.random.default_rng(0)
+    for k in range(n_rows):
+        r = rng.random(4).round(3)
+        rain3 = 0.0 if dead_gauge else r[2]
+        head = 5.0 if constant_head else 5.0 + r[3]
+        rows.append(f"{k * 30},{r[0]},{r[1]},{rain3},{head}")
+    (out / "train.csv").write_text("\n".join(rows) + "\n")
+
+
 class TestConfigParsing:
     def test_key_value_and_comments(self, tmp_path):
         p = tmp_path / "c.conf"
@@ -51,6 +69,19 @@ class TestConfigParsing:
     def test_missing_file_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["train", "--config", "nope.conf"]) == 2
+
+    def test_closes_the_config_file(self, tmp_path, monkeypatch):
+        # a ResourceWarning raised while a file object is finalised cannot
+        # propagate; it reaches sys.unraisablehook instead
+        p = tmp_path / "c.conf"
+        p.write_text("a = 1\n")
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.parse_config(p) == {"a": "1"}
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
 
 
 class TestSynth:
@@ -104,20 +135,29 @@ class TestTrain:
         assert run(tmp_path, "train", config, monkeypatch) == 3
 
     def test_numerical_failure_is_exit_four(self, tmp_path, monkeypatch):
-        # constant head makes the joined data collinear; with gamma = 0 the
-        # raw fuzzy covariance is singular and clustering fails numerically
-        out = tmp_path / "out"
-        out.mkdir()
-        rows = ["timestamp,rain1,rain2,rain3,head"]
-        rng = np.random.default_rng(0)
-        for k in range(40):
-            r = rng.random(3).round(3)
-            rows.append(f"{k * 30},{r[0]},{r[1]},{r[2]},5.0")
-        (out / "train.csv").write_text("\n".join(rows) + "\n")
+        # a dead gauge makes the joined data collinear; with gamma = 0 the raw
+        # fuzzy covariance GK inverts is singular and clustering fails
+        write_degenerate_event(tmp_path, 40, dead_gauge=True)
         config = write_config(tmp_path, "algorithms = gk\nstrides = 1\n"
                                         "normalization = off\ngamma = 0\n"
                                         "lag = 0\n")
         assert run(tmp_path, "train", config, monkeypatch) == 4
+
+    def test_fcm_ignores_the_singular_covariance_it_never_inverts(self, tmp_path,
+                                                                  monkeypatch):
+        write_degenerate_event(tmp_path, 80, dead_gauge=True)
+        config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"
+                                        "normalization = off\ngamma = 0\n"
+                                        "lag = 0\nc_max = 4\n")
+        assert run(tmp_path, "train", config, monkeypatch) == 0
+        assert run(tmp_path, "sweep", config, monkeypatch) == 0
+
+    def test_constant_head_is_data_error(self, tmp_path, monkeypatch, capsys):
+        write_degenerate_event(tmp_path, 80, constant_head=True)
+        config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"
+                                        "normalization = off\nlag = 0\n")
+        assert run(tmp_path, "train", config, monkeypatch) == 3
+        assert capsys.readouterr().err.startswith("data error:")
 
     def test_sweep_selected_rule_count(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"

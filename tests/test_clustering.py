@@ -294,6 +294,18 @@ class TestRunFcm:
         part, _, _ = run_fcm(z, cfg)
         part.validate()
 
+    def test_constant_column_without_regularisation(self):
+        # FCM never inverts its covariances, so a singular one is no failure;
+        # they are the raw fuzzy scatter, while GK still refuses the data
+        z = np.hstack([two_blobs(seed=23), np.zeros((20, 1))])
+        cfg = ClusterConfig(algorithm="fcm", n_clusters=2, seed=4, gamma=0.0)
+        part, clusters, _ = run_fcm(z, cfg)
+        part.validate()
+        assert np.array_equal(clusters.covariances,
+                              scatter_matrices(z, part.u, clusters.centers, cfg.m))
+        with pytest.raises(NumericalError, match="singular"):
+            run_gk(z, ClusterConfig(algorithm="gk", n_clusters=2, seed=4, gamma=0.0))
+
 
 class TestRunSc:
     @staticmethod

@@ -6,10 +6,8 @@ import pytest
 from fuzzyrunoff import core
 from fuzzyrunoff.core import (
     DEGENERACY_FLOOR,
-    GaussianMf,
     Scheme,
     TsModel,
-    TsRule,
     firing_matrix,
     predict,
     predict_batch,
@@ -17,64 +15,73 @@ from fuzzyrunoff.core import (
 )
 
 
-def single_input_rule(mean, width, theta):
-    return TsRule((GaussianMf(mean, width),), np.asarray(theta, dtype=float))
+def one_input_model(*rules, scheme=None) -> TsModel:
+    """Model over one input from one (mean, width, theta) triple per rule."""
+    means, widths, thetas = zip(*rules)
+    return TsModel([[m] for m in means], [[w] for w in widths], thetas, scheme)
 
 
-def x_for_membership(mf: GaussianMf, target: float) -> float:
+def random_model(rng, c, n, mean_scale=1.0, width_scale=1.0, width_floor=0.2,
+                 theta_scale=1.0) -> TsModel:
+    return TsModel(rng.normal(size=(c, n)) * mean_scale,
+                   rng.random((c, n)) * width_scale + width_floor,
+                   rng.normal(size=(c, n + 1)) * theta_scale)
+
+
+def x_for_membership(mean: float, width: float, target: float) -> float:
     """Input right of the mean where the membership equals ``target``."""
-    return mf.mean + mf.width * math.sqrt(-math.log(target))
+    return mean + width * math.sqrt(-math.log(target))
 
 
-def membership(mf: GaussianMf, x: float) -> float:
+def membership(mean: float, width: float, x: float) -> float:
     """Membership of scalar ``x``: the firing of a one-input, one-rule model."""
-    model = TsModel((TsRule((mf,), np.zeros(2)),))
+    model = one_input_model((mean, width, [0.0, 0.0]))
     return float(firing_matrix(model, [[x]])[0, 0])
 
 
-def rule_outputs(rules, x) -> np.ndarray:
+def rule_outputs(model: TsModel, x) -> np.ndarray:
     """Affine consequent value of each rule at the single input ``x``."""
-    return rule_output_matrix(TsModel(tuple(rules)), [x])[0]
+    return rule_output_matrix(model, [x])[0]
 
 
 class TestGaussianMf:
     def test_peak_at_mean(self):
-        assert membership(GaussianMf(5.0, 2.0), 5.0) == 1.0
+        assert membership(5.0, 2.0, 5.0) == 1.0
 
     def test_unit_offset(self):
-        assert membership(GaussianMf(0.0, 1.0), 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert membership(0.0, 1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_far_tail(self):
-        assert membership(GaussianMf(0.0, 1.0), 10.0) == pytest.approx(math.exp(-100), rel=1e-12)
+        assert membership(0.0, 1.0, 10.0) == pytest.approx(math.exp(-100), rel=1e-12)
 
     def test_no_factor_two_in_denominator(self):
         # exp(-(x-m)^2 / s^2), not exp(-(x-m)^2 / (2 s^2))
-        assert membership(GaussianMf(0.0, 2.0), 2.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert membership(0.0, 2.0, 2.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_symmetry_about_mean(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            mf = GaussianMf(rng.normal(), abs(rng.normal()) + 0.1)
+            mean, width = rng.normal(), abs(rng.normal()) + 0.1
             d = rng.normal() * 3
-            left = membership(mf, mf.mean - d)
-            right = membership(mf, mf.mean + d)
+            left = membership(mean, width, mean - d)
+            right = membership(mean, width, mean + d)
             assert abs(left - right) <= 1e-12
 
     def test_result_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            mf = GaussianMf(rng.normal(), abs(rng.normal()) + 1e-3)
-            v = membership(mf, rng.normal() * 10)
+            mean, width = rng.normal(), abs(rng.normal()) + 1e-3
+            v = membership(mean, width, rng.normal() * 10)
             assert 0.0 <= v <= 1.0
 
     def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            GaussianMf(0.0, 0.0)
-        with pytest.raises(ValueError):
-            GaussianMf(0.0, -1.0)
+        with pytest.raises(ValueError, match="widths must be > 0"):
+            one_input_model((0.0, 0.0, [0.0, 0.0]))
+        with pytest.raises(ValueError, match="widths must be > 0"):
+            one_input_model((0.0, -1.0, [0.0, 0.0]))
 
     def test_rejects_nonfinite_input(self):
-        model = TsModel((single_input_rule(0.0, 1.0, [0.0, 1.0]),))
+        model = one_input_model((0.0, 1.0, [0.0, 1.0]))
         with pytest.raises(ValueError):
             predict(model, [float("nan")])
         with pytest.raises(ValueError):
@@ -83,51 +90,46 @@ class TestGaussianMf:
 
 class TestFiring:
     def test_minimum_of_memberships(self):
-        mfs = (GaussianMf(0.0, 1.0), GaussianMf(0.0, 1.0), GaussianMf(0.0, 1.0))
-        model = TsModel((TsRule(mfs, np.zeros(4)),))
-        x = np.array([x_for_membership(m, t) for m, t in zip(mfs, (0.8, 0.3, 0.5))])
+        model = TsModel(np.zeros((1, 3)), np.ones((1, 3)), np.zeros((1, 4)))
+        x = np.array([x_for_membership(0.0, 1.0, t) for t in (0.8, 0.3, 0.5)])
         assert firing_matrix(model, [x])[0, 0] == pytest.approx(0.3, rel=1e-12)
 
     def test_all_mfs_peak(self):
-        rule = TsRule((GaussianMf(1.0, 0.5), GaussianMf(-2.0, 3.0)), np.zeros(3))
-        assert firing_matrix(TsModel((rule,)), [[1.0, -2.0]])[0, 0] == 1.0
+        model = TsModel([[1.0, -2.0]], [[0.5, 3.0]], np.zeros((1, 3)))
+        assert firing_matrix(model, [[1.0, -2.0]])[0, 0] == 1.0
 
     def test_single_input_equals_membership(self):
-        mf = GaussianMf(2.0, 1.5)
         expected = math.exp(-((3.3 - 2.0) ** 2) / 1.5**2)
-        assert membership(mf, 3.3) == pytest.approx(expected, rel=1e-15)
+        assert membership(2.0, 1.5, 3.3) == pytest.approx(expected, rel=1e-15)
 
     def test_dimension_mismatch(self):
-        model = TsModel((single_input_rule(0.0, 1.0, [0.0, 0.0]),))
+        model = one_input_model((0.0, 1.0, [0.0, 0.0]))
         with pytest.raises(ValueError):
             firing_matrix(model, [[1.0, 2.0]])
 
 
 class TestRuleOutput:
     def test_affine(self):
-        assert rule_outputs([single_input_rule(0, 1, [1.0, 2.0])], [3.0])[0] == 7.0
+        assert rule_outputs(one_input_model((0, 1, [1.0, 2.0])), [3.0])[0] == 7.0
 
     def test_zero_coefficients(self):
-        rule = TsRule((GaussianMf(0, 1), GaussianMf(0, 1)), np.zeros(3))
-        assert rule_outputs([rule], [17.0, -4.0])[0] == 0.0
+        model = TsModel(np.zeros((1, 2)), np.ones((1, 2)), np.zeros((1, 3)))
+        assert rule_outputs(model, [17.0, -4.0])[0] == 0.0
 
     def test_intercept_only(self):
-        rule = TsRule((GaussianMf(0, 1), GaussianMf(0, 1)), [5.5, 0.0, 0.0])
-        assert rule_outputs([rule], [123.0, -9.0])[0] == 5.5
+        model = TsModel(np.zeros((1, 2)), np.ones((1, 2)), [[5.5, 0.0, 0.0]])
+        assert rule_outputs(model, [123.0, -9.0])[0] == 5.5
 
 
 class TestPredict:
     def test_single_rule_cancellation(self):
-        rule = single_input_rule(0.0, 1.0, [2.0, -1.0])
-        model = TsModel((rule,))
+        model = one_input_model((0.0, 1.0, [2.0, -1.0]))
         # any firing > 0 cancels in the weighted average
-        assert predict(model, [2.5]) == rule_outputs([rule], [2.5])[0]
+        assert predict(model, [2.5]) == rule_outputs(model, [2.5])[0]
 
     def test_two_rules_equal_firing(self):
         # symmetric rules, sample at midpoint -> equal weights
-        r1 = single_input_rule(-1.0, 1.0, [2.0, 0.0])
-        r2 = single_input_rule(1.0, 1.0, [4.0, 0.0])
-        model = TsModel((r1, r2))
+        model = one_input_model((-1.0, 1.0, [2.0, 0.0]), (1.0, 1.0, [4.0, 0.0]))
         assert predict(model, [0.0]) == pytest.approx(3.0, rel=1e-12)
 
     def test_weighted_mean_arithmetic(self):
@@ -135,13 +137,10 @@ class TestPredict:
         outputs = np.array([0.0, 4.0])
         assert (w * outputs).sum() / w.sum() == pytest.approx(3.0, rel=1e-15)
         # through the model: pick inputs so the firings hit 0.25 / 0.75
-        m1 = GaussianMf(0.0, 1.0)
-        x0 = x_for_membership(m1, 0.25)
+        x0 = x_for_membership(0.0, 1.0, 0.25)
         # second rule centred so its membership at x0 is 0.75
         shift = 1.0 * math.sqrt(-math.log(0.75))
-        r1 = TsRule((m1,), [0.0, 0.0])
-        r2 = TsRule((GaussianMf(x0 - shift, 1.0),), [4.0, 0.0])
-        model = TsModel((r1, r2))
+        model = one_input_model((0.0, 1.0, [0.0, 0.0]), (x0 - shift, 1.0, [4.0, 0.0]))
         assert predict(model, [x0]) == pytest.approx(3.0, rel=1e-9)
 
     def test_firing_scale_invariance(self):
@@ -154,44 +153,34 @@ class TestPredict:
         assert abs(base - scaled) <= 1e-12 * max(1.0, abs(base))
 
     def test_zero_rules_rejected(self):
-        with pytest.raises(ValueError):
-            TsModel(())
+        with pytest.raises(ValueError, match="at least one rule"):
+            TsModel(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 2)))
 
     def test_output_bounded_by_rule_outputs(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             c, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-            rules = tuple(
-                TsRule(
-                    tuple(GaussianMf(rng.normal(), rng.random() + 0.2) for _ in range(n)),
-                    rng.normal(size=n + 1),
-                )
-                for _ in range(c)
-            )
-            model = TsModel(rules)
+            model = random_model(rng, c, n)
             x = rng.normal(size=n)
-            outs = rule_outputs(rules, x)
+            outs = rule_outputs(model, x)
             y = predict(model, x)
             assert min(outs) - 1e-9 <= y <= max(outs) + 1e-9
 
 
 class TestPredictBatch:
     def test_empty_matrix(self):
-        model = TsModel((single_input_rule(0, 1, [0, 1]),))
+        model = one_input_model((0, 1, [0, 1]))
         out = predict_batch(model, np.zeros((0, 1)))
         assert out.shape == (0,)
 
     def test_single_row(self):
-        model = TsModel((single_input_rule(0, 1, [1, 2]),))
+        model = one_input_model((0, 1, [1, 2]))
         out = predict_batch(model, [[3.0]])
         assert out.shape == (1,)
         assert out[0] == predict(model, [3.0])
 
     def test_identical_rows_identical_outputs(self):
-        model = TsModel((
-            single_input_rule(0, 1, [1, 2]),
-            single_input_rule(4, 2, [-1, 0.5]),
-        ))
+        model = one_input_model((0, 1, [1, 2]), (4, 2, [-1, 0.5]))
         out = predict_batch(model, [[2.0], [2.0]])
         assert out[0] == out[1]
 
@@ -199,21 +188,14 @@ class TestPredictBatch:
         rng = np.random.default_rng(5)
         for _ in range(20):
             c, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-            rules = tuple(
-                TsRule(
-                    tuple(GaussianMf(rng.normal(), rng.random() + 0.2) for _ in range(n)),
-                    rng.normal(size=n + 1),
-                )
-                for _ in range(c)
-            )
-            model = TsModel(rules)
+            model = random_model(rng, c, n)
             X = rng.normal(size=(17, n)) * 3
             batch = predict_batch(model, X)
             for k in range(X.shape[0]):
                 assert batch[k] == predict(model, X[k])
 
     def test_row_index_in_error(self):
-        model = TsModel((single_input_rule(0, 1, [0, 1]),))
+        model = one_input_model((0, 1, [0, 1]))
         X = np.array([[1.0], [np.nan], [2.0]])
         with pytest.raises(ValueError, match="row 1"):
             predict_batch(model, X)
@@ -222,9 +204,7 @@ class TestPredictBatch:
 class TestDegenerateFallback:
     def make_far_model(self):
         # two tight rules; inputs far from both underflow the firing sum
-        r1 = single_input_rule(0.0, 0.1, [1.0, 0.0])
-        r2 = single_input_rule(10.0, 0.1, [2.0, 0.0])
-        return TsModel((r1, r2))
+        return one_input_model((0.0, 0.1, [1.0, 0.0]), (10.0, 0.1, [2.0, 0.0]))
 
     def test_fallback_picks_nearest_rule(self):
         model = self.make_far_model()
@@ -248,19 +228,57 @@ class TestDegenerateFallback:
 
 class TestImmutability:
     def test_model_fields_frozen(self):
-        model = TsModel((single_input_rule(0, 1, [0, 1]),))
-        with pytest.raises(AttributeError):
-            model.rules = ()
+        model = one_input_model((0, 1, [0, 1]))
+        for name in ("premise_means", "premise_widths", "consequents", "scheme"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, None)
 
     def test_parameter_arrays_read_only(self):
-        rule = single_input_rule(0, 1, [0.5, 1.5])
-        model = TsModel((rule,))
-        with pytest.raises(ValueError):
-            rule.consequent[0] = 9.9
+        model = one_input_model((0, 1, [0.5, 1.5]))
         with pytest.raises(ValueError):
             model.premise_means[0, 0] = 9.9
         with pytest.raises(ValueError):
+            model.premise_widths[0, 0] = 9.9
+        with pytest.raises(ValueError):
             model.consequents[0, 0] = 9.9
+
+    def test_caller_arrays_are_copied(self):
+        means, widths, theta = np.zeros((1, 1)), np.ones((1, 1)), np.array([[0.5, 1.5]])
+        model = TsModel(means, widths, theta)
+        means[0, 0] = widths[0, 0] = theta[0, 0] = 9.9
+        assert model.premise_means[0, 0] == 0.0
+        assert model.premise_widths[0, 0] == 1.0
+        assert model.consequents[0, 0] == 0.5
+
+
+def _with(matrix: int, row: int, value: float):
+    """Parameters of a valid two-rule, one-input model with one entry replaced."""
+    params = [np.zeros((2, 1)), np.ones((2, 1)), np.zeros((2, 2))]
+    params[matrix][row, 0] = value
+    return params
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("params,message", [
+        ((np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 2))), "at least one rule and one input"),
+        ((np.zeros((1, 0)), np.zeros((1, 0)), np.zeros((1, 1))), "at least one rule and one input"),
+        (([0.0], [1.0], [0.0, 0.0]), "at least one rule and one input"),
+        ((np.zeros((2, 1)), np.ones((1, 1)), np.zeros((2, 2))), r"expected widths of shape \(2, 1\)"),
+        ((np.zeros((2, 1)), np.ones((2, 2)), np.zeros((2, 2))), r"expected widths of shape \(2, 1\)"),
+        ((np.zeros((2, 1)), np.ones((2, 1)), np.zeros((2, 1))), r"consequents of shape \(2, 2\)"),
+        ((np.zeros((2, 1)), np.ones((2, 1)), np.zeros((1, 2))), r"consequents of shape \(2, 2\)"),
+        (_with(0, 1, np.nan), "rule 1: parameters must be finite"),
+        (_with(0, 1, np.inf), "rule 1: parameters must be finite"),
+        (_with(1, 1, np.nan), "rule 1: parameters must be finite"),
+        (_with(1, 1, -np.inf), "rule 1: parameters must be finite"),
+        (_with(2, 1, np.nan), "rule 1: parameters must be finite"),
+        (_with(2, 1, np.inf), "rule 1: parameters must be finite"),
+        (_with(1, 1, 0.0), "rule 1: premise widths must be > 0"),
+        (_with(1, 0, -1.0), "rule 0: premise widths must be > 0"),
+    ])
+    def test_invalid_parameters_rejected(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            TsModel(*params)
 
 
 class TestSerialization:
@@ -271,22 +289,15 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         for _ in range(10):
             c, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-            rules = tuple(
-                TsRule(
-                    tuple(GaussianMf(rng.normal() * 1e3, rng.random() * 1e-3 + 1e-8)
-                          for _ in range(n)),
-                    rng.normal(size=n + 1) * 1e5,
-                )
-                for _ in range(c)
-            )
-            model = TsModel(rules)
+            model = random_model(rng, c, n, mean_scale=1e3, width_scale=1e-3,
+                                 width_floor=1e-8, theta_scale=1e5)
             back = self.roundtrip(model)
             assert np.array_equal(back.premise_means, model.premise_means)
             assert np.array_equal(back.premise_widths, model.premise_widths)
             assert np.array_equal(back.consequents, model.consequents)
 
     def test_file_roundtrip(self, tmp_path):
-        model = TsModel((single_input_rule(1 / 3, math.pi, [math.e, -1 / 7]),))
+        model = one_input_model((1 / 3, math.pi, [math.e, -1 / 7]))
         path = tmp_path / "model.txt"
         core.save_model(model, path)
         back = core.load_model(path)
@@ -297,19 +308,19 @@ class TestSerialization:
             core.parse_model("format tsmodel-v9\ninput_dim 1\nrule_count 0\n")
 
     def test_rejects_rule_count_mismatch(self):
-        text = core.dump_model(TsModel((single_input_rule(0, 1, [0, 1]),)))
+        text = core.dump_model(one_input_model((0, 1, [0, 1])))
         text = text.replace("rule_count 1", "rule_count 2")
         with pytest.raises(ValueError):
             core.parse_model(text)
 
     def test_scheme_roundtrip(self):
-        rules = (single_input_rule(0.5, 2.0, [1.0, -3.0]),)
+        rule = (0.5, 2.0, [1.0, -3.0])
         for scheme in (Scheme("gk", 2, 12),
                        Scheme("sc", 1, 0, ((-0.1, 0.0), (187.4, 9.600000000000001)))):
-            back = self.roundtrip(TsModel(rules, scheme))
+            back = self.roundtrip(one_input_model(rule, scheme=scheme))
             assert back.scheme == scheme
             assert np.array_equal(back.consequents, np.array([[1.0, -3.0]]))
-        assert self.roundtrip(TsModel(rules)).scheme is None
+        assert self.roundtrip(one_input_model(rule)).scheme is None
 
     def test_reads_v1_text(self):
         # written by the v1 serialiser, before models carried their scheme
@@ -334,9 +345,11 @@ class TestSerialization:
         (lambda t: t.replace("widths 2.0", "widths 2.o"), "rule 0: line 9: bad widths"),
         (lambda t: t.replace("stride 2", "stride two"), "line 5: bad stride"),
         (lambda t: t.replace("tsmodel-v2", "tsmodel-v9"), "unsupported model format"),
+        (lambda t: t.replace("theta 1.0 -3.0", "theta 1.0"), "rule 0: row lengths do not match"),
+        (lambda t: t.replace("widths 2.0", "widths 0.0"), "rule 0: premise widths must be > 0"),
     ])
     def test_malformed_file_names_line_or_key(self, edit, message):
-        text = core.dump_model(TsModel((single_input_rule(0.5, 2.0, [1.0, -3.0]),),
-                                       Scheme("gk", 2, 12)))
+        text = core.dump_model(one_input_model((0.5, 2.0, [1.0, -3.0]),
+                                               scheme=Scheme("gk", 2, 12)))
         with pytest.raises(ValueError, match=message):
             core.parse_model(edit(text))

@@ -15,20 +15,6 @@ from fuzzyrunoff.identify import (
 )
 
 
-def make_model(means, widths, thetas):
-    means = np.atleast_2d(means)
-    widths = np.atleast_2d(widths)
-    thetas = np.atleast_2d(thetas)
-    rules = tuple(
-        core.TsRule(
-            tuple(core.GaussianMf(m, w) for m, w in zip(mrow, wrow)),
-            theta,
-        )
-        for mrow, wrow, theta in zip(means, widths, thetas)
-    )
-    return core.TsModel(rules)
-
-
 class TestPremiseMeans:
     def test_crisp_single_cluster(self):
         z = np.array([[0.0, 9.0], [2.0, 9.0]])  # one input column + output
@@ -93,25 +79,25 @@ class TestPremiseWidths:
 
 class TestNormalizedTruth:
     def test_one_hot_near_a_far_rule(self):
-        model = make_model([[0.0], [50.0]], [[1.0], [1.0]], [[0, 0], [0, 0]])
+        model = core.TsModel([[0.0], [50.0]], [[1.0], [1.0]], [[0, 0], [0, 0]])
         truth = normalized_truth(model, np.array([[0.0]]))
         assert truth[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_midpoint_of_symmetric_rules(self):
-        model = make_model([[-1.0], [1.0]], [[1.0], [1.0]], [[0, 0], [0, 0]])
+        model = core.TsModel([[-1.0], [1.0]], [[1.0], [1.0]], [[0, 0], [0, 0]])
         truth = normalized_truth(model, np.array([[0.0]]))
         assert np.allclose(truth[0], [0.5, 0.5], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        model = make_model(rng.normal(size=(3, 2)), rng.random((3, 2)) + 0.2,
-                           rng.normal(size=(3, 3)))
+        model = core.TsModel(rng.normal(size=(3, 2)), rng.random((3, 2)) + 0.2,
+                             rng.normal(size=(3, 3)))
         X = rng.normal(size=(25, 2))
         truth = normalized_truth(model, X)
         assert np.allclose(truth.sum(axis=1), 1.0, atol=1e-12)
 
     def test_degenerate_row_one_hot_at_nearest(self):
-        model = make_model([[0.0], [10.0]], [[0.1], [0.1]], [[0, 0], [0, 0]])
+        model = core.TsModel([[0.0], [10.0]], [[0.1], [0.1]], [[0, 0], [0, 0]])
         truth = normalized_truth(model, np.array([[-400.0], [402.0]]))
         assert np.array_equal(truth[0], [1.0, 0.0])
         assert np.array_equal(truth[1], [0.0, 1.0])
@@ -196,10 +182,10 @@ class TestSolveConsequents:
 
 
 def generating_two_rule_model():
-    return make_model(
-        means=[[0.0], [10.0]],
-        widths=[[1.5], [1.5]],
-        thetas=[[2.0, 0.5], [-3.0, 1.5]],
+    return core.TsModel(
+        premise_means=[[0.0], [10.0]],
+        premise_widths=[[1.5], [1.5]],
+        consequents=[[2.0, 0.5], [-3.0, 1.5]],
     )
 
 

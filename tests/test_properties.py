@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from fuzzyrunoff.core import (
-    GaussianMf,
     Scheme,
     TsModel,
-    TsRule,
     dump_model,
     parse_model,
     predict,
@@ -24,12 +24,11 @@ any_float = st.floats(allow_nan=False, allow_infinity=False)
 def models(draw, values=finite):
     n = draw(st.integers(1, 4))
     c = draw(st.integers(1, 5))
-    rules = tuple(
-        TsRule(tuple(GaussianMf(draw(values), draw(widths)) for _ in range(n)),
-               [draw(values) for _ in range(n + 1)])
-        for _ in range(c)
-    )
-    return TsModel(rules)
+
+    def matrix(elements, cols):
+        return [[draw(elements) for _ in range(cols)] for _ in range(c)]
+
+    return TsModel(matrix(values, n), matrix(widths, n), matrix(values, n + 1))
 
 
 schemes = st.one_of(
@@ -50,10 +49,10 @@ def v1_text(model: TsModel) -> str:
     fmt = lambda values: " ".join(repr(float(v)) for v in values)  # noqa: E731
     lines = ["format tsmodel-v1", f"input_dim {model.input_dim}",
              f"rule_count {model.rule_count}"]
-    for i, rule in enumerate(model.rules):
-        lines += [f"rule {i}", "means " + fmt(m.mean for m in rule.premise),
-                  "widths " + fmt(m.width for m in rule.premise),
-                  "theta " + fmt(rule.consequent)]
+    rows = zip(model.premise_means, model.premise_widths, model.consequents)
+    for i, (means, widths, theta) in enumerate(rows):
+        lines += [f"rule {i}", "means " + fmt(means), "widths " + fmt(widths),
+                  "theta " + fmt(theta)]
     return "\n".join(lines) + "\n"
 
 
@@ -70,7 +69,7 @@ def test_single_row_equals_batch_bit_for_bit(model, data):
 @settings(max_examples=200, deadline=None)
 @given(models(values=any_float), schemes)
 def test_model_file_roundtrip_is_bit_exact(model, scheme):
-    model = TsModel(model.rules, scheme)
+    model = replace(model, scheme=scheme)
     back = parse_model(dump_model(model))
     assert back.scheme == scheme
     for attr in ("premise_means", "premise_widths", "consequents"):

@@ -6,6 +6,7 @@ import pytest
 from fuzzyrunoff.clustering import ClusterConfig, init_partition
 from fuzzyrunoff.validity import (
     INDEX_DIRECTIONS,
+    _min_separation,
     all_indices,
     consensus_count,
     mpc,
@@ -159,6 +160,36 @@ class TestSeparationIndex:
         for s in (0.1, 7.0, 1234.5):
             scaled = separation_index(u, s * z, s * centers)
             assert scaled == pytest.approx(base, rel=1e-9)
+
+    def test_min_separation_matches_the_pairwise_loop(self):
+        def loop(sep):
+            best, best_i = None, -1
+            for i in range(sep.shape[0]):
+                for j in range(sep.shape[0]):
+                    if i != j and (best is None or sep[i, j] < best):
+                        best, best_i = sep[i, j], i
+            return float(best), best_i
+
+        rng = np.random.default_rng(12)
+        for trial in range(400):
+            c, d = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+            # half the trials on a coarse integer grid: many ties, some
+            # coincident centers
+            v = rng.integers(0, 3, size=(c, d)) if trial % 2 else rng.normal(size=(c, d))
+            sep = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).astype(float)
+            assert _min_separation(sep) == loop(sep)
+
+    def test_tied_closest_pairs_use_the_first(self):
+        # pairs (0, 1) and (1, 2) are both 1 apart; the lexicographically
+        # first pair normalises by cluster 0's cardinality (1 point), not by
+        # cluster 1's (2) or cluster 2's (3)
+        centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        z = np.array([[0.0, 0.5], [1.0, 0.5], [1.0, -0.5],
+                      [2.0, 0.5], [2.0, -0.5], [2.0, 0.5]])
+        u = np.zeros((3, 6))
+        u[[0, 1, 1, 2, 2, 2], np.arange(6)] = 1.0
+        scatter = 6 * 0.25
+        assert separation_index(u, z, centers) == scatter / (1.0 * 1.0)
 
     def test_three_blob_sweep_minimum_at_three(self):
         z = three_blobs(seed=5)
