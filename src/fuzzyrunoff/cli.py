@@ -321,6 +321,14 @@ def _metric_row(label, stride, split, ms):
     return [label, stride, split, repr(ms.rmse), repr(ms.ve), repr(ms.ce), repr(ms.r)]
 
 
+def _require_varying(observed: np.ndarray, key: str) -> None:
+    """Refuse a constant observed series: the coefficient of efficiency
+    divides by its variance."""
+    if np.all(observed == observed[0]):
+        raise DataValidationError(f"{key}: observed series is constant "
+                                  f"({float(observed[0])!r}); there is nothing to score")
+
+
 def cmd_evaluate(exp: Experiment) -> int:
     validation = exp.load_series("validation_csv")
     include_train = exp.get("include_train", "off") == "on"
@@ -357,6 +365,7 @@ def cmd_evaluate(exp: Experiment) -> int:
             )
         vset = build_supervised(validation, lag=scheme.lag, stride=scheme.stride,
                                 normalization=record if record else False)
+        _require_varying(vset.y, "validation_csv")
         yhat = core.predict_batch(model, vset.x)
         label = _combo_label(scheme.algorithm, record is not None)
         rows.append(_metric_row(label, scheme.stride, "validation",
@@ -364,6 +373,7 @@ def cmd_evaluate(exp: Experiment) -> int:
         if include_train:
             tset = build_supervised(train_series, lag=scheme.lag, stride=scheme.stride,
                                     normalization=record if record else False)
+            _require_varying(tset.y, "train_csv")
             rows.append(_metric_row(label, scheme.stride, "train",
                                     metric_set(tset.y, core.predict_batch(model, tset.x))))
 

@@ -194,7 +194,7 @@ def scatter_matrices(data, partition, centers, m: float) -> np.ndarray:
     out = np.empty((c, d, d))
     for i in range(c):
         diff = z - centers[i]
-        out[i] = np.einsum("k,ki,kj->ij", um[i], diff, diff) / um[i].sum()
+        out[i] = ((diff.T * um[i]) @ diff) / um[i].sum()
     return out
 
 
@@ -218,12 +218,13 @@ def update_covariances(data, partition, centers, m: float, gamma: float) -> np.n
         if not scale > 0:
             scale = 1.0
         covs = (1.0 - gamma) * covs + gamma * scale * np.eye(d)
-    for i, f in enumerate(covs):
-        eig = np.linalg.eigvalsh(f)
-        if eig[0] <= 1e-12 * np.trace(f):
-            raise NumericalError(
-                f"covariance of cluster {i} is singular after regularisation"
-            )
+    smallest = np.linalg.eigvalsh(covs)[:, 0]
+    singular = smallest <= 1e-12 * np.trace(covs, axis1=1, axis2=2)
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise NumericalError(
+            f"covariance of cluster {i} is singular after regularisation"
+        )
     return covs
 
 
@@ -232,13 +233,12 @@ def norm_matrices(covariances: np.ndarray) -> np.ndarray:
     of the clustering space, so each has unit determinant."""
     covariances = np.asarray(covariances, dtype=float)
     d = covariances.shape[-1]
-    out = np.empty_like(covariances)
-    for i, f in enumerate(covariances):
-        det = float(np.linalg.det(f))
-        if det <= 0:
-            raise NumericalError(f"covariance of cluster {i} is not positive definite")
-        out[i] = det ** (1.0 / d) * np.linalg.inv(f)
-    return out
+    det = np.linalg.det(covariances)
+    nonpositive = det <= 0
+    if nonpositive.any():
+        i = int(np.argmax(nonpositive))
+        raise NumericalError(f"covariance of cluster {i} is not positive definite")
+    return (det ** (1.0 / d))[:, None, None] * np.linalg.inv(covariances)
 
 
 def _squared_distances(z: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -247,7 +247,7 @@ def _squared_distances(z: np.ndarray, centers: np.ndarray, norms: np.ndarray) ->
     out = np.empty((c, z.shape[0]))
     for i in range(c):
         diff = z - centers[i]
-        out[i] = np.einsum("kd,de,ke->k", diff, norms[i], diff)
+        out[i] = ((diff @ norms[i]) * diff).sum(axis=1)
     # tiny negatives from round-off would break the power update
     np.maximum(out, 0.0, out=out)
     return out
@@ -350,6 +350,17 @@ def _minmax_normalise(z: np.ndarray):
     return (z - lo) / span_safe, lo, span_safe
 
 
+# Byte budget of the (rows, N, d) difference block run_sc works on.
+_SC_BLOCK_BYTES = 16 * 2**20
+
+
+def _sc_sq_dist_rows(zn: np.ndarray, rows: slice) -> np.ndarray:
+    """Squared Euclidean distances from zn[rows] to every row of zn."""
+    diff = zn[rows, None, :] - zn[None, :, :]
+    np.square(diff, out=diff)
+    return diff.sum(axis=2)
+
+
 def run_sc(data, cfg: ClusterConfig):
     """Subtractive clustering: density-peak center selection.
 
@@ -360,25 +371,37 @@ def run_sc(data, cfg: ClusterConfig):
     ratio, and the distance/potential trade-off rule in between).  Ties pick
     the lowest row index.  Returns (centers in original coordinates,
     effective cluster count).
+
+    The potentials are summed over blocks of rows, each block as many rows
+    as keep its (rows, N, d) difference array within ``_SC_BLOCK_BYTES``
+    (at least one row).  Only the distance rows of the accepted centers are
+    kept, so memory is O(N * block + k * N) for k centers, never O(N^2).
+    Every distance is the same expression on the same operands as a full
+    (N, N) matrix would hold, so the result does not depend on the block.
     """
     cfg.validate()
     z = _as_z(data)
-    n = z.shape[0]
+    n, d = z.shape
     if n == 0:
         raise ValueError("empty data matrix")
     zn, lo, span = _minmax_normalise(z)
     ra = cfg.sc_radius
     alpha = 4.0 / ra**2
     beta = 4.0 / (cfg.sc_squash * ra) ** 2
-    d2 = ((zn[:, None, :] - zn[None, :, :]) ** 2).sum(axis=2)
-    potential = np.exp(-alpha * d2).sum(axis=1)
+    block = max(1, _SC_BLOCK_BYTES // (8 * n * max(d, 1)))
+    potential = np.empty(n)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        potential[rows] = np.exp(-alpha * _sc_sq_dist_rows(zn, rows)).sum(axis=1)
 
     first_peak = float(potential.max())
     idx = int(potential.argmax())
     accepted = [idx]
+    center_rows = []  # squared distances from each accepted center
     while True:
-        p_star = float(potential[accepted[-1]])
-        potential = potential - p_star * np.exp(-beta * d2[accepted[-1]])
+        center_rows.append(_sc_sq_dist_rows(zn, slice(idx, idx + 1))[0])
+        p_star = float(potential[idx])
+        potential = potential - p_star * np.exp(-beta * center_rows[-1])
         rejected_all = False
         while True:
             idx = int(potential.argmax())
@@ -389,7 +412,7 @@ def run_sc(data, cfg: ClusterConfig):
                 rejected_all = True
                 break
             # gray zone: trade off distance to existing centers vs potential
-            dmin = np.sqrt(min(d2[idx, j] for j in accepted))
+            dmin = np.sqrt(min(row[idx] for row in center_rows))
             if dmin / ra + p_cand / first_peak >= 1.0:
                 break
             potential[idx] = 0.0

@@ -115,14 +115,17 @@ def nearest_rule_index(model: TsModel, X) -> np.ndarray:
     """Index of the rule whose premise mean vector is closest to each row.
 
     Distances are taken in a normalised input space: each dimension is
-    divided by the spread of the premise means across rules (1.0 when the
-    spread is zero), so no dimension dominates on units alone.  Ties go to
-    the lowest rule index.
+    divided by the spread of the premise means across rules, so no
+    dimension dominates on units alone.  A spread that round-off cannot
+    resolve against the means (at most eps * max(1, max |mean|), zero
+    included) scales by 1.0 instead, so it cannot blow distances up to inf.
+    Ties go to the lowest rule index.
     """
     X = _check_batch(model, X)
     means = model.premise_means
     scale = means.max(axis=0) - means.min(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
+    floor = np.finfo(float).eps * np.maximum(1.0, np.abs(means).max(axis=0))
+    scale = np.where(scale > floor, scale, 1.0)
     d2 = (((X[:, None, :] - means[None, :, :]) / scale) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
 

@@ -315,6 +315,28 @@ class TestModelFile:
         assert err.startswith(f"data error: {path}: ") and "retrain" in err
 
 
+class TestConstantObserved:
+    """A constant observed head leaves the coefficient of efficiency
+    undefined: evaluate refuses it as a data error naming the CSV key."""
+
+    @pytest.mark.parametrize("key,extra", [("validation_csv", ""),
+                                           ("train_csv", "include_train = on\n")],
+                             ids=["validation", "train"])
+    def test_constant_head_is_data_error(self, trained, tmp_path, capsys, key, extra):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        csv_path = out / key.replace("_csv", ".csv")
+        header, *rows = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + ",5.0"
+                                                  for r in rows]) + "\n")
+        config = write_model_config(out)
+        with open(config, "a") as fh:
+            fh.write(extra)
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: {key}: observed series is constant (5.0)")
+
+
 class TestAtomicWrites:
     def test_foreign_tmp_untouched_and_no_temp_left(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fuzzyrunoff import clustering
 from fuzzyrunoff.clustering import (
     ClusterConfig,
     DataMatrix,
     NumericalError,
     PartitionMatrix,
+    _minmax_normalise,
     _objective,
     _squared_distances,
     init_partition,
@@ -155,6 +158,70 @@ class TestGkDistance:
         f = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalError):
             gk_distance([1.0, 1.0], [0.0, 0.0], f)
+
+
+class TestKernels:
+    """The matrix-product kernels against their einsum definitions."""
+
+    @staticmethod
+    def problem(rng):
+        n, d, c = int(rng.integers(5, 300)), int(rng.integers(1, 7)), int(rng.integers(2, 6))
+        z = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d) + rng.normal(size=d)
+        centers = rng.normal(size=(c, d))
+        a = rng.normal(size=(c, d, d))
+        spd = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
+        return z, centers, spd
+
+    @staticmethod
+    def einsum_distances(z, centers, norms):
+        return np.stack([np.einsum("kd,de,ke->k", z - v, a, z - v)
+                         for v, a in zip(centers, norms)])
+
+    def test_scatter_matches_einsum(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            z, centers, _ = self.problem(rng)
+            u = init_partition(z.shape[0], centers.shape[0], seed=int(rng.integers(99))).u
+            m = float(rng.uniform(1.2, 3.0))
+            um = u**m
+            expected = np.stack([np.einsum("k,ki,kj->ij", w, z - v, z - v) / w.sum()
+                                 for w, v in zip(um, centers)])
+            np.testing.assert_allclose(scatter_matrices(z, u, centers, m), expected,
+                                       rtol=1e-12)
+
+    def test_distances_match_einsum(self):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            z, centers, spd = self.problem(rng)
+            np.testing.assert_allclose(_squared_distances(z, centers, spd),
+                                       self.einsum_distances(z, centers, spd), rtol=1e-12)
+
+    def test_identity_norm_distances_are_bit_identical(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            z, centers, _ = self.problem(rng)
+            c, d = centers.shape
+            eye = np.broadcast_to(np.eye(d), (c, d, d))
+            assert (_squared_distances(z, centers, eye).tobytes()
+                    == self.einsum_distances(z, centers, eye).tobytes())
+
+    def test_singular_covariance_names_the_first_cluster(self):
+        # crisp partition: cluster 0 spans the plane, clusters 1 and 2 are
+        # each a line, so with gamma = 0 both of their scatters are singular
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [5.0, 0.0], [6.0, 0.0], [7.0, 0.0],
+                      [0.0, 5.0], [0.0, 6.0], [0.0, 7.0]])
+        u = np.zeros((3, 10))
+        u[0, :4] = u[1, 4:7] = u[2, 7:] = 1.0
+        centers = update_centers(z, u, m=2.0)
+        with pytest.raises(NumericalError, match="covariance of cluster 1 is singular"):
+            update_covariances(z, u, centers, m=2.0, gamma=0.0)
+
+    def test_non_positive_definite_names_the_first_cluster(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])])
+        with pytest.raises(NumericalError,
+                           match="covariance of cluster 1 is not positive definite"):
+            norm_matrices(stack)
 
 
 class TestUpdateMemberships:
@@ -412,6 +479,84 @@ class TestRunSc:
         part, clusters = sc_partition(z, centers)
         assert part.u.shape == (count, z.shape[0])
         assert np.allclose(part.u.sum(axis=0), 1.0, atol=1e-9)
+
+
+def full_matrix_sc(z, cfg, gray=None):
+    """Subtractive clustering over the whole (N, N) distance matrix, as
+    run_sc computed it before blocking.  Appends each gray-zone decision
+    (True = accepted) to ``gray``."""
+    zn, _, _ = _minmax_normalise(np.asarray(z, dtype=float))
+    ra = cfg.sc_radius
+    alpha = 4.0 / ra**2
+    beta = 4.0 / (cfg.sc_squash * ra) ** 2
+    d2 = ((zn[:, None, :] - zn[None, :, :]) ** 2).sum(axis=2)
+    potential = np.exp(-alpha * d2).sum(axis=1)
+    first_peak = float(potential.max())
+    accepted = [int(potential.argmax())]
+    while True:
+        p_star = float(potential[accepted[-1]])
+        potential = potential - p_star * np.exp(-beta * d2[accepted[-1]])
+        while True:
+            idx = int(potential.argmax())
+            p_cand = float(potential[idx])
+            if p_cand > cfg.sc_accept * first_peak:
+                break
+            if p_cand < cfg.sc_reject * first_peak:
+                return z[np.array(accepted)], len(accepted)
+            dmin = np.sqrt(min(d2[idx, j] for j in accepted))
+            accept = bool(dmin / ra + p_cand / first_peak >= 1.0)
+            if gray is not None:
+                gray.append(accept)
+            if accept:
+                break
+            potential[idx] = 0.0
+        accepted.append(idx)
+
+
+def sc_inputs():
+    """(data, radius) pairs: a grid-rounded cloud with a third of its rows
+    duplicated (tied potentials, gray-zone accepts and rejects), and four
+    exactly representable points whose potentials tie exactly."""
+    out = []
+    for seed in (0, 5, 17):
+        z = np.round(np.random.default_rng(seed).normal(size=(60, 2)), 1)
+        out += [(np.vstack([z, z[:20]]), 0.3), (np.vstack([z, z[:20]]), 0.5)]
+    return out + [(np.array([[0.0], [1.0], [7.0], [8.0]]), 0.1)]
+
+
+class TestBlockedSc:
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_blocks_match_the_full_matrix(self, monkeypatch, rows):
+        gray = []
+        for z, ra in sc_inputs():
+            if rows is not None:
+                monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", rows * 8 * z.size)
+            cfg = ClusterConfig(algorithm="sc", sc_radius=ra)
+            expected, expected_count = full_matrix_sc(z, cfg, gray)
+            centers, count = run_sc(z, cfg)
+            assert count == expected_count
+            assert centers.tobytes() == expected.tobytes()
+        assert True in gray and False in gray
+
+    def test_ties_go_to_the_lowest_row(self, monkeypatch):
+        # all four potentials tie, then rows 2 and 3, then rows 1 and 3
+        z = np.array([[0.0], [1.0], [7.0], [8.0]])
+        cfg = ClusterConfig(algorithm="sc", sc_radius=0.1)
+        monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", 1)
+        centers, count = run_sc(z, cfg)
+        assert count == 4
+        assert centers.ravel().tolist() == [0.0, 7.0, 1.0, 8.0]
+
+    def test_memory_stays_bounded(self):
+        # the full (N, N) distance matrix alone would take 128 MB here
+        z = np.random.default_rng(45).random((4000, 2))
+        tracemalloc.start()
+        try:
+            run_sc(z, ClusterConfig(algorithm="sc"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestDispatch:

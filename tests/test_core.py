@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,15 @@ class TestDegenerateFallback:
         # everything left of the midpoint maps to rule 0's output
         for x in (-300.0, -100.0, -50.0):
             assert predict(model, [x]) == 1.0
+
+    def test_unresolvable_spread_does_not_overflow(self):
+        # the first input's means differ by 1e-300: scaling by that spread
+        # would make both distances inf; it scales by 1.0 instead, so the
+        # second input, where rule 1 matches exactly, decides
+        model = TsModel([[0.0, 0.0], [1e-300, 10.0]], np.ones((2, 2)), np.zeros((2, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core.nearest_rule_index(model, [[1e6, 10.0]]).tolist() == [1]
 
 
 class TestImmutability:
