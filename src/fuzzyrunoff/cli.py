@@ -388,7 +388,7 @@ def cmd_evaluate(exp: Experiment) -> int:
             header += ["observed_mm", "predicted_mm"]
             columns += [record.denormalize_y(vset.y), record.denormalize_y(yhat)]
         write_csv(os.path.join(series_dir, f"series_{name}.csv"), header,
-                  ([k] + [repr(float(c[k])) for c in columns] for k in range(vset.n_rows)))
+                  zip(range(vset.n_rows), *(map(repr, c.tolist()) for c in columns)))
 
     report_path = os.path.join(exp.out, "forecast_report.csv")
     write_csv(report_path, ["algorithm", "scheme", "split", "rmse", "ve", "ce", "r"], rows)

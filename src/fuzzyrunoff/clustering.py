@@ -174,27 +174,33 @@ def init_partition(n_samples: int, n_clusters: int, seed: int) -> PartitionMatri
     return PartitionMatrix(u / u.sum(axis=0, keepdims=True))
 
 
-def update_centers(data, partition, m: float) -> np.ndarray:
-    """Membership-weighted means: v_i = sum_k mu_ik^m Z_k / sum_k mu_ik^m."""
-    z = _as_z(data)
-    um = _as_u(partition) ** m
+def _membership_mass(um: np.ndarray) -> np.ndarray:
+    """Row sums of mu^m; a cluster without any membership is refused."""
     mass = um.sum(axis=1)
     if np.any(mass == 0):
         i = int(np.argmax(mass == 0))
         raise NumericalError(f"cluster {i} has zero membership mass")
-    return (um @ z) / mass[:, None]
+    return mass
+
+
+def update_centers(data, partition, m: float) -> np.ndarray:
+    """Membership-weighted means: v_i = sum_k mu_ik^m Z_k / sum_k mu_ik^m."""
+    z = _as_z(data)
+    um = _as_u(partition) ** m
+    return (um @ z) / _membership_mass(um)[:, None]
 
 
 def scatter_matrices(data, partition, centers, m: float) -> np.ndarray:
     """Raw fuzzy covariance per cluster, before any regularisation."""
     z = _as_z(data)
     um = _as_u(partition) ** m
+    mass = _membership_mass(um)
     centers = np.asarray(centers, dtype=float)
     c, d = centers.shape
     out = np.empty((c, d, d))
     for i in range(c):
         diff = z - centers[i]
-        out[i] = ((diff.T * um[i]) @ diff) / um[i].sum()
+        out[i] = ((diff.T * um[i]) @ diff) / mass[i]
     return out
 
 
@@ -214,9 +220,10 @@ def update_covariances(data, partition, centers, m: float, gamma: float) -> np.n
         mean = z.mean(axis=0)
         diff = z - mean
         f_all = (diff.T @ diff) / z.shape[0]
-        scale = float(np.linalg.det(f_all)) ** (1.0 / d) if d > 0 else 1.0
-        if not scale > 0:
-            scale = 1.0
+        # a singular total scatter can have a determinant that rounds
+        # below zero, whose fractional power would be complex
+        det = float(np.linalg.det(f_all)) if d > 0 else 0.0
+        scale = det ** (1.0 / d) if det > 0 else 1.0
         covs = (1.0 - gamma) * covs + gamma * scale * np.eye(d)
     smallest = np.linalg.eigvalsh(covs)[:, 0]
     singular = smallest <= 1e-12 * np.trace(covs, axis1=1, axis2=2)
@@ -350,15 +357,27 @@ def _minmax_normalise(z: np.ndarray):
     return (z - lo) / span_safe, lo, span_safe
 
 
-# Byte budget of the (rows, N, d) difference block run_sc works on.
-_SC_BLOCK_BYTES = 16 * 2**20
+# Byte budget of the two (rows, N) buffers run_sc computes potentials in.
+_SC_BLOCK_BYTES = 2**20
 
 
-def _sc_sq_dist_rows(zn: np.ndarray, rows: slice) -> np.ndarray:
-    """Squared Euclidean distances from zn[rows] to every row of zn."""
-    diff = zn[rows, None, :] - zn[None, :, :]
-    np.square(diff, out=diff)
-    return diff.sum(axis=2)
+def _sc_sq_dist_rows(cols: np.ndarray, rows: slice, out: np.ndarray,
+                     tmp: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from the points ``rows`` to every point,
+    written into ``out``; ``cols`` holds the coordinates as contiguous
+    columns (d, N), ``tmp`` is scratch of the shape of ``out``.
+
+    The coordinates are added to ``out`` one at a time in column order,
+    starting from 0.  numpy sums an axis of fewer than 8 elements in that
+    same order, so for d <= 7 this equals ``(diff ** 2).sum(axis=-1)`` bit
+    for bit; for d >= 8 numpy sums pairwise and the two differ by round-off.
+    """
+    out.fill(0.0)
+    for col in cols:
+        np.subtract(col[rows, None], col[None, :], out=tmp)
+        np.square(tmp, out=tmp)
+        out += tmp
+    return out
 
 
 def run_sc(data, cfg: ClusterConfig):
@@ -372,34 +391,45 @@ def run_sc(data, cfg: ClusterConfig):
     the lowest row index.  Returns (centers in original coordinates,
     effective cluster count).
 
-    The potentials are summed over blocks of rows, each block as many rows
-    as keep its (rows, N, d) difference array within ``_SC_BLOCK_BYTES``
-    (at least one row).  Only the distance rows of the accepted centers are
-    kept, so memory is O(N * block + k * N) for k centers, never O(N^2).
-    Every distance is the same expression on the same operands as a full
-    (N, N) matrix would hold, so the result does not depend on the block.
+    The potentials are computed over blocks of rows in two (rows, N)
+    buffers, as many rows as keep both within ``_SC_BLOCK_BYTES`` (at least
+    one row); the squared distances accumulate one coordinate column at a
+    time, and the exponentials are taken in place.  Only the distance rows
+    of the accepted centers are kept, so memory is O(budget + d * N + k * N)
+    for k centers, never O(N^2).  Every distance, the centers' rows
+    included, comes from ``_sc_sq_dist_rows``, so the result does not depend
+    on the block.  For d <= 7 the distances equal a coordinate sum over a
+    full (N, N, d) difference array bit for bit; for d >= 8 they can differ
+    from it by round-off (see ``_sc_sq_dist_rows``).
     """
     cfg.validate()
     z = _as_z(data)
-    n, d = z.shape
+    n = z.shape[0]
     if n == 0:
         raise ValueError("empty data matrix")
     zn, lo, span = _minmax_normalise(z)
+    cols = np.ascontiguousarray(zn.T)
     ra = cfg.sc_radius
     alpha = 4.0 / ra**2
     beta = 4.0 / (cfg.sc_squash * ra) ** 2
-    block = max(1, _SC_BLOCK_BYTES // (8 * n * max(d, 1)))
+    block = max(1, min(n, _SC_BLOCK_BYTES // (2 * 8 * n)))
+    out, tmp = np.empty((block, n)), np.empty((block, n))
     potential = np.empty(n)
     for start in range(0, n, block):
-        rows = slice(start, start + block)
-        potential[rows] = np.exp(-alpha * _sc_sq_dist_rows(zn, rows)).sum(axis=1)
+        stop = min(start + block, n)
+        size = stop - start
+        e = _sc_sq_dist_rows(cols, slice(start, stop), out[:size], tmp[:size])
+        e *= -alpha
+        np.exp(e, out=e)
+        potential[start:stop] = e.sum(axis=1)
 
     first_peak = float(potential.max())
     idx = int(potential.argmax())
     accepted = [idx]
     center_rows = []  # squared distances from each accepted center
     while True:
-        center_rows.append(_sc_sq_dist_rows(zn, slice(idx, idx + 1))[0])
+        dist = _sc_sq_dist_rows(cols, slice(idx, idx + 1), np.empty((1, n)), tmp[:1])
+        center_rows.append(dist[0])
         p_star = float(potential[idx])
         potential = potential - p_star * np.exp(-beta * center_rows[-1])
         rejected_all = False

@@ -12,6 +12,7 @@ from fuzzyrunoff.clustering import (
     PartitionMatrix,
     _minmax_normalise,
     _objective,
+    _sc_sq_dist_rows,
     _squared_distances,
     init_partition,
     norm_matrices,
@@ -79,6 +80,19 @@ class TestUpdateCenters:
         with pytest.raises(NumericalError, match="cluster 1"):
             update_centers(z, u, m=2.0)
 
+    def test_empty_cluster_has_no_scatter(self):
+        z = np.zeros((3, 2))
+        u = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(NumericalError, match="cluster 1 has zero membership mass"):
+            scatter_matrices(z, u, np.zeros((2, 2)), m=2.0)
+
+    def test_fcm_ending_with_an_empty_cluster_is_refused(self):
+        # two distinct points for three clusters: the last update leaves
+        # cluster 1 without membership, so it has no descriptive covariance
+        z = np.array([[0.3], [0.8], [0.3], [0.8]])
+        with pytest.raises(NumericalError, match="cluster 1 has zero membership mass"):
+            run_fcm(z, ClusterConfig(n_clusters=3, seed=2, max_iter=50))
+
 
 class TestCovariances:
     def test_zero_scatter_becomes_scaled_identity(self):
@@ -107,6 +121,18 @@ class TestCovariances:
         oracle = diff.T @ diff / z.shape[0]
         assert np.allclose(covs[0], oracle, atol=1e-12)
         assert np.allclose(oracle, np.eye(2), atol=0.15)
+
+    def test_total_scatter_rounding_below_zero_uses_unit_scale(self):
+        # three points span a plane in 3-D; det of their total scatter
+        # rounds to about -6.5e-18, whose cube root is complex
+        z = np.array([[1.1, 1.8, -2.6], [-0.1, 1.0, 1.4], [0.7, 1.5, 0.3]])
+        u = init_partition(3, 2, seed=0).u
+        centers = update_centers(z, u, m=2.0)
+        gamma = 1e-3
+        covs = update_covariances(z, u, centers, m=2.0, gamma=gamma)
+        raw = scatter_matrices(z, u, centers, m=2.0)
+        assert covs.tobytes() == ((1.0 - gamma) * raw + gamma * 1.0 * np.eye(3)).tobytes()
+        run_gk(z, ClusterConfig(n_clusters=2, seed=0, max_iter=50))[0].validate()
 
     def test_singular_after_regularisation_rejected(self):
         # gamma = 0 keeps the raw collinear scatter, which is singular
@@ -514,29 +540,47 @@ def full_matrix_sc(z, cfg, gray=None):
 
 
 def sc_inputs():
-    """(data, radius) pairs: a grid-rounded cloud with a third of its rows
-    duplicated (tied potentials, gray-zone accepts and rejects), and four
-    exactly representable points whose potentials tie exactly."""
+    """(data, radius) pairs: grid-rounded clouds at d = 2, 3, 5 and 7 with a
+    third of their rows duplicated (tied potentials, gray-zone accepts and
+    rejects), four exactly representable points whose potentials tie
+    exactly, and five points without coordinates (every potential is N)."""
     out = []
     for seed in (0, 5, 17):
         z = np.round(np.random.default_rng(seed).normal(size=(60, 2)), 1)
         out += [(np.vstack([z, z[:20]]), 0.3), (np.vstack([z, z[:20]]), 0.5)]
-    return out + [(np.array([[0.0], [1.0], [7.0], [8.0]]), 0.1)]
+    for seed, d in ((3, 3), (4, 5), (6, 7)):
+        z = np.round(np.random.default_rng(seed).normal(size=(60, d)), 1)
+        out += [(np.vstack([z, z[:20]]), 0.3), (np.vstack([z, z[:20]]), 0.5)]
+    return out + [(np.array([[0.0], [1.0], [7.0], [8.0]]), 0.1), (np.zeros((5, 0)), 0.5)]
 
 
 class TestBlockedSc:
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_blocks_match_the_full_matrix(self, monkeypatch, rows):
-        gray = []
+        gray = {}  # gray-zone decisions per dimension
         for z, ra in sc_inputs():
             if rows is not None:
-                monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", rows * 8 * z.size)
+                # two (rows, N) float64 buffers per block
+                monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", rows * 2 * 8 * len(z))
             cfg = ClusterConfig(algorithm="sc", sc_radius=ra)
-            expected, expected_count = full_matrix_sc(z, cfg, gray)
+            expected, expected_count = full_matrix_sc(z, cfg, gray.setdefault(z.shape[1], []))
             centers, count = run_sc(z, cfg)
             assert count == expected_count
             assert centers.tobytes() == expected.tobytes()
-        assert True in gray and False in gray
+        for d in (2, 3, 5, 7):
+            assert True in gray[d] and False in gray[d]
+
+    def test_distances_sum_the_coordinates_in_column_order(self):
+        # from d = 8 on numpy sums a short axis pairwise, so the documented
+        # order is pinned against an explicit column-by-column sum
+        zn = np.random.default_rng(46).random((50, 9))
+        expected = np.zeros((7, 50))
+        for k in range(9):
+            expected += (zn[3:10, k, None] - zn[None, :, k]) ** 2
+        out, tmp = np.empty((7, 50)), np.empty((7, 50))
+        got = _sc_sq_dist_rows(np.ascontiguousarray(zn.T), slice(3, 10), out, tmp)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()
 
     def test_ties_go_to_the_lowest_row(self, monkeypatch):
         # all four potentials tie, then rows 2 and 3, then rows 1 and 3
@@ -556,7 +600,7 @@ class TestBlockedSc:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
 
 
 class TestDispatch:

@@ -1,4 +1,5 @@
-"""Property tests of the inference path and the model file."""
+"""Property tests of the inference path, the model file, the clustering
+partitions and the consequent solve."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +7,17 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
+from test_clustering import full_matrix_sc
+
+from fuzzyrunoff import clustering
+from fuzzyrunoff.clustering import (
+    ClusterConfig,
+    NumericalError,
+    run_fcm,
+    run_gk,
+    run_sc,
+    sc_partition,
+)
 from fuzzyrunoff.core import (
     Scheme,
     TsModel,
@@ -14,6 +26,7 @@ from fuzzyrunoff.core import (
     predict,
     predict_batch,
 )
+from fuzzyrunoff.identify import solve_consequents
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 widths = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -85,3 +98,71 @@ def test_v1_text_loads_to_the_same_parameters(model):
     assert back.scheme is None
     for attr in ("premise_means", "premise_widths", "consequents"):
         assert bits(getattr(back, attr)) == bits(getattr(model, attr))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def grid_clouds(draw, dims=st.integers(1, 7)):
+    """Normal draws rounded to a 0.1 grid, some rows repeated: ties in the
+    potentials, coincident points and gray-zone decisions."""
+    d = draw(dims)
+    n = draw(st.integers(3, 40))
+    z = np.round(np.random.default_rng(draw(seeds)).normal(size=(n, d)), 1)
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=n // 2))
+    return np.vstack([z, z[repeats]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_clouds(dims=st.integers(1, 3)), st.integers(2, 4), seeds)
+def test_partition_columns_sum_to_one(z, c, seed):
+    cfg = ClusterConfig(n_clusters=c, seed=seed, max_iter=50)
+    parts = [sc_partition(z, run_sc(z, ClusterConfig(algorithm="sc"))[0])[0]]
+    for run in (run_fcm, run_gk) if c < len(z) else ():
+        try:
+            parts.append(run(z, cfg)[0])
+        except NumericalError:
+            pass  # an empty or flat cluster is refused, not partitioned
+    for part in parts:
+        assert np.allclose(part.u.sum(axis=0), 1.0, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_clouds(), st.sampled_from([0.3, 0.5]), st.data())
+def test_sc_equals_the_full_matrix(z, ra, data):
+    cfg = ClusterConfig(algorithm="sc", sc_radius=ra)
+    rows = data.draw(st.integers(1, len(z)))
+    budget = clustering._SC_BLOCK_BYTES
+    clustering._SC_BLOCK_BYTES = rows * 2 * 8 * len(z)
+    try:
+        centers, count = run_sc(z, cfg)
+    finally:
+        clustering._SC_BLOCK_BYTES = budget
+    expected, expected_count = full_matrix_sc(z, cfg)
+    assert count == expected_count
+    assert centers.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 4), st.data())
+def test_solve_consequents_matches_pinv_when_rank_deficient(seed, rank, data):
+    # the rank deficiencies of a TS regressor matrix: repeated columns
+    # (rules with the same premise) and zero columns (rules that never fire).
+    # solve_consequents equilibrates the columns first, so it gives the pinv
+    # solution only where the dependent columns have equal norms.  The base
+    # has singular values in [0.5, 2], so the rank is unambiguous.
+    rng = np.random.default_rng(seed)
+    m = data.draw(st.integers(rank + 1, 12))
+    q_left, _ = np.linalg.qr(rng.normal(size=(m, rank)))
+    q_right, _ = np.linalg.qr(rng.normal(size=(rank, rank)))
+    base = q_left @ np.diag(rng.uniform(0.5, 2.0, rank)) @ q_right
+    base = np.hstack([base, np.zeros((m, 1))])
+    extra = data.draw(st.lists(st.integers(0, rank), min_size=1, max_size=4))
+    picks = data.draw(st.permutations(list(range(rank)) + extra))
+    pi = base[:, picks]
+    y = rng.normal(size=m)
+    zeta, residual = solve_consequents(pi, y)
+    oracle = np.linalg.pinv(pi) @ y
+    assert np.allclose(zeta, oracle, rtol=0, atol=1e-9)
+    assert np.isclose(residual, np.linalg.norm(y - pi @ oracle), rtol=1e-9, atol=1e-12)
