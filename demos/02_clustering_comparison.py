@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from fuzzyrunoff import ClusterConfig, run_fcm, run_gk, run_sc
+from fuzzyrunoff.clustering import scatter_matrices, update_covariances
 
 rng = np.random.default_rng(0)
 
@@ -23,11 +24,15 @@ cloud = (rng.normal(size=(250, 2)) * [5.0, 1.0]) @ rot.T
 z = np.vstack([cloud, cloud + [-8.0, 15.0]])
 
 cfg = ClusterConfig(n_clusters=2, seed=1)
-for name, runner in (("GK ", run_gk), ("FCM", run_fcm)):
-    part, clusters, trace = runner(z, cfg)
+# GK's covariances carry its regularisation; FCM never forms any, so its
+# clusters are described by their raw fuzzy scatter
+for name, runner, covariances in (
+        ("GK ", run_gk, lambda u, v: update_covariances(z, u, v, cfg.m, cfg.gamma)),
+        ("FCM", run_fcm, lambda u, v: scatter_matrices(z, u, v, cfg.m))):
+    u, centers, trace = runner(z, cfg)
     print(f"{name}: converged={trace.converged} after {trace.n_iterations} iterations,"
           f" final objective {trace.objective[-1]:.2f}")
-    for i, (center, cov) in enumerate(zip(clusters.centers, clusters.covariances)):
+    for i, (center, cov) in enumerate(zip(centers, covariances(u, centers))):
         w, v = np.linalg.eigh(cov)
         direction = math.degrees(math.atan2(v[1, -1], v[0, -1])) % 180
         print(f"   cluster {i}: center {center.round(2)}, "
@@ -37,7 +42,7 @@ print("(the generating clouds are 5:1 ellipses at 30 degrees)")
 print()
 
 # the objective trace is exportable; show its shape here
-part, clusters, trace = run_gk(z, cfg)
+_, _, trace = run_gk(z, cfg)
 print("GK objective per iteration:", [round(j, 1) for j in trace.objective[:8]], "...")
 print()
 
@@ -47,6 +52,6 @@ blobs = np.vstack([
     rng.normal(scale=0.05, size=(12, 2)) + [4.0, 1.0],
     rng.normal(scale=0.05, size=(12, 2)) + [2.0, 5.0],
 ])
-centers, count = run_sc(blobs, ClusterConfig(algorithm="sc", sc_radius=0.5))
-print(f"subtractive clustering found {count} clusters at:")
+centers = run_sc(blobs, ClusterConfig(algorithm="sc", sc_radius=0.5))
+print(f"subtractive clustering found {len(centers)} clusters at:")
 print(centers.round(3))

@@ -8,11 +8,8 @@ with hydrological error measures.
 
 from .clustering import (
     ClusterConfig,
-    ClusterSet,
-    DataMatrix,
     IterationTrace,
     NumericalError,
-    PartitionMatrix,
     run_clustering,
     run_fcm,
     run_gk,
@@ -46,8 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterConfig",
-    "ClusterSet",
-    "DataMatrix",
     "DataValidationError",
     "EventSeries",
     "FitReport",
@@ -55,7 +50,6 @@ __all__ = [
     "MetricSet",
     "NormalizationRecord",
     "NumericalError",
-    "PartitionMatrix",
     "StormParams",
     "SupervisedSet",
     "TsModel",

@@ -10,8 +10,12 @@ whose rows are joined input-output samples:
 * ``run_fcm`` - fuzzy c-means: the same loop with the norm fixed to the
   identity (hyper-spherical clusters), covariance update skipped.
 * ``run_sc``  - subtractive clustering: density-peak selection on min-max
-  normalised data; returns the centers and the cluster count it found
-  instead of taking C as an input.
+  normalised data; returns the centers it found instead of taking C as an
+  input, and ``sc_partition`` derives their partition matrix.
+
+Data, partition matrices and centers are plain arrays: the data (N, d), the
+memberships (C, N), the centers (C, d).  Each entry point checks its data
+once (2-d, finite).
 
 All three are deterministic for a fixed seed.  Reductions use numpy's fixed
 summation order, so iteration traces reproduce bit-for-bit.
@@ -28,70 +32,6 @@ from .atomicio import write_csv
 
 class NumericalError(RuntimeError):
     """Numerical failure inside a clustering or fitting stage."""
-
-
-@dataclass
-class DataMatrix:
-    """N joined samples Z_k = [x_k1 .. x_kn, y_k]."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        if self.z.ndim != 2:
-            raise ValueError(f"data matrix must be 2-d, got shape {self.z.shape}")
-        if not np.all(np.isfinite(self.z)):
-            raise ValueError("data matrix contains non-finite entries")
-
-    @property
-    def n_samples(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[1]
-
-
-@dataclass
-class PartitionMatrix:
-    """C x N fuzzy membership matrix; every column sums to 1."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        if self.u.ndim != 2:
-            raise ValueError(f"partition matrix must be 2-d, got {self.u.shape}")
-
-    @property
-    def n_clusters(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.u.shape[1]
-
-    def validate(self, atol: float = 1e-9) -> None:
-        u = self.u
-        if np.any(u < 0) or np.any(u > 1):
-            raise ValueError("memberships must lie in [0, 1]")
-        col = u.sum(axis=0)
-        if np.any(np.abs(col - 1.0) > atol):
-            k = int(np.argmax(np.abs(col - 1.0)))
-            raise ValueError(f"column {k} sums to {col[k]!r}, expected 1")
-        row = u.sum(axis=1)
-        if np.any(row <= 0) or np.any(row >= self.n_samples):
-            i = int(np.argmax((row <= 0) | (row >= self.n_samples)))
-            raise ValueError(f"cluster {i} row sum {row[i]!r} outside (0, N)")
-
-
-@dataclass
-class ClusterSet:
-    """Cluster prototypes with their covariance and induced norm matrices."""
-
-    centers: np.ndarray      # (C, d)
-    covariances: np.ndarray  # (C, d, d)
-    norms: np.ndarray        # (C, d, d), unit-determinant scaled inverses
 
 
 @dataclass
@@ -152,26 +92,25 @@ class IterationTrace:
                    for i, (j, d) in enumerate(zip(self.objective, self.delta_u))))
 
 
-def _as_z(data) -> np.ndarray:
-    return data.z if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
+def _as_data(data) -> np.ndarray:
+    """The (N, d) float matrix of joined samples Z_k = [x_k1 .. x_kn, y_k];
+    refuses any other shape and non-finite entries."""
+    z = np.asarray(data, dtype=float)
+    if z.ndim != 2:
+        raise ValueError(f"data matrix must be 2-d, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("data matrix contains non-finite entries")
+    return z
 
 
-def _as_u(partition) -> np.ndarray:
-    if isinstance(partition, PartitionMatrix):
-        return partition.u
-    return np.asarray(partition, dtype=float)
-
-
-def init_partition(n_samples: int, n_clusters: int, seed: int) -> PartitionMatrix:
-    """Random column-stochastic partition matrix, deterministic per seed."""
+def init_partition(n_samples: int, n_clusters: int, seed: int) -> np.ndarray:
+    """Random column-stochastic (C, N) partition matrix, deterministic per seed."""
     if not 2 <= n_clusters < n_samples:
-        raise ValueError(
-            f"need 2 <= C < N, got C={n_clusters}, N={n_samples}"
-        )
+        raise ValueError(f"need 2 <= C < N, got C={n_clusters}, N={n_samples}")
     rng = np.random.default_rng(seed)
     u = rng.random((n_clusters, n_samples))
     u = np.maximum(u, 1e-12)  # keep entries strictly inside (0, 1)
-    return PartitionMatrix(u / u.sum(axis=0, keepdims=True))
+    return u / u.sum(axis=0, keepdims=True)
 
 
 def _membership_mass(um: np.ndarray) -> np.ndarray:
@@ -183,19 +122,17 @@ def _membership_mass(um: np.ndarray) -> np.ndarray:
     return mass
 
 
-def update_centers(data, partition, m: float) -> np.ndarray:
+def update_centers(z: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
     """Membership-weighted means: v_i = sum_k mu_ik^m Z_k / sum_k mu_ik^m."""
-    z = _as_z(data)
-    um = _as_u(partition) ** m
+    um = u**m
     return (um @ z) / _membership_mass(um)[:, None]
 
 
-def scatter_matrices(data, partition, centers, m: float) -> np.ndarray:
+def scatter_matrices(z: np.ndarray, u: np.ndarray, centers: np.ndarray,
+                     m: float) -> np.ndarray:
     """Raw fuzzy covariance per cluster, before any regularisation."""
-    z = _as_z(data)
-    um = _as_u(partition) ** m
+    um = u**m
     mass = _membership_mass(um)
-    centers = np.asarray(centers, dtype=float)
     c, d = centers.shape
     out = np.empty((c, d, d))
     for i in range(c):
@@ -204,7 +141,8 @@ def scatter_matrices(data, partition, centers, m: float) -> np.ndarray:
     return out
 
 
-def update_covariances(data, partition, centers, m: float, gamma: float) -> np.ndarray:
+def update_covariances(z: np.ndarray, u: np.ndarray, centers: np.ndarray, m: float,
+                       gamma: float) -> np.ndarray:
     """Fuzzy covariances blended toward a scaled identity.
 
     F_i <- (1-gamma) F_i + gamma * det(F_all)^(1/d) * I, with F_all the total
@@ -213,8 +151,7 @@ def update_covariances(data, partition, centers, m: float, gamma: float) -> np.n
     data).  Raises if a blended matrix is still numerically singular
     (smallest eigenvalue <= 1e-12 * trace).
     """
-    z = _as_z(data)
-    covs = scatter_matrices(data, partition, centers, m)
+    covs = scatter_matrices(z, u, centers, m)
     d = z.shape[1]
     if gamma > 0:
         mean = z.mean(axis=0)
@@ -229,9 +166,7 @@ def update_covariances(data, partition, centers, m: float, gamma: float) -> np.n
     singular = smallest <= 1e-12 * np.trace(covs, axis1=1, axis2=2)
     if singular.any():
         i = int(np.argmax(singular))
-        raise NumericalError(
-            f"covariance of cluster {i} is singular after regularisation"
-        )
+        raise NumericalError(f"covariance of cluster {i} is singular after regularisation")
     return covs
 
 
@@ -260,8 +195,8 @@ def _squared_distances(z: np.ndarray, centers: np.ndarray, norms: np.ndarray) ->
     return out
 
 
-def update_memberships(distances, m: float) -> PartitionMatrix:
-    """Membership update mu_ik = 1 / sum_q (G_ik^2 / G_qk^2)^(1/(m-1)).
+def update_memberships(distances, m: float) -> np.ndarray:
+    """(C, N) membership update mu_ik = 1 / sum_q (G_ik^2 / G_qk^2)^(1/(m-1)).
 
     Columns with one or more exactly-zero distances put all membership on
     those clusters (split equally) and zero elsewhere.
@@ -286,7 +221,7 @@ def update_memberships(distances, m: float) -> PartitionMatrix:
         for k in cols:
             members = np.where(zero[:, k])[0]
             u[members, k] = 1.0 / len(members)
-    return PartitionMatrix(u)
+    return u
 
 
 def _objective(u: np.ndarray, d2: np.ndarray, m: float) -> float:
@@ -299,7 +234,8 @@ def run_gk(data, cfg: ClusterConfig):
     Loops centers -> covariances -> induced distances -> memberships until
     the max absolute change of the partition matrix is <= cfg.xi or
     cfg.max_iter is hit (then the trace is returned non-converged; no
-    error).  Returns (PartitionMatrix, ClusterSet, IterationTrace).
+    error).  Returns (u, centers, trace): the (C, N) partition matrix, the
+    (C, d) centers it was computed from and the IterationTrace.
     """
     return _run_alternating(data, cfg, adaptive_norm=True)
 
@@ -311,24 +247,20 @@ def run_fcm(data, cfg: ClusterConfig):
 
 def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
     cfg.validate()
-    z = _as_z(data)
+    z = _as_data(data)
     n, d = z.shape
     if cfg.n_clusters >= n:
         raise ValueError(f"need C < N, got C={cfg.n_clusters}, N={n}")
-    part = init_partition(n, cfg.n_clusters, cfg.seed)
-    u = part.u
-    eye = np.broadcast_to(np.eye(d), (cfg.n_clusters, d, d))
+    u = init_partition(n, cfg.n_clusters, cfg.seed)
+    norms = np.broadcast_to(np.eye(d), (cfg.n_clusters, d, d))
     trace = IterationTrace()
-    centers = covs = norms = None
+    centers = None
     for _ in range(cfg.max_iter):
         centers = update_centers(z, u, cfg.m)
         if adaptive_norm:
-            covs = update_covariances(z, u, centers, cfg.m, cfg.gamma)
-            norms = norm_matrices(covs)
-        else:
-            norms = eye
+            norms = norm_matrices(update_covariances(z, u, centers, cfg.m, cfg.gamma))
         d2 = _squared_distances(z, centers, norms)
-        u_new = update_memberships(d2, cfg.m).u
+        u_new = update_memberships(d2, cfg.m)
         delta = float(np.abs(u_new - u).max())
         trace.objective.append(_objective(u_new, d2, cfg.m))
         trace.delta_u.append(delta)
@@ -336,12 +268,8 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
         if delta <= cfg.xi:
             trace.converged = True
             break
-    if not adaptive_norm:
-        # descriptive only; the loop itself used the identity norm and never
-        # inverts these, so they are neither regularised nor checked
-        covs = scatter_matrices(z, u, centers, cfg.m)
-    clusters = ClusterSet(centers=centers, covariances=covs, norms=np.array(norms))
-    return PartitionMatrix(u), clusters, trace
+    _membership_mass(u**cfg.m)  # the last update may have emptied a cluster
+    return u, centers, trace
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +279,9 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
 
 def _minmax_normalise(z: np.ndarray):
     lo = z.min(axis=0)
-    hi = z.max(axis=0)
-    span = hi - lo
-    span_safe = np.where(span > 0, span, 1.0)
-    return (z - lo) / span_safe, lo, span_safe
+    span = z.max(axis=0) - lo
+    span = np.where(span > 0, span, 1.0)
+    return (z - lo) / span, lo, span
 
 
 # Byte budget of the two (rows, N) buffers run_sc computes potentials in.
@@ -388,8 +315,8 @@ def run_sc(data, cfg: ClusterConfig):
     squash-scaled potential is subtracted everywhere, and further candidates
     are accepted or rejected against the first peak (accept ratio, reject
     ratio, and the distance/potential trade-off rule in between).  Ties pick
-    the lowest row index.  Returns (centers in original coordinates,
-    effective cluster count).
+    the lowest row index.  Returns the (C, d) centers in original
+    coordinates; C is the number of accepted peaks.
 
     The potentials are computed over blocks of rows in two (rows, N)
     buffers, as many rows as keep both within ``_SC_BLOCK_BYTES`` (at least
@@ -403,7 +330,7 @@ def run_sc(data, cfg: ClusterConfig):
     from it by round-off (see ``_sc_sq_dist_rows``).
     """
     cfg.validate()
-    z = _as_z(data)
+    z = _as_data(data)
     n = z.shape[0]
     if n == 0:
         raise ValueError("empty data matrix")
@@ -449,47 +376,36 @@ def run_sc(data, cfg: ClusterConfig):
         if rejected_all:
             break
         accepted.append(idx)
-    if not accepted:
-        raise NumericalError("subtractive clustering accepted no center point")
-    centers = z[np.array(accepted)]
-    return centers, len(accepted)
+    return z[np.array(accepted)]
 
 
 def sc_partition(data, centers, m: float = 2.0):
-    """Partition matrix for given centers from Euclidean distances.
+    """(C, N) partition matrix for given centers from Euclidean distances.
 
     Distances are computed in the same min-max normalised space the centers
-    were selected in, so the memberships are scale-free.  Returns
-    (PartitionMatrix, ClusterSet); the cluster set carries identity norms
-    and descriptive fuzzy covariances.
+    were selected in, so the memberships are scale-free.
     """
-    z = _as_z(data)
+    z = _as_data(data)
     centers = np.asarray(centers, dtype=float)
     zn, lo, span = _minmax_normalise(z)
     cn = (centers - lo) / span
     d = z.shape[1]
     eye = np.broadcast_to(np.eye(d), (centers.shape[0], d, d))
-    d2 = _squared_distances(zn, cn, eye)
-    part = update_memberships(d2, m)
-    covs = scatter_matrices(z, part.u, centers, m)
-    clusters = ClusterSet(centers=centers, covariances=covs, norms=np.array(eye))
-    return part, clusters
+    return update_memberships(_squared_distances(zn, cn, eye), m)
 
 
 def run_clustering(data, cfg: ClusterConfig):
-    """Dispatch on cfg.algorithm; always returns (partition, clusters, trace).
+    """Dispatch on cfg.algorithm; always returns (u, centers, trace).
 
     For subtractive clustering the partition is derived from the selected
-    centers and the trace is empty (the algorithm is not iterative in the
-    alternating-optimisation sense).
+    centers by ``sc_partition`` and the trace is empty (the algorithm is not
+    iterative in the alternating-optimisation sense).
     """
     if cfg.algorithm == "gk":
         return run_gk(data, cfg)
     if cfg.algorithm == "fcm":
         return run_fcm(data, cfg)
     if cfg.algorithm == "sc":
-        centers, count = run_sc(data, cfg)
-        part, clusters = sc_partition(data, centers, cfg.m)
-        trace = IterationTrace(converged=True)
-        return part, clusters, trace
+        centers = run_sc(data, cfg)
+        return sc_partition(data, centers, cfg.m), centers, IterationTrace(converged=True)
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")

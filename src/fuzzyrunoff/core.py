@@ -152,16 +152,26 @@ def predict_batch(model: TsModel, X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
         raise ValueError(f"non-finite input at row {bad}")
-    w = firing_matrix(model, X)
+    w, wsum, degenerate, nearest = _firing_with_fallback(model, X)
     outputs = rule_output_matrix(model, X)
+    yhat = (w * outputs).sum(axis=1) / wsum
+    if nearest is not None:
+        yhat[degenerate] = outputs[degenerate, nearest]
+    return yhat
+
+
+def _firing_with_fallback(model: TsModel, X: np.ndarray):
+    """(w, wsum, degenerate, nearest) for the (N, n) array ``X``: the firing
+    matrix, its row sums with 1.0 on the rows whose total is below
+    DEGENERACY_FLOOR, the mask of those rows and their nearest rules (None
+    if there are none)."""
+    w = firing_matrix(model, X)
     wsum = w.sum(axis=1)
     degenerate = wsum < DEGENERACY_FLOOR
-    safe = np.where(degenerate, 1.0, wsum)
-    yhat = (w * outputs).sum(axis=1) / safe
-    if degenerate.any():
-        idx = nearest_rule_index(model, X[degenerate])
-        yhat[degenerate] = outputs[degenerate, idx]
-    return yhat
+    if not degenerate.any():
+        return w, wsum, degenerate, None
+    wsum[degenerate] = 1.0
+    return w, wsum, degenerate, nearest_rule_index(model, X[degenerate])
 
 
 def _check_batch(model: TsModel, X) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomicio import write_csv
-from .clustering import DataMatrix
 
 EVENT_HEADER = ("timestamp", "rain1", "rain2", "rain3", "head")
 SUPERVISED_COLUMNS = ("y_prev", "rain1", "rain2", "rain3", "head")
@@ -241,9 +240,9 @@ class SupervisedSet:
     def n_rows(self) -> int:
         return self.x.shape[0]
 
-    def joined(self) -> DataMatrix:
+    def joined(self) -> np.ndarray:
         """Clustering-space matrix [X | y]."""
-        return DataMatrix(np.hstack([self.x, self.y[:, None]]))
+        return np.hstack([self.x, self.y[:, None]])
 
 
 def build_supervised(series: EventSeries, lag: int, stride: int,

@@ -6,7 +6,7 @@ regressor row for sample k concatenates, over rules i, the normalised truth
 value times [1, x_k].  The solve uses an orthogonal-triangular factorisation
 with column pivoting (no explicit normal-equation inversion), which stays
 well-behaved on rank-deficient systems and returns the minimum-norm
-solution.
+solution of the column-equilibrated system.
 """
 
 from __future__ import annotations
@@ -19,25 +19,19 @@ import scipy.linalg
 
 from . import core
 from .atomicio import write_csv
-from .clustering import NumericalError, _as_u, _as_z, ClusterConfig, run_clustering
+from .clustering import NumericalError, ClusterConfig, _as_data, _membership_mass, run_clustering
 from .dataio import DataValidationError
 from .evalmetrics import MetricSet, metric_set
 from .validity import sweep_clusters
 
 
-def premise_means(data, partition, m: float) -> np.ndarray:
+def premise_means(z: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
     """(C, n) weighted means of the input columns (output column excluded)."""
-    z = _as_z(data)
-    um = _as_u(partition) ** m
-    mass = um.sum(axis=1)
-    if np.any(mass == 0):
-        i = int(np.argmax(mass == 0))
-        raise NumericalError(f"cluster {i} has zero membership mass")
-    x = z[:, :-1]
-    return (um @ x) / mass[:, None]
+    um = u**m
+    return (um @ z[:, :-1]) / _membership_mass(um)[:, None]
 
 
-def premise_widths(data, partition, m: float, means) -> np.ndarray:
+def premise_widths(z: np.ndarray, u: np.ndarray, m: float, means: np.ndarray) -> np.ndarray:
     """(C, n) premise widths sqrt(2 * weighted variance).
 
     The factor 2 under the radical pairs with the membership function in
@@ -45,11 +39,9 @@ def premise_widths(data, partition, m: float, means) -> np.ndarray:
     denominator.  Zero-spread clusters are clamped to 1e-6 of the column
     range (1e-6 absolute for constant columns) so widths stay positive.
     """
-    z = _as_z(data)
-    um = _as_u(partition) ** m
+    um = u**m
     mass = um.sum(axis=1)
     x = z[:, :-1]
-    means = np.asarray(means, dtype=float)
     var = np.empty_like(means)
     for i in range(means.shape[0]):
         var[i] = (um[i][:, None] * (x - means[i]) ** 2).sum(axis=0) / mass[i]
@@ -65,17 +57,10 @@ def normalized_truth(model: core.TsModel, X) -> np.ndarray:
     Rows whose total firing underflows get a one-hot row at the nearest
     rule, matching the prediction-time fallback.
     """
-    w = core.firing_matrix(model, X)
-    wsum = w.sum(axis=1)
-    degenerate = wsum < core.DEGENERACY_FLOOR
-    safe = np.where(degenerate, 1.0, wsum)
-    truth = w / safe[:, None]
-    if degenerate.any():
-        X = np.asarray(X, dtype=float)
-        idx = core.nearest_rule_index(model, X[degenerate])
-        rows = np.zeros((int(degenerate.sum()), model.rule_count))
-        rows[np.arange(rows.shape[0]), idx] = 1.0
-        truth[degenerate] = rows
+    w, wsum, degenerate, nearest = core._firing_with_fallback(model, np.asarray(X, dtype=float))
+    truth = w / wsum[:, None]
+    if nearest is not None:
+        truth[degenerate] = np.eye(model.rule_count)[nearest]
     return truth
 
 
@@ -114,9 +99,12 @@ def solve_consequents(pi, y, cond: float = 1e-10):
     pivoting), never by inverting the normal equations, so rank-deficient
     regressor matrices are fine.  Columns are equilibrated to unit norm
     first; ``cond`` is the relative cutoff deciding the numerical rank.
-    The 1e-10 default reproduces the pseudo-inverse solution on exactly
-    rank-deficient systems while leaving any honestly identifiable
-    direction alone; model fitting passes the larger CONSEQUENT_COND.
+    The 1e-10 default leaves any honestly identifiable direction alone;
+    model fitting passes the larger CONSEQUENT_COND.  On an exactly
+    rank-deficient system the residual is that of ``pinv(pi) @ y``, but
+    the coefficients are minimum-norm in the equilibrated columns, so they
+    equal the pseudo-inverse ones only where the dependent columns have
+    equal norms (not for ``[b0, b1, 2 * b0]``).
     """
     pi = np.asarray(pi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -192,7 +180,7 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
 
     Returns (TsModel, FitReport).
     """
-    z = _as_z(data)
+    z = _as_data(data)
     n = z.shape[1] - 1
     if n < 1:
         raise ValueError("joined data needs at least one input column")
@@ -205,14 +193,14 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
             raise ValueError("subtractive clustering finds its own cluster count; "
                              "c_range is not applicable")
         with _stage("rule-count sweep"):
-            consensus = sweep_clusters(data, cfg, c_range).consensus
+            consensus = sweep_clusters(z, cfg, c_range).consensus
         cfg = replace(cfg, n_clusters=consensus)
 
     with _stage("clustering"):
-        part, clusters, trace = run_clustering(data, cfg)
+        u, _, trace = run_clustering(z, cfg)
     with _stage("premise estimation"):
-        means = premise_means(data, part, cfg.m)
-        widths = premise_widths(data, part, cfg.m, means)
+        means = premise_means(z, u, cfg.m)
+        widths = premise_widths(z, u, cfg.m, means)
     c = means.shape[0]
     shell = core.TsModel(means, widths, np.zeros((c, n + 1)))
     with _stage("consequent estimation"):

@@ -18,10 +18,9 @@ import numpy as np
 from .atomicio import write_csv
 from .clustering import (
     ClusterConfig,
-    DataMatrix,
     NumericalError,
-    _as_u,
-    _as_z,
+    _as_data,
+    _squared_distances,
     run_fcm,
     run_gk,
 )
@@ -37,44 +36,39 @@ INDEX_DIRECTIONS = {
 }
 
 
-def pc(partition) -> float:
+def pc(u: np.ndarray) -> float:
     """Partition coefficient sum(mu^2)/N; 1 for crisp, 1/C for uniform."""
-    u = _as_u(partition)
     return float((u**2).sum() / u.shape[1])
 
 
-def pe(partition) -> float:
+def pe(u: np.ndarray) -> float:
     """Partition entropy -sum(mu log mu)/N (natural log, 0 log 0 = 0)."""
-    u = _as_u(partition)
     terms = np.zeros_like(u)
     pos = u > 0
     terms[pos] = u[pos] * np.log(u[pos])
     return float(-terms.sum() / u.shape[1])
 
 
-def mpc(partition) -> float:
+def mpc(u: np.ndarray) -> float:
     """Modified partition coefficient 1 - C/(C-1) (1 - PC); removes the
     monotonic drift of PC with C."""
-    u = _as_u(partition)
     c = u.shape[0]
     if c < 2:
         raise ValueError("MPC is undefined for C = 1")
     return 1.0 - c / (c - 1.0) * (1.0 - pc(u))
 
 
-def _center_setup(partition, data, centers):
-    u = _as_u(partition)
-    z = _as_z(data)
-    v = np.asarray(centers, dtype=float)
+def _center_setup(z, v):
+    c, d = v.shape
     # squared Euclidean from every sample to every center: (C, N)
-    d2 = ((z[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).T
+    d2 = _squared_distances(z, v, np.broadcast_to(np.eye(d), (c, d, d)))
     sep = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)  # (C, C)
-    return u, z, v, d2, sep
+    return d2, sep
 
 
-def partition_index(partition, data, centers) -> float:
+def partition_index(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> float:
     """Compactness/separation ratio summed per cluster; lower is better."""
-    u, z, v, d2, sep = _center_setup(partition, data, centers)
+    d2, sep = _center_setup(z, v)
     cardinality = u.sum(axis=1)
     total = 0.0
     for i in range(v.shape[0]):
@@ -96,7 +90,7 @@ def _min_separation(sep: np.ndarray):
     return float(off.flat[k]), k // sep.shape[0]
 
 
-def separation_index(partition, data, centers) -> float:
+def separation_index(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> float:
     """Total weighted scatter over (cardinality * minimum center separation).
 
     The cardinality is that of the cluster attaining the minimum separation
@@ -104,7 +98,7 @@ def separation_index(partition, data, centers) -> float:
     reading of an ambiguous convention, tests only pin the direction of the
     optimum and the scale invariance, not the constant factor.
     """
-    u, z, v, d2, sep = _center_setup(partition, data, centers)
+    d2, sep = _center_setup(z, v)
     if v.shape[0] < 2:
         raise ValueError("separation index needs at least 2 centers")
     min_sep, i_min = _min_separation(sep)
@@ -115,10 +109,10 @@ def separation_index(partition, data, centers) -> float:
     return scatter / (cardinality * min_sep)
 
 
-def xie_beni(partition, data, centers) -> float:
+def xie_beni(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> float:
     """Total weighted scatter over (N * minimum center separation); lower is
     better."""
-    u, z, v, d2, sep = _center_setup(partition, data, centers)
+    d2, sep = _center_setup(z, v)
     if v.shape[0] < 2:
         raise ValueError("Xie-Beni index needs at least 2 centers")
     min_sep, _ = _min_separation(sep)
@@ -128,15 +122,14 @@ def xie_beni(partition, data, centers) -> float:
     return scatter / (u.shape[1] * min_sep)
 
 
-def all_indices(partition, data, centers) -> dict[str, float]:
-    u = _as_u(partition)
+def all_indices(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> dict[str, float]:
     return {
         "pc": pc(u),
         "pe": pe(u),
         "mpc": mpc(u),
-        "sc": partition_index(u, data, centers),
-        "s": separation_index(u, data, centers),
-        "xb": xie_beni(u, data, centers),
+        "sc": partition_index(u, z, v),
+        "s": separation_index(u, z, v),
+        "xb": xie_beni(u, z, v),
     }
 
 
@@ -178,28 +171,24 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     clustering derives its count from the radius, not from a C input.
     """
     if cfg_template.algorithm not in ("gk", "fcm"):
-        raise ValueError(
-            f"sweep supports 'gk' and 'fcm', not {cfg_template.algorithm!r}"
-        )
+        raise ValueError(f"sweep supports 'gk' and 'fcm', not {cfg_template.algorithm!r}")
     runner = run_gk if cfg_template.algorithm == "gk" else run_fcm
-    z = _as_z(data)
+    z = _as_data(data)
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values:
         raise ValueError("empty cluster range")
     if c_values[0] < 2:
         raise ValueError("cluster counts must be >= 2")
     if c_values[-1] >= z.shape[0]:
-        raise ValueError(
-            f"C_max={c_values[-1]} must be < N={z.shape[0]}"
-        )
+        raise ValueError(f"C_max={c_values[-1]} must be < N={z.shape[0]}")
     names = list(INDEX_DIRECTIONS)
     table = {name: [] for name in names}
     failures: dict[int, str] = {}
     for c in c_values:
         cfg = replace(cfg_template, n_clusters=c)
         try:
-            part, clusters, _ = runner(data, cfg)
-            values = all_indices(part, data, clusters.centers)
+            u, centers, _ = runner(z, cfg)
+            values = all_indices(u, z, centers)
         except (NumericalError, ValueError) as exc:
             failures[c] = str(exc)
             for name in names:

@@ -190,7 +190,7 @@ def test_06_fcm_gk_identity_norm_equivalence():
     u_fcm, _, _ = run_fcm(z, ClusterConfig(algorithm="fcm", n_clusters=2, seed=11))
     u_gk, _, _ = run_gk(z, ClusterConfig(algorithm="gk", n_clusters=2, seed=11,
                                          gamma=1.0))
-    gap = float(np.abs(u_fcm.u - u_gk.u).max())
+    gap = float(np.abs(u_fcm - u_gk).max())
     ok = gap < 1e-3
     assert _report(6, "FCM/GK identity-norm equivalence", ok, f"max gap {gap:.2e}")
 

@@ -7,9 +7,8 @@ import pytest
 from fuzzyrunoff import clustering
 from fuzzyrunoff.clustering import (
     ClusterConfig,
-    DataMatrix,
     NumericalError,
-    PartitionMatrix,
+    _as_data,
     _minmax_normalise,
     _objective,
     _sc_sq_dist_rows,
@@ -25,6 +24,8 @@ from fuzzyrunoff.clustering import (
     update_covariances,
     update_memberships,
 )
+from fuzzyrunoff.identify import fit_model
+from fuzzyrunoff.validity import sweep_clusters
 
 
 def two_blobs(seed=0, n_per=10, spread=0.1, centers=((0.0, 0.0), (10.0, 10.0))):
@@ -33,20 +34,29 @@ def two_blobs(seed=0, n_per=10, spread=0.1, centers=((0.0, 0.0), (10.0, 10.0))):
     return np.vstack(parts)
 
 
+def assert_partition(u, atol=1e-9):
+    """A fuzzy partition: entries in [0, 1], columns summing to 1 and every
+    row sum in (0, N)."""
+    assert np.all((u >= 0) & (u <= 1))
+    np.testing.assert_allclose(u.sum(axis=0), 1.0, rtol=0, atol=atol)
+    row = u.sum(axis=1)
+    assert np.all((row > 0) & (row < u.shape[1]))
+
+
 class TestInitPartition:
     def test_deterministic_per_seed(self):
         a = init_partition(10, 3, seed=42)
         b = init_partition(10, 3, seed=42)
-        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a, b)
 
     def test_columns_sum_to_one(self):
-        part = init_partition(25, 4, seed=1)
-        assert np.allclose(part.u.sum(axis=0), 1.0, atol=1e-12)
+        u = init_partition(25, 4, seed=1)
+        assert np.allclose(u.sum(axis=0), 1.0, atol=1e-12)
 
     def test_shape_and_open_interval(self):
-        part = init_partition(3, 2, seed=0)
-        assert part.u.shape == (2, 3)
-        assert np.all(part.u > 0) and np.all(part.u < 1)
+        u = init_partition(3, 2, seed=0)
+        assert u.shape == (2, 3)
+        assert np.all(u > 0) and np.all(u < 1)
 
     def test_rejects_too_many_clusters(self):
         with pytest.raises(ValueError):
@@ -88,7 +98,7 @@ class TestUpdateCenters:
 
     def test_fcm_ending_with_an_empty_cluster_is_refused(self):
         # two distinct points for three clusters: the last update leaves
-        # cluster 1 without membership, so it has no descriptive covariance
+        # cluster 1 without membership, so the result has no center for it
         z = np.array([[0.3], [0.8], [0.3], [0.8]])
         with pytest.raises(NumericalError, match="cluster 1 has zero membership mass"):
             run_fcm(z, ClusterConfig(n_clusters=3, seed=2, max_iter=50))
@@ -126,13 +136,13 @@ class TestCovariances:
         # three points span a plane in 3-D; det of their total scatter
         # rounds to about -6.5e-18, whose cube root is complex
         z = np.array([[1.1, 1.8, -2.6], [-0.1, 1.0, 1.4], [0.7, 1.5, 0.3]])
-        u = init_partition(3, 2, seed=0).u
+        u = init_partition(3, 2, seed=0)
         centers = update_centers(z, u, m=2.0)
         gamma = 1e-3
         covs = update_covariances(z, u, centers, m=2.0, gamma=gamma)
         raw = scatter_matrices(z, u, centers, m=2.0)
         assert covs.tobytes() == ((1.0 - gamma) * raw + gamma * 1.0 * np.eye(3)).tobytes()
-        run_gk(z, ClusterConfig(n_clusters=2, seed=0, max_iter=50))[0].validate()
+        assert_partition(run_gk(z, ClusterConfig(n_clusters=2, seed=0, max_iter=50))[0])
 
     def test_singular_after_regularisation_rejected(self):
         # gamma = 0 keeps the raw collinear scatter, which is singular
@@ -145,7 +155,7 @@ class TestCovariances:
     def test_symmetry(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(50, 3))
-        u = init_partition(50, 2, seed=0).u
+        u = init_partition(50, 2, seed=0)
         centers = update_centers(z, u, m=2.0)
         covs = update_covariances(z, u, centers, m=2.0, gamma=1e-3)
         for f in covs:
@@ -207,7 +217,7 @@ class TestKernels:
         rng = np.random.default_rng(41)
         for _ in range(100):
             z, centers, _ = self.problem(rng)
-            u = init_partition(z.shape[0], centers.shape[0], seed=int(rng.integers(99))).u
+            u = init_partition(z.shape[0], centers.shape[0], seed=int(rng.integers(99)))
             m = float(rng.uniform(1.2, 3.0))
             um = u**m
             expected = np.stack([np.einsum("k,ki,kj->ij", w, z - v, z - v) / w.sum()
@@ -253,39 +263,39 @@ class TestKernels:
 class TestUpdateMemberships:
     def test_equidistant_splits_evenly(self):
         d2 = np.array([[4.0], [4.0]])
-        u = update_memberships(d2, m=2.0).u
+        u = update_memberships(d2, m=2.0)
         assert np.allclose(u[:, 0], [0.5, 0.5], atol=1e-15)
 
     def test_zero_distance_one_hot(self):
         d2 = np.array([[0.0], [3.0]])
-        u = update_memberships(d2, m=2.0).u
+        u = update_memberships(d2, m=2.0)
         assert np.array_equal(u[:, 0], [1.0, 0.0])
 
     def test_zero_distance_tie_splits_equally(self):
         d2 = np.array([[0.0], [0.0], [5.0]])
-        u = update_memberships(d2, m=2.0).u
+        u = update_memberships(d2, m=2.0)
         assert np.array_equal(u[:, 0], [0.5, 0.5, 0.0])
 
     def test_hand_value(self):
         d2 = np.array([[1.0], [3.0]])
-        u = update_memberships(d2, m=2.0).u
+        u = update_memberships(d2, m=2.0)
         assert np.allclose(u[:, 0], [0.75, 0.25], rtol=1e-12)
 
     def test_columns_always_sum_to_one(self):
         rng = np.random.default_rng(8)
         d2 = rng.random((4, 50)) * 10
         d2[2, 7] = 0.0
-        u = update_memberships(d2, m=1.7).u
+        u = update_memberships(d2, m=1.7)
         assert np.allclose(u.sum(axis=0), 1.0, atol=1e-9)
-        PartitionMatrix(u).validate()
+        assert_partition(u)
 
 
 class TestRunGk:
     def test_recovers_separated_blob_centers(self):
         z = two_blobs(seed=0)
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=1)
-        part, clusters, trace = run_gk(z, cfg)
-        got = clusters.centers[np.argsort(clusters.centers[:, 0])]
+        _, centers, trace = run_gk(z, cfg)
+        got = centers[np.argsort(centers[:, 0])]
         assert np.all(np.abs(got[0] - [0.0, 0.0]) < 0.2)
         assert np.all(np.abs(got[1] - [10.0, 10.0]) < 0.2)
         assert trace.converged
@@ -301,9 +311,9 @@ class TestRunGk:
         cloud = raw @ rot.T
         z = np.vstack([cloud + [0.0, 0.0], cloud + [-10.0, 17.3]])
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=3)
-        _, clusters, _ = run_gk(z, cfg)
+        u, centers, _ = run_gk(z, cfg)
         major = rot @ np.array([1.0, 0.0])
-        for f in clusters.covariances:
+        for f in update_covariances(z, u, centers, cfg.m, cfg.gamma):
             w, vec = np.linalg.eigh(f)
             dominant = vec[:, np.argmax(w)]
             deviation = math.degrees(math.acos(min(1.0, abs(dominant @ major))))
@@ -312,9 +322,9 @@ class TestRunGk:
     def test_deterministic_trace(self):
         z = two_blobs(seed=4)
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=7)
-        part_a, _, trace_a = run_gk(z, cfg)
-        part_b, _, trace_b = run_gk(z, cfg)
-        assert np.array_equal(part_a.u, part_b.u)
+        u_a, _, trace_a = run_gk(z, cfg)
+        u_b, _, trace_b = run_gk(z, cfg)
+        assert np.array_equal(u_a, u_b)
         assert trace_a.objective == trace_b.objective
         assert trace_a.delta_u == trace_b.delta_u
 
@@ -335,35 +345,34 @@ class TestRunGk:
     def test_relabeling_leaves_objective_unchanged(self):
         z = two_blobs(seed=13)
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=5)
-        part, clusters, _ = run_gk(z, cfg)
-        norms = norm_matrices(clusters.covariances)
-        d2 = _squared_distances(z, clusters.centers, norms)
-        j = _objective(part.u, d2, cfg.m)
+        u, centers, _ = run_gk(z, cfg)
+        norms = norm_matrices(update_covariances(z, u, centers, cfg.m, cfg.gamma))
+        d2 = _squared_distances(z, centers, norms)
+        j = _objective(u, d2, cfg.m)
         perm = [1, 0]
-        d2_perm = _squared_distances(z, clusters.centers[perm], norms[perm])
-        j_perm = _objective(part.u[perm], d2_perm, cfg.m)
+        d2_perm = _squared_distances(z, centers[perm], norms[perm])
+        j_perm = _objective(u[perm], d2_perm, cfg.m)
         assert j == pytest.approx(j_perm, rel=1e-12)
 
     def test_partition_is_valid(self):
         z = two_blobs(seed=14)
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=6)
-        part, _, _ = run_gk(z, cfg)
-        part.validate()
+        assert_partition(run_gk(z, cfg)[0])
 
     def test_centers_inside_bounding_box(self):
         z = two_blobs(seed=15)
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=8)
-        _, clusters, _ = run_gk(z, cfg)
-        assert np.all(clusters.centers >= z.min(axis=0) - 1e-12)
-        assert np.all(clusters.centers <= z.max(axis=0) + 1e-12)
+        _, centers, _ = run_gk(z, cfg)
+        assert np.all(centers >= z.min(axis=0) - 1e-12)
+        assert np.all(centers <= z.max(axis=0) + 1e-12)
 
 
 class TestRunFcm:
     def test_recovers_separated_blob_centers(self):
         z = two_blobs(seed=20)
         cfg = ClusterConfig(algorithm="fcm", n_clusters=2, seed=1)
-        _, clusters, trace = run_fcm(z, cfg)
-        got = clusters.centers[np.argsort(clusters.centers[:, 0])]
+        _, centers, trace = run_fcm(z, cfg)
+        got = centers[np.argsort(centers[:, 0])]
         assert np.all(np.abs(got[0] - [0.0, 0.0]) < 0.2)
         assert np.all(np.abs(got[1] - [10.0, 10.0]) < 0.2)
 
@@ -379,23 +388,22 @@ class TestRunFcm:
         cfg_gk = ClusterConfig(algorithm="gk", n_clusters=2, seed=9, gamma=1.0)
         u_fcm, _, _ = run_fcm(z, cfg_fcm)
         u_gk, _, _ = run_gk(z, cfg_gk)
-        assert np.abs(u_fcm.u - u_gk.u).max() < 1e-3
+        assert np.abs(u_fcm - u_gk).max() < 1e-3
 
     def test_outlier_column_still_stochastic(self):
         z = np.vstack([two_blobs(seed=22), [[500.0, -500.0]]])
         cfg = ClusterConfig(algorithm="fcm", n_clusters=2, seed=3)
-        part, _, _ = run_fcm(z, cfg)
-        part.validate()
+        assert_partition(run_fcm(z, cfg)[0])
 
     def test_constant_column_without_regularisation(self):
-        # FCM never inverts its covariances, so a singular one is no failure;
-        # they are the raw fuzzy scatter, while GK still refuses the data
+        # FCM never forms or inverts covariances, so a singular fuzzy
+        # scatter is no failure, while GK still refuses the data
         z = np.hstack([two_blobs(seed=23), np.zeros((20, 1))])
         cfg = ClusterConfig(algorithm="fcm", n_clusters=2, seed=4, gamma=0.0)
-        part, clusters, _ = run_fcm(z, cfg)
-        part.validate()
-        assert np.array_equal(clusters.covariances,
-                              scatter_matrices(z, part.u, clusters.centers, cfg.m))
+        u, centers, _ = run_fcm(z, cfg)
+        assert_partition(u)
+        scatter = scatter_matrices(z, u, centers, cfg.m)
+        assert np.all(scatter[:, 2, :] == 0) and np.all(scatter[:, :, 2] == 0)
         with pytest.raises(NumericalError, match="singular"):
             run_gk(z, ClusterConfig(algorithm="gk", n_clusters=2, seed=4, gamma=0.0))
 
@@ -454,9 +462,9 @@ class TestRunSc:
         rng = np.random.default_rng(25)
         z = rng.normal(scale=0.05, size=(15, 2))
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers, count = run_sc(z, cfg)
+        centers = run_sc(z, cfg)
         oracle_centers, oracle_count = self.chiu_oracle(z)
-        assert count == oracle_count == 1
+        assert len(centers) == oracle_count == 1
         assert np.allclose(centers, oracle_centers)
 
     def test_matches_oracle_on_random_draws(self):
@@ -464,9 +472,9 @@ class TestRunSc:
             rng = np.random.default_rng(seed)
             z = rng.normal(size=(18, 3))
             cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-            centers, count = run_sc(z, cfg)
+            centers = run_sc(z, cfg)
             oracle_centers, oracle_count = self.chiu_oracle(z)
-            assert count == oracle_count
+            assert len(centers) == oracle_count
             assert np.allclose(np.sort(centers, axis=0),
                                np.sort(oracle_centers, axis=0))
 
@@ -477,9 +485,9 @@ class TestRunSc:
             rng.normal(scale=0.05, size=(10, 2)) + [5.0, 5.0],
         ])
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers, count = run_sc(z, cfg)
+        centers = run_sc(z, cfg)
         oracle_centers, oracle_count = self.chiu_oracle(z)
-        assert count == oracle_count == 2
+        assert len(centers) == oracle_count == 2
         assert np.allclose(np.sort(centers, axis=0), np.sort(oracle_centers, axis=0))
 
     def test_duplicated_rows_leave_result_unchanged(self):
@@ -489,9 +497,9 @@ class TestRunSc:
             rng.normal(scale=0.05, size=(8, 2)) + [4.0, 0.0],
         ])
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers_a, count_a = run_sc(z, cfg)
-        centers_b, count_b = run_sc(np.vstack([z, z]), cfg)
-        assert count_a == count_b
+        centers_a = run_sc(z, cfg)
+        centers_b = run_sc(np.vstack([z, z]), cfg)
+        assert len(centers_a) == len(centers_b)
         assert np.allclose(np.sort(centers_a, axis=0), np.sort(centers_b, axis=0))
 
     def test_partition_from_centers_is_valid(self):
@@ -501,10 +509,10 @@ class TestRunSc:
             rng.normal(scale=0.1, size=(12, 2)) + [3.0, 3.0],
         ])
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers, count = run_sc(z, cfg)
-        part, clusters = sc_partition(z, centers)
-        assert part.u.shape == (count, z.shape[0])
-        assert np.allclose(part.u.sum(axis=0), 1.0, atol=1e-9)
+        centers = run_sc(z, cfg)
+        u = sc_partition(z, centers)
+        assert u.shape == (len(centers), z.shape[0])
+        assert np.allclose(u.sum(axis=0), 1.0, atol=1e-9)
 
 
 def full_matrix_sc(z, cfg, gray=None):
@@ -564,8 +572,8 @@ class TestBlockedSc:
                 monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", rows * 2 * 8 * len(z))
             cfg = ClusterConfig(algorithm="sc", sc_radius=ra)
             expected, expected_count = full_matrix_sc(z, cfg, gray.setdefault(z.shape[1], []))
-            centers, count = run_sc(z, cfg)
-            assert count == expected_count
+            centers = run_sc(z, cfg)
+            assert len(centers) == expected_count
             assert centers.tobytes() == expected.tobytes()
         for d in (2, 3, 5, 7):
             assert True in gray[d] and False in gray[d]
@@ -587,8 +595,8 @@ class TestBlockedSc:
         z = np.array([[0.0], [1.0], [7.0], [8.0]])
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.1)
         monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", 1)
-        centers, count = run_sc(z, cfg)
-        assert count == 4
+        centers = run_sc(z, cfg)
+        assert len(centers) == 4
         assert centers.ravel().tolist() == [0.0, 7.0, 1.0, 8.0]
 
     def test_memory_stays_bounded(self):
@@ -610,9 +618,9 @@ class TestDispatch:
         z = two_blobs(seed=50)
         for algo in ("gk", "fcm", "sc"):
             cfg = ClusterConfig(algorithm=algo, n_clusters=2, seed=1)
-            part, clusters, trace = run_clustering(z, cfg)
-            assert part.u.shape[1] == z.shape[0]
-            np.testing.assert_allclose(part.u.sum(axis=0), 1.0, atol=1e-9)
+            u, centers, trace = run_clustering(z, cfg)
+            assert u.shape[1] == z.shape[0]
+            np.testing.assert_allclose(u.sum(axis=0), 1.0, atol=1e-9)
 
     def test_unknown_algorithm_rejected(self):
         from fuzzyrunoff.clustering import run_clustering
@@ -623,15 +631,39 @@ class TestDispatch:
             run_clustering(two_blobs(seed=51), cfg)
 
 
-class TestDataMatrixType:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            DataMatrix(np.array([[1.0, np.nan]]))
+ENTRY_POINTS = {
+    "run_gk": lambda z: run_gk(z, ClusterConfig(n_clusters=2)),
+    "run_fcm": lambda z: run_fcm(z, ClusterConfig(algorithm="fcm", n_clusters=2)),
+    "run_sc": lambda z: run_sc(z, ClusterConfig(algorithm="sc")),
+    "sc_partition": lambda z: sc_partition(z, np.zeros((2, z.shape[-1]))),
+    "sweep_clusters": lambda z: sweep_clusters(z, ClusterConfig(), range(2, 4)),
+    "fit_model": lambda z: fit_model(z, ClusterConfig(n_clusters=2)),
+}
 
-    def test_accessors(self):
-        d = DataMatrix(np.ones((4, 3)))
-        assert d.n_samples == 4
-        assert d.dim == 3
+
+class TestInputCheck:
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
+            _as_data(np.array([[1.0, np.nan]]))
+
+    def test_two_d_input_is_kept_as_floats(self):
+        z = _as_data(np.ones((4, 3), dtype=int))
+        assert z.shape == (4, 3) and z.dtype == float
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_entry_points_reject_one_dimensional_input(self, entry):
+        with pytest.raises(ValueError, match=r"data matrix must be 2-d, got shape \(40,\)"):
+            ENTRY_POINTS[entry](np.ones(40))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_entry_points_reject_non_finite(self, entry, bad):
+        # without the check run_sc never returned, run_fcm gave nan
+        # memberships and the others failed late with unrelated messages
+        z = np.random.default_rng(3).normal(size=(40, 3))
+        z[17, 1] = bad
+        with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
+            ENTRY_POINTS[entry](z)
 
 
 class TestTraceExport:

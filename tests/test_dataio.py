@@ -202,7 +202,7 @@ class TestBuildSupervised:
     def test_joined_layout(self):
         s = simple_series(30)
         sset = build_supervised(s, lag=0, stride=1)
-        z = sset.joined().z
+        z = sset.joined()
         assert z.shape == (29, 5)
         assert np.array_equal(z[:, 4], sset.y)
 

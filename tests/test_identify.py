@@ -158,6 +158,22 @@ class TestSolveConsequents:
         assert res == pytest.approx(res_oracle, rel=1e-8, abs=1e-12)
         assert np.allclose(zeta, oracle, atol=1e-8)
 
+    def test_unequal_dependent_columns_keep_only_the_pinv_residual(self):
+        # pi = [b0, b1, 2*b0]: equilibration makes the scaled coefficients
+        # of b0 and 2*b0 equal (zeta0 = 2 zeta2), the pseudo-inverse makes
+        # the raw ones proportional to the column norms (2 zeta0 = zeta2)
+        rng = np.random.default_rng(6)
+        b = rng.normal(size=(6, 2))
+        pi = np.column_stack([b[:, 0], b[:, 1], 2.0 * b[:, 0]])
+        y = rng.normal(size=6)
+        zeta, res = solve_consequents(pi, y)
+        oracle = np.linalg.pinv(pi) @ y
+        assert res == pytest.approx(float(np.linalg.norm(y - pi @ oracle)), rel=1e-9)
+        assert zeta[0] + 2.0 * zeta[2] == pytest.approx(oracle[0] + 2.0 * oracle[2], rel=1e-9)
+        assert zeta[0] == pytest.approx(2.0 * zeta[2], rel=1e-9)
+        assert oracle[2] == pytest.approx(2.0 * oracle[0], rel=1e-9)
+        assert not np.allclose(zeta, oracle, rtol=0, atol=1e-6)
+
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(7)
         pi = rng.normal(size=(30, 5))

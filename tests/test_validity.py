@@ -51,7 +51,7 @@ class TestPartitionCoefficient:
         for _ in range(50):
             c = int(rng.integers(2, 6))
             n = int(rng.integers(c + 1, 30))
-            u = init_partition(n, c, seed=int(rng.integers(0, 1000))).u
+            u = init_partition(n, c, seed=int(rng.integers(0, 1000)))
             v = pc(u)
             assert 1.0 / c - 1e-12 <= v <= 1.0 + 1e-12
 
@@ -73,7 +73,7 @@ class TestPartitionEntropy:
         for _ in range(50):
             c = int(rng.integers(2, 6))
             n = int(rng.integers(c + 1, 30))
-            u = init_partition(n, c, seed=int(rng.integers(0, 1000))).u
+            u = init_partition(n, c, seed=int(rng.integers(0, 1000)))
             v = pe(u)
             assert -1e-12 <= v <= math.log(c) + 1e-12
 
@@ -155,7 +155,7 @@ class TestSeparationIndex:
         rng = np.random.default_rng(4)
         z = rng.normal(size=(30, 2))
         centers = rng.normal(size=(3, 2))
-        u = init_partition(30, 3, seed=1).u
+        u = init_partition(30, 3, seed=1)
         base = separation_index(u, z, centers)
         for s in (0.1, 7.0, 1234.5):
             scaled = separation_index(u, s * z, s * centers)
@@ -209,7 +209,7 @@ class TestXieBeni:
         rng = np.random.default_rng(6)
         z = rng.normal(size=(25, 3))
         centers = rng.normal(size=(4, 3))
-        u = init_partition(25, 4, seed=2).u
+        u = init_partition(25, 4, seed=2)
         base = xie_beni(u, z, centers)
         for s in (0.01, 3.0, 999.0):
             assert xie_beni(u, s * z, s * centers) == pytest.approx(base, rel=1e-9)
@@ -323,6 +323,6 @@ def test_all_indices_keys():
     cfg = ClusterConfig(algorithm="gk", seed=0, n_clusters=3)
     from fuzzyrunoff.clustering import run_gk
 
-    part, clusters, _ = run_gk(z, cfg)
-    values = all_indices(part, z, clusters.centers)
+    u, centers, _ = run_gk(z, cfg)
+    values = all_indices(u, z, centers)
     assert set(values) == set(INDEX_DIRECTIONS)
