@@ -16,7 +16,7 @@ import csv
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -132,21 +132,16 @@ class Experiment:
         return self.get_float("base_interval", 30.0)
 
     def cluster_config(self, algorithm: str) -> ClusterConfig:
-        clusters = self.get("clusters", "3")
-        n_clusters = 2 if clusters == "sweep" else int(clusters)
-        return ClusterConfig(
-            algorithm=algorithm,
-            n_clusters=n_clusters,
-            m=self.get_float("m", 2.0),
-            xi=self.get_float("xi", 0.001),
-            max_iter=self.get_int("max_iter", 200),
-            seed=self.seed,
-            gamma=self.get_float("gamma", 1e-3),
-            sc_radius=self.get_float("sc_radius", 0.5),
-            sc_squash=self.get_float("sc_squash", 1.25),
-            sc_accept=self.get_float("sc_accept", 0.5),
-            sc_reject=self.get_float("sc_reject", 0.15),
-        )
+        """Keys named after ClusterConfig's numeric fields, with its defaults;
+        ``clusters`` is 3 by default, and ``sweep`` starts the template at 2."""
+        tuned = {}
+        for f in fields(ClusterConfig):
+            if f.name not in ("algorithm", "n_clusters", "seed"):
+                read = self.get_int if isinstance(f.default, int) else self.get_float
+                tuned[f.name] = read(f.name, f.default)
+        n_clusters = 2 if self.get("clusters") == "sweep" else self.get_int("clusters", 3)
+        return ClusterConfig(algorithm=algorithm, n_clusters=n_clusters, seed=self.seed,
+                             **tuned)
 
     @property
     def sweep_range(self):
@@ -466,7 +461,10 @@ def main(argv=None) -> int:
         raw = parse_config(args.config)
         out = args.out if args.out is not None else raw.get("out", "out")
         seed = args.seed if args.seed is not None else int(raw.get("seed", "0"))
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
         exp = Experiment(raw=raw, out=out, seed=seed)
         return COMMANDS[args.command](exp)
     except ConfigError as exc:

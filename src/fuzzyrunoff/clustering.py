@@ -161,7 +161,8 @@ def update_covariances(z: np.ndarray, u: np.ndarray, centers: np.ndarray, m: flo
         # below zero, whose fractional power would be complex
         det = float(np.linalg.det(f_all)) if d > 0 else 0.0
         scale = det ** (1.0 / d) if det > 0 else 1.0
-        covs = (1.0 - gamma) * covs + gamma * scale * np.eye(d)
+        covs = (1.0 - gamma) * covs
+        covs[:, range(d), range(d)] += gamma * scale
     smallest = np.linalg.eigvalsh(covs)[:, 0]
     singular = smallest <= 1e-12 * np.trace(covs, axis1=1, axis2=2)
     if singular.any():
@@ -183,13 +184,14 @@ def norm_matrices(covariances: np.ndarray) -> np.ndarray:
     return (det ** (1.0 / d))[:, None, None] * np.linalg.inv(covariances)
 
 
-def _squared_distances(z: np.ndarray, centers: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """(C, N) matrix of squared induced distances."""
+def _squared_distances(z: np.ndarray, centers: np.ndarray, norms=None) -> np.ndarray:
+    """(C, N) matrix of squared induced distances; ``norms=None`` is the
+    Euclidean norm (identity norm-inducing matrices)."""
     c = centers.shape[0]
     out = np.empty((c, z.shape[0]))
     for i in range(c):
         diff = z - centers[i]
-        out[i] = ((diff @ norms[i]) * diff).sum(axis=1)
+        out[i] = ((diff if norms is None else diff @ norms[i]) * diff).sum(axis=1)
     # tiny negatives from round-off would break the power update
     np.maximum(out, 0.0, out=out)
     return out
@@ -248,11 +250,11 @@ def run_fcm(data, cfg: ClusterConfig):
 def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
     cfg.validate()
     z = _as_data(data)
-    n, d = z.shape
+    n = z.shape[0]
     if cfg.n_clusters >= n:
         raise ValueError(f"need C < N, got C={cfg.n_clusters}, N={n}")
     u = init_partition(n, cfg.n_clusters, cfg.seed)
-    norms = np.broadcast_to(np.eye(d), (cfg.n_clusters, d, d))
+    norms = None
     trace = IterationTrace()
     centers = None
     for _ in range(cfg.max_iter):
@@ -389,9 +391,7 @@ def sc_partition(data, centers, m: float = 2.0):
     centers = np.asarray(centers, dtype=float)
     zn, lo, span = _minmax_normalise(z)
     cn = (centers - lo) / span
-    d = z.shape[1]
-    eye = np.broadcast_to(np.eye(d), (centers.shape[0], d, d))
-    return update_memberships(_squared_distances(zn, cn, eye), m)
+    return update_memberships(_squared_distances(zn, cn), m)
 
 
 def run_clustering(data, cfg: ClusterConfig):

@@ -4,9 +4,11 @@ Six indices score a fuzzy partition as the cluster count C varies; each has
 a direction (maximise or minimise) and the sweep picks a consensus C as the
 mode of the six per-index optima (ties resolved toward the smallest C).
 
-PC, PE and MPC depend on the partition matrix alone; the partition index,
-separation index and Xie-Beni index also use the data and the cluster
-centers, always through the plain Euclidean norm of the clustering space.
+``all_indices`` scores one partition.  PC, PE and MPC depend on the
+partition matrix alone; the partition index, separation index and Xie-Beni
+index share one pass of plain Euclidean sample-to-center distances and one
+table of center separations.  ``sweep_clusters`` clusters once per C and
+scores each partition with ``all_indices``.
 """
 
 from __future__ import annotations
@@ -58,27 +60,6 @@ def mpc(u: np.ndarray) -> float:
     return 1.0 - c / (c - 1.0) * (1.0 - pc(u))
 
 
-def _center_setup(z, v):
-    c, d = v.shape
-    # squared Euclidean from every sample to every center: (C, N)
-    d2 = _squared_distances(z, v, np.broadcast_to(np.eye(d), (c, d, d)))
-    sep = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)  # (C, C)
-    return d2, sep
-
-
-def partition_index(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> float:
-    """Compactness/separation ratio summed per cluster; lower is better."""
-    d2, sep = _center_setup(z, v)
-    cardinality = u.sum(axis=1)
-    total = 0.0
-    for i in range(v.shape[0]):
-        denom = cardinality[i] * sep[i].sum()
-        if denom == 0.0:
-            raise ValueError(f"coincident centers: cluster {i} has zero separation")
-        total += float(((u[i] ** 2) * d2[i]).sum()) / denom
-    return total
-
-
 def _min_separation(sep: np.ndarray):
     """Smallest off-diagonal squared center separation and its row index.
 
@@ -90,46 +71,39 @@ def _min_separation(sep: np.ndarray):
     return float(off.flat[k]), k // sep.shape[0]
 
 
-def separation_index(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> float:
-    """Total weighted scatter over (cardinality * minimum center separation).
-
-    The cardinality is that of the cluster attaining the minimum separation
-    pairing.  Lower is better.  Because the normalising cardinality is one
-    reading of an ambiguous convention, tests only pin the direction of the
-    optimum and the scale invariance, not the constant factor.
-    """
-    d2, sep = _center_setup(z, v)
-    if v.shape[0] < 2:
-        raise ValueError("separation index needs at least 2 centers")
-    min_sep, i_min = _min_separation(sep)
-    if min_sep == 0.0:
-        raise ValueError("coincident centers: minimum separation is zero")
-    cardinality = float(u[i_min].sum())
-    scatter = float(((u**2) * d2).sum())
-    return scatter / (cardinality * min_sep)
-
-
-def xie_beni(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> float:
-    """Total weighted scatter over (N * minimum center separation); lower is
-    better."""
-    d2, sep = _center_setup(z, v)
-    if v.shape[0] < 2:
-        raise ValueError("Xie-Beni index needs at least 2 centers")
-    min_sep, _ = _min_separation(sep)
-    if min_sep == 0.0:
-        raise ValueError("coincident centers: minimum separation is zero")
-    scatter = float(((u**2) * d2).sum())
-    return scatter / (u.shape[1] * min_sep)
-
-
 def all_indices(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> dict[str, float]:
+    """The six indices of partition ``u`` of data ``z`` with centers ``v``.
+
+    With scatter_i = sum_k mu_ik^2 |z_k - v_i|^2 (Euclidean), cardinality
+    n_i = sum_k mu_ik and squared center separations s_ij, the lower-is-
+    better partition index is sc = sum_i scatter_i / (n_i sum_j s_ij), the
+    separation index s = sum_i scatter_i / (n_p min s_ij) and Xie-Beni
+    xb = sum_i scatter_i / (N min s_ij).  The minimum pairs clusters (p, q),
+    the lexicographically first pair on ties.  Normalising s by n_p is one
+    reading of an ambiguous convention, so tests pin only the direction of
+    its optimum and its scale invariance, not the constant factor.  Raises
+    NumericalError for coincident centers (or a cluster without members).
+    """
+    mpc_value = mpc(u)  # refuses C = 1
+    scatter = u**2 * _squared_distances(z, v)  # (C, N)
+    sep = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)  # (C, C)
+    cardinality = u.sum(axis=1)
+    denom = cardinality * sep.sum(axis=1)
+    if not denom.all():
+        i = int(np.argmin(denom != 0.0))
+        raise NumericalError(f"coincident centers: cluster {i} has zero separation")
+    min_sep, p = _min_separation(sep)
+    if min_sep == 0.0:
+        raise NumericalError("coincident centers: minimum separation is zero")
+    total = float(scatter.sum())
     return {
         "pc": pc(u),
         "pe": pe(u),
-        "mpc": mpc(u),
-        "sc": partition_index(u, z, v),
-        "s": separation_index(u, z, v),
-        "xb": xie_beni(u, z, v),
+        "mpc": mpc_value,
+        # summed left to right over the clusters
+        "sc": float(np.cumsum(scatter.sum(axis=1) / denom)[-1]),
+        "s": total / (float(cardinality[p]) * min_sep),
+        "xb": total / (u.shape[1] * min_sep),
     }
 
 
@@ -165,10 +139,12 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     """Cluster for each C in ``c_range`` and score all six indices.
 
     Per-index optimum follows the index direction; the consensus C is the
-    mode of the six optima with ties going to the smallest C.  A clustering
-    failure at some C is recorded and that C excluded; if every C fails the
-    error propagates.  Only the gk and fcm algorithms sweep - subtractive
-    clustering derives its count from the radius, not from a C input.
+    mode of the six optima with ties going to the smallest C.  A numerical
+    failure at some C is recorded and that C excluded; if every C fails a
+    NumericalError is raised.  A bad setting in ``cfg_template`` is a
+    ValueError, not a failure.  Only the gk and fcm algorithms sweep -
+    subtractive clustering derives its count from the radius, not from a C
+    input.
     """
     if cfg_template.algorithm not in ("gk", "fcm"):
         raise ValueError(f"sweep supports 'gk' and 'fcm', not {cfg_template.algorithm!r}")
@@ -186,10 +162,11 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     failures: dict[int, str] = {}
     for c in c_values:
         cfg = replace(cfg_template, n_clusters=c)
+        cfg.validate()  # a bad setting is no clustering failure
         try:
             u, centers, _ = runner(z, cfg)
             values = all_indices(u, z, centers)
-        except (NumericalError, ValueError) as exc:
+        except (NumericalError, np.linalg.LinAlgError) as exc:
             failures[c] = str(exc)
             for name in names:
                 table[name].append(float("nan"))

@@ -16,7 +16,7 @@ from fuzzyrunoff import cli, core, dataio, identify
 from fuzzyrunoff.clustering import ClusterConfig, run_fcm, run_gk
 from fuzzyrunoff.evalmetrics import rmse
 from fuzzyrunoff.identify import fit_model, solve_consequents
-from fuzzyrunoff.validity import mpc, pc, pe, separation_index, sweep_clusters, xie_beni
+from fuzzyrunoff.validity import all_indices, mpc, pc, pe, sweep_clusters
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -243,12 +243,11 @@ def test_08_index_analytics():
     centers = rng.normal(size=(4, 3))
     u = np.abs(rng.normal(size=(4, 30))) + 1e-3
     u /= u.sum(axis=0)
+    base = all_indices(u, z, centers)
     for s in (0.01, 5.0, 2000.0):
-        ok &= abs(xie_beni(u, s * z, s * centers) - xie_beni(u, z, centers)) \
-            <= 1e-9 * abs(xie_beni(u, z, centers))
-        ok &= abs(separation_index(u, s * z, s * centers)
-                  - separation_index(u, z, centers)) \
-            <= 1e-9 * abs(separation_index(u, z, centers))
+        scaled = all_indices(u, s * z, s * centers)
+        ok &= abs(scaled["xb"] - base["xb"]) <= 1e-9 * abs(base["xb"])
+        ok &= abs(scaled["s"] - base["s"]) <= 1e-9 * abs(base["s"])
     assert _report(8, "index analytics", ok)
 
 

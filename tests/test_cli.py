@@ -11,6 +11,7 @@ import pytest
 
 from fuzzyrunoff import cli, core
 from fuzzyrunoff.atomicio import write_atomic
+from fuzzyrunoff.clustering import ClusterConfig
 from fuzzyrunoff.dataio import estimate_lag, load_event_csv
 
 BASE_CONFIG = (
@@ -82,6 +83,38 @@ class TestConfigParsing:
             assert cli.parse_config(p) == {"a": "1"}
             gc.collect()
         assert [u.exc_value for u in unraisable] == []
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        (tmp_path / "taken").write_text("")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", "--config", config, "--out", "taken"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "taken" in err
+
+    def test_cluster_config_reads_the_dataclass_defaults(self):
+        exp = cli.Experiment(raw={"max_iter": "7", "sc_radius": "0.25"}, out="out", seed=5)
+        assert exp.cluster_config("fcm") == ClusterConfig(
+            algorithm="fcm", n_clusters=3, seed=5, max_iter=7, sc_radius=0.25)
+        sweep = cli.Experiment(raw={"clusters": "sweep"}, out="out", seed=0)
+        assert sweep.cluster_config("gk").n_clusters == 2
+
+    def test_bad_cluster_count_names_its_key(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, "algorithms = gk\nclusters = abc\n")
+        run(tmp_path, "synth", config, monkeypatch)
+        capsys.readouterr()
+        assert run(tmp_path, "train", config, monkeypatch) == 2
+        assert "config key 'clusters'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "train"])
+    def test_bad_setting_in_a_sweep_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        config = write_config(tmp_path, "algorithms = gk\nclusters = sweep\n"
+                                        "c_max = 4\nm = 0.5\n")
+        run(tmp_path, "synth", config, monkeypatch)
+        capsys.readouterr()
+        assert run(tmp_path, command, config, monkeypatch) == 2
+        assert "fuzziness m must be > 1" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -419,6 +452,23 @@ class TestSweep:
         config = write_config(tmp_path, "algorithms = sc\n")
         run(tmp_path, "synth", config, monkeypatch)
         assert run(tmp_path, "sweep", config, monkeypatch) == 2
+
+    def test_coincident_centers_at_every_c_are_numerical_failure(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        import fuzzyrunoff.validity as validity_mod
+
+        real = validity_mod.run_gk
+
+        def collapsed(z, cfg):
+            u, centers, trace = real(z, cfg)
+            return u, np.zeros_like(centers), trace
+
+        monkeypatch.setattr(validity_mod, "run_gk", collapsed)
+        config = write_config(tmp_path, "algorithms = gk\nc_max = 3\n")
+        run(tmp_path, "synth", config, monkeypatch)
+        capsys.readouterr()
+        assert run(tmp_path, "sweep", config, monkeypatch) == 4
+        assert "clustering failed for every C" in capsys.readouterr().err
 
     def test_deterministic_rerun(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nc_max = 4\n")

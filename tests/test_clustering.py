@@ -238,8 +238,9 @@ class TestKernels:
             z, centers, _ = self.problem(rng)
             c, d = centers.shape
             eye = np.broadcast_to(np.eye(d), (c, d, d))
-            assert (_squared_distances(z, centers, eye).tobytes()
-                    == self.einsum_distances(z, centers, eye).tobytes())
+            expected = self.einsum_distances(z, centers, eye).tobytes()
+            assert _squared_distances(z, centers, eye).tobytes() == expected
+            assert _squared_distances(z, centers).tobytes() == expected
 
     def test_singular_covariance_names_the_first_cluster(self):
         # crisp partition: cluster 0 spans the plane, clusters 1 and 2 are

@@ -1,7 +1,8 @@
 """Property tests of the inference path, the model file, the clustering
-partitions and the consequent solve."""
+partitions, the validity indices and the consequent solve."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from fuzzyrunoff.core import (
     predict_batch,
 )
 from fuzzyrunoff.identify import solve_consequents
+from fuzzyrunoff.validity import all_indices
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 widths = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -126,6 +128,19 @@ def test_partition_columns_sum_to_one(z, c, seed):
             pass  # an empty or flat cluster is refused, not partitioned
     for u in parts:
         assert np.allclose(u.sum(axis=0), 1.0, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_clouds(dims=st.integers(1, 4)), st.integers(2, 6), seeds)
+def test_indices_ignore_the_sample_order(z, c, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(c, z.shape[1]))
+    u = rng.random((c, len(z))) + 1e-3
+    u /= u.sum(axis=0)
+    perm = rng.permutation(len(z))
+    shuffled = all_indices(u[:, perm], z[perm], centers)
+    for name, value in all_indices(u, z, centers).items():
+        assert shuffled[name] == pytest.approx(value, rel=1e-9), name
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyrunoff.clustering import ClusterConfig, init_partition
+from fuzzyrunoff.clustering import ClusterConfig, NumericalError, init_partition
 from fuzzyrunoff.validity import (
     INDEX_DIRECTIONS,
     _min_separation,
     all_indices,
     consensus_count,
     mpc,
-    partition_index,
     pc,
     pe,
-    separation_index,
     sweep_clusters,
-    xie_beni,
 )
 
 
@@ -104,7 +101,7 @@ class TestPartitionIndexSc:
         u[:, :] = 0.0
         u[0, :3] = 1.0
         u[1, 3:] = 1.0
-        assert partition_index(u, z, centers) == 0.0
+        assert all_indices(u, z, centers)["sc"] == 0.0
 
     def test_denominator_scaling_two_clusters(self):
         # fixed scatter, doubled center separation -> index divides by 4
@@ -118,16 +115,23 @@ class TestPartitionIndexSc:
 
         z1, c1 = layout(2.0)
         z2, c2 = layout(4.0)
-        v1 = partition_index(u, z1, c1)
-        v2 = partition_index(u, z2, c2)
+        v1 = all_indices(u, z1, c1)["sc"]
+        v2 = all_indices(u, z2, c2)["sc"]
         assert v2 == pytest.approx(v1 / 4.0, rel=1e-12)
 
     def test_coincident_centers_rejected(self):
         centers = np.zeros((2, 2))
         z = np.random.default_rng(0).normal(size=(6, 2))
         u = crisp_u(2, 6)
-        with pytest.raises(ValueError):
-            partition_index(u, z, centers)
+        with pytest.raises(NumericalError, match="coincident centers"):
+            all_indices(u, z, centers)
+
+    def test_two_of_three_coincident_centers_rejected(self):
+        # every cluster keeps a nonzero summed separation; the minimum is zero
+        centers = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])
+        z = np.random.default_rng(1).normal(size=(9, 2))
+        with pytest.raises(NumericalError, match="minimum separation is zero"):
+            all_indices(crisp_u(3, 9), z, centers)
 
     def test_three_blob_sweep_knee_at_three(self):
         # This index keeps creeping down as C grows past the true component
@@ -149,16 +153,16 @@ class TestSeparationIndex:
         centers = np.array([[0.0, 0.0], [5.0, 5.0]])
         z = np.repeat(centers, 2, axis=0)
         u = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-        assert separation_index(u, z, centers) == 0.0
+        assert all_indices(u, z, centers)["s"] == 0.0
 
     def test_uniform_scaling_invariance(self):
         rng = np.random.default_rng(4)
         z = rng.normal(size=(30, 2))
         centers = rng.normal(size=(3, 2))
         u = init_partition(30, 3, seed=1)
-        base = separation_index(u, z, centers)
+        base = all_indices(u, z, centers)["s"]
         for s in (0.1, 7.0, 1234.5):
-            scaled = separation_index(u, s * z, s * centers)
+            scaled = all_indices(u, s * z, s * centers)["s"]
             assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_min_separation_matches_the_pairwise_loop(self):
@@ -189,7 +193,7 @@ class TestSeparationIndex:
         u = np.zeros((3, 6))
         u[[0, 1, 1, 2, 2, 2], np.arange(6)] = 1.0
         scatter = 6 * 0.25
-        assert separation_index(u, z, centers) == scatter / (1.0 * 1.0)
+        assert all_indices(u, z, centers)["s"] == scatter / (1.0 * 1.0)
 
     def test_three_blob_sweep_minimum_at_three(self):
         z = three_blobs(seed=5)
@@ -203,16 +207,16 @@ class TestXieBeni:
         centers = np.array([[0.0, 0.0], [5.0, 5.0]])
         z = np.repeat(centers, 2, axis=0)
         u = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-        assert xie_beni(u, z, centers) == 0.0
+        assert all_indices(u, z, centers)["xb"] == 0.0
 
     def test_uniform_scaling_invariance(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(25, 3))
         centers = rng.normal(size=(4, 3))
         u = init_partition(25, 4, seed=2)
-        base = xie_beni(u, z, centers)
+        base = all_indices(u, z, centers)["xb"]
         for s in (0.01, 3.0, 999.0):
-            assert xie_beni(u, s * z, s * centers) == pytest.approx(base, rel=1e-9)
+            assert all_indices(u, s * z, s * centers)["xb"] == pytest.approx(base, rel=1e-9)
 
     def test_three_blob_sweep_minimum_at_three(self):
         z = three_blobs(seed=7)
@@ -294,6 +298,11 @@ class TestSweep:
             validity_mod.sweep_clusters(
                 z, ClusterConfig(algorithm="gk", seed=0), range(2, 5))
 
+    def test_bad_setting_is_no_clustering_failure(self):
+        z = three_blobs(seed=23)
+        with pytest.raises(ValueError, match="fuzziness m"):
+            sweep_clusters(z, ClusterConfig(algorithm="gk", m=0.5), range(2, 5))
+
     def test_rejects_subtractive(self):
         z = three_blobs(seed=15)
         cfg = ClusterConfig(algorithm="sc")
@@ -316,6 +325,8 @@ class TestSweep:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "C,pc,pe,mpc,sc,s,xb"
         assert len(lines) == 4
+        for line in lines[1:]:  # plain numbers, no numpy scalar reprs
+            assert all(math.isfinite(float(cell)) for cell in line.split(","))
 
 
 def test_all_indices_keys():
@@ -326,3 +337,50 @@ def test_all_indices_keys():
     u, centers, _ = run_gk(z, cfg)
     values = all_indices(u, z, centers)
     assert set(values) == set(INDEX_DIRECTIONS)
+
+
+def test_center_indices_match_the_per_cluster_loop():
+    def loop(u, z, v):
+        c = v.shape[0]
+        d2 = np.array([((z - v[i]) ** 2).sum(axis=1) for i in range(c)])
+        sep = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
+        sc = 0.0
+        for i in range(c):
+            sc += float(((u[i] ** 2) * d2[i]).sum()) / (u[i].sum() * sep[i].sum())
+        min_sep, p = min((sep[i, j], i) for i in range(c) for j in range(c) if i != j)
+        scatter = float(((u**2) * d2).sum())
+        return {"sc": sc, "s": scatter / (float(u[p].sum()) * min_sep),
+                "xb": scatter / (u.shape[1] * min_sep)}
+
+    rng = np.random.default_rng(24)
+    for trial in range(300):
+        c, d = int(rng.integers(2, 12)), int(rng.integers(1, 7))
+        n = int(rng.integers(c + 1, 300))
+        # half the trials on a coarse integer grid: tied separations
+        grid = trial % 2
+        z = rng.integers(0, 4, size=(n, d)) * 1.0 if grid else rng.normal(size=(n, d))
+        v = np.unique(rng.integers(0, 4, size=(c, d)), axis=0) * 1.0 if grid \
+            else rng.normal(size=(c, d))
+        if v.shape[0] < 2:
+            continue
+        u = rng.random((v.shape[0], n)) + 1e-3
+        u /= u.sum(axis=0)
+        values = all_indices(u, z, v)
+        for name, expected in loop(u, z, v).items():
+            assert np.float64(values[name]).tobytes() == np.float64(expected).tobytes()
+
+
+def test_all_indices_takes_one_distance_pass(monkeypatch):
+    import fuzzyrunoff.validity as validity_mod
+    from fuzzyrunoff.clustering import _squared_distances
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _squared_distances(*args)
+
+    monkeypatch.setattr(validity_mod, "_squared_distances", counting)
+    z = three_blobs(seed=19)
+    all_indices(init_partition(z.shape[0], 4, seed=0), z, z[:4])
+    assert len(calls) == 1
