@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from fuzzyrunoff import ClusterConfig, run_fcm, run_gk, run_sc
-from fuzzyrunoff.clustering import scatter_matrices, update_covariances
+from fuzzyrunoff.clustering import blend_scale, scatter_matrices, update_covariances
 
 rng = np.random.default_rng(0)
 
@@ -27,8 +27,9 @@ cfg = ClusterConfig(n_clusters=2, seed=1)
 # GK's covariances carry its regularisation; FCM never forms any, so its
 # clusters are described by their raw fuzzy scatter
 for name, runner, covariances in (
-        ("GK ", run_gk, lambda u, v: update_covariances(z, u, v, cfg.m, cfg.gamma)),
-        ("FCM", run_fcm, lambda u, v: scatter_matrices(z, u, v, cfg.m))):
+        ("GK ", run_gk, lambda u, v: update_covariances(scatter_matrices(z, u**cfg.m, v),
+                                                        cfg.gamma, blend_scale(z))),
+        ("FCM", run_fcm, lambda u, v: scatter_matrices(z, u**cfg.m, v))):
     u, centers, trace = runner(z, cfg)
     print(f"{name}: converged={trace.converged} after {trace.n_iterations} iterations,"
           f" final objective {trace.objective[-1]:.2f}")

@@ -11,7 +11,17 @@ import uuid
 
 
 def write_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8, newlines written as given)."""
+    """Replace ``path`` with ``text`` (UTF-8, newlines written as given).
+
+    The rename makes the replacement atomic for readers and safe against a
+    crash of this process, but there is no fsync: after a crash of the
+    operating system or a power loss the file may hold its old content or be
+    empty.  That is deliberate.  Every output is reproducible from its config
+    and seed, which the run's manifest records, so a rerun restores it byte
+    for byte; an fsync of each file and its directory would add a disk flush
+    to each of the many small files a run writes (81 for the benchmark's
+    synth-train-evaluate-compare pipeline).
+    """
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:

@@ -68,6 +68,13 @@ def parse_config(path) -> dict[str, str]:
     return values
 
 
+def _config_int(raw: dict[str, str], key, default) -> int:
+    try:
+        return int(raw.get(key, default))
+    except ValueError:
+        raise ConfigError(f"config key '{key}' must be an integer") from None
+
+
 @dataclass
 class Experiment:
     """Typed view of the config with defaults."""
@@ -91,10 +98,7 @@ class Experiment:
             raise ConfigError(f"config key '{key}' must be a number") from None
 
     def get_int(self, key, default):
-        try:
-            return int(self.raw.get(key, default))
-        except ValueError:
-            raise ConfigError(f"config key '{key}' must be an integer") from None
+        return _config_int(self.raw, key, default)
 
     @property
     def algorithms(self) -> list[str]:
@@ -460,7 +464,7 @@ def main(argv=None) -> int:
     try:
         raw = parse_config(args.config)
         out = args.out if args.out is not None else raw.get("out", "out")
-        seed = args.seed if args.seed is not None else int(raw.get("seed", "0"))
+        seed = args.seed if args.seed is not None else _config_int(raw, "seed", 0)
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:

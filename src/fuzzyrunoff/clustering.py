@@ -17,8 +17,17 @@ Data, partition matrices and centers are plain arrays: the data (N, d), the
 memberships (C, N), the centers (C, d).  Each entry point checks its data
 once (2-d, finite).
 
-All three are deterministic for a fixed seed.  Reductions use numpy's fixed
-summation order, so iteration traces reproduce bit-for-bit.
+All three are deterministic for a fixed seed, and iteration traces
+reproduce bit for bit.  Squared distances are summed over the coordinates
+in an explicit order: one column at a time, in column order, into a zeroed
+row.  numpy sums an axis of fewer than 8 elements in the same order, so
+for d <= 7 these sums equal ``.sum(axis=1)`` bit for bit; for d >= 8 numpy
+sums pairwise and the two can differ by round-off.  Every other reduction
+uses numpy's fixed summation order.
+
+The alternating-optimisation loop takes u**m once per iteration (the
+objective's weights are the next iteration's), the blend scale of the GK
+covariances once per run, and reuses its scratch buffers across clusters.
 """
 
 from __future__ import annotations
@@ -122,46 +131,57 @@ def _membership_mass(um: np.ndarray) -> np.ndarray:
     return mass
 
 
-def update_centers(z: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
-    """Membership-weighted means: v_i = sum_k mu_ik^m Z_k / sum_k mu_ik^m."""
-    um = u**m
+def update_centers(z: np.ndarray, um: np.ndarray) -> np.ndarray:
+    """Membership-weighted means v_i = sum_k mu_ik^m Z_k / sum_k mu_ik^m from
+    the (C, N) weights ``um`` = u**m."""
     return (um @ z) / _membership_mass(um)[:, None]
 
 
-def scatter_matrices(z: np.ndarray, u: np.ndarray, centers: np.ndarray,
-                     m: float) -> np.ndarray:
-    """Raw fuzzy covariance per cluster, before any regularisation."""
-    um = u**m
+def scatter_matrices(z: np.ndarray, um: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Raw fuzzy covariance per cluster from the weights ``um`` = u**m,
+    before any regularisation."""
     mass = _membership_mass(um)
     c, d = centers.shape
     out = np.empty((c, d, d))
+    diff = np.empty_like(z, dtype=float)
+    # diff.T * um[i] in the layout numpy gives that product, so that the
+    # matmul below makes the same BLAS call on the same operand layouts
+    weighted = np.empty_like(diff.T)
     for i in range(c):
-        diff = z - centers[i]
-        out[i] = ((diff.T * um[i]) @ diff) / mass[i]
+        np.subtract(z, centers[i], out=diff)
+        np.multiply(diff.T, um[i], out=weighted)
+        np.matmul(weighted, diff, out=out[i])
+        out[i] /= mass[i]
     return out
 
 
-def update_covariances(z: np.ndarray, u: np.ndarray, centers: np.ndarray, m: float,
-                       gamma: float) -> np.ndarray:
+def blend_scale(z: np.ndarray) -> float:
+    """det(F_all)^(1/d) of the total scatter F_all of the data: the scale of
+    the identity that ``update_covariances`` blends toward.  Falls back to
+    1.0 when that determinant is not positive (only for fully degenerate
+    data)."""
+    d = z.shape[1]
+    diff = z - z.mean(axis=0)
+    f_all = (diff.T @ diff) / z.shape[0]
+    # a singular total scatter can have a determinant that rounds below
+    # zero, whose fractional power would be complex
+    det = float(np.linalg.det(f_all)) if d > 0 else 0.0
+    return det ** (1.0 / d) if det > 0 else 1.0
+
+
+def update_covariances(scatter: np.ndarray, gamma: float,
+                       scale: float | None) -> np.ndarray:
     """Fuzzy covariances blended toward a scaled identity.
 
-    F_i <- (1-gamma) F_i + gamma * det(F_all)^(1/d) * I, with F_all the total
-    scatter of the data.  When the total scatter itself is singular the
-    identity scale falls back to 1.0 (only happens for fully degenerate
-    data).  Raises if a blended matrix is still numerically singular
-    (smallest eigenvalue <= 1e-12 * trace).
+    F_i <- (1-gamma) F_i + gamma * scale * I for the raw ``scatter`` F_i,
+    with ``scale`` = ``blend_scale(z)``, which does not change between
+    iterations (unused when gamma is 0).  Raises if a blended matrix is
+    still numerically singular (smallest eigenvalue <= 1e-12 * trace).
     """
-    covs = scatter_matrices(z, u, centers, m)
-    d = z.shape[1]
+    covs = scatter
     if gamma > 0:
-        mean = z.mean(axis=0)
-        diff = z - mean
-        f_all = (diff.T @ diff) / z.shape[0]
-        # a singular total scatter can have a determinant that rounds
-        # below zero, whose fractional power would be complex
-        det = float(np.linalg.det(f_all)) if d > 0 else 0.0
-        scale = det ** (1.0 / d) if det > 0 else 1.0
-        covs = (1.0 - gamma) * covs
+        d = scatter.shape[-1]
+        covs = (1.0 - gamma) * scatter
         covs[:, range(d), range(d)] += gamma * scale
     smallest = np.linalg.eigvalsh(covs)[:, 0]
     singular = smallest <= 1e-12 * np.trace(covs, axis1=1, axis2=2)
@@ -186,12 +206,27 @@ def norm_matrices(covariances: np.ndarray) -> np.ndarray:
 
 def _squared_distances(z: np.ndarray, centers: np.ndarray, norms=None) -> np.ndarray:
     """(C, N) matrix of squared induced distances; ``norms=None`` is the
-    Euclidean norm (identity norm-inducing matrices)."""
+    Euclidean norm (identity norm-inducing matrices).
+
+    Per cluster the terms t = (diff @ A) * diff (diff * diff for the
+    Euclidean norm) are formed in place and their columns added into the
+    output row one at a time in column order, starting from 0.  numpy sums
+    an axis of fewer than 8 elements in that same order, so for d <= 7 this
+    equals ``t.sum(axis=1)`` bit for bit; for d >= 8 numpy sums pairwise
+    and the two can differ by round-off.
+    """
     c = centers.shape[0]
-    out = np.empty((c, z.shape[0]))
+    out = np.zeros((c, z.shape[0]))
+    diff = np.empty_like(z, dtype=float)
+    terms = diff if norms is None else np.empty(z.shape)
     for i in range(c):
-        diff = z - centers[i]
-        out[i] = ((diff if norms is None else diff @ norms[i]) * diff).sum(axis=1)
+        np.subtract(z, centers[i], out=diff)
+        if norms is not None:
+            np.matmul(diff, norms[i], out=terms)
+        np.multiply(terms, diff, out=terms)
+        row = out[i]
+        for col in terms.T:
+            row += col
     # tiny negatives from round-off would break the power update
     np.maximum(out, 0.0, out=out)
     return out
@@ -226,8 +261,9 @@ def update_memberships(distances, m: float) -> np.ndarray:
     return u
 
 
-def _objective(u: np.ndarray, d2: np.ndarray, m: float) -> float:
-    return float(((u**m) * d2).sum())
+def _objective(um: np.ndarray, d2: np.ndarray) -> float:
+    """J = sum_ik mu_ik^m d2_ik from the weights ``um`` = u**m."""
+    return float((um * d2).sum())
 
 
 def run_gk(data, cfg: ClusterConfig):
@@ -254,23 +290,27 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
     if cfg.n_clusters >= n:
         raise ValueError(f"need C < N, got C={cfg.n_clusters}, N={n}")
     u = init_partition(n, cfg.n_clusters, cfg.seed)
+    um = u**cfg.m
+    scale = blend_scale(z) if adaptive_norm and cfg.gamma > 0 else None
     norms = None
     trace = IterationTrace()
     centers = None
     for _ in range(cfg.max_iter):
-        centers = update_centers(z, u, cfg.m)
+        centers = update_centers(z, um)
         if adaptive_norm:
-            norms = norm_matrices(update_covariances(z, u, centers, cfg.m, cfg.gamma))
+            covs = update_covariances(scatter_matrices(z, um, centers), cfg.gamma, scale)
+            norms = norm_matrices(covs)
         d2 = _squared_distances(z, centers, norms)
         u_new = update_memberships(d2, cfg.m)
+        um = u_new**cfg.m  # the objective's weights and the next iteration's
         delta = float(np.abs(u_new - u).max())
-        trace.objective.append(_objective(u_new, d2, cfg.m))
+        trace.objective.append(_objective(um, d2))
         trace.delta_u.append(delta)
         u = u_new
         if delta <= cfg.xi:
             trace.converged = True
             break
-    _membership_mass(u**cfg.m)  # the last update may have emptied a cluster
+    _membership_mass(um)  # the last update may have emptied a cluster
     return u, centers, trace
 
 

@@ -104,14 +104,15 @@ def solve_consequents(pi, y, cond: float = 1e-10):
     rank-deficient system the residual is that of ``pinv(pi) @ y``, but
     the coefficients are minimum-norm in the equilibrated columns, so they
     equal the pseudo-inverse ones only where the dependent columns have
-    equal norms (not for ``[b0, b1, 2 * b0]``).
+    equal norms (not for ``[b0, b1, 2 * b0]``).  An identically zero
+    regressor matrix raises NumericalError.
     """
     pi = np.asarray(pi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if pi.ndim != 2 or pi.shape[0] != y.shape[0]:
         raise ValueError(f"shape mismatch: pi {pi.shape} vs y {y.shape}")
     if not np.any(pi):
-        raise ValueError("regressor matrix is identically zero")
+        raise NumericalError("regressor matrix is identically zero")
     norms = np.linalg.norm(pi, axis=0)
     # a column that is numerical dust relative to the matrix gets a zero
     # coefficient; equilibrating it instead would amplify noise by 1/norm

@@ -82,12 +82,16 @@ def all_indices(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> dict[str, float]
     the lexicographically first pair on ties.  Normalising s by n_p is one
     reading of an ambiguous convention, so tests pin only the direction of
     its optimum and its scale invariance, not the constant factor.  Raises
-    NumericalError for coincident centers (or a cluster without members).
+    NumericalError for a cluster without members (zero cardinality) and for
+    coincident centers.
     """
     mpc_value = mpc(u)  # refuses C = 1
     scatter = u**2 * _squared_distances(z, v)  # (C, N)
     sep = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)  # (C, C)
     cardinality = u.sum(axis=1)
+    if not cardinality.all():
+        i = int(np.argmin(cardinality != 0.0))
+        raise NumericalError(f"cluster {i} has no members")
     denom = cardinality * sep.sum(axis=1)
     if not denom.all():
         i = int(np.argmin(denom != 0.0))

@@ -106,6 +106,13 @@ class TestConfigParsing:
         assert run(tmp_path, "train", config, monkeypatch) == 2
         assert "config key 'clusters'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_bad_seed_names_its_key(self, tmp_path, monkeypatch, capsys, command):
+        config = write_config(tmp_path, "seed = abc\n")
+        assert run(tmp_path, command, config, monkeypatch) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config key 'seed' must be an integer\n"
+
     @pytest.mark.parametrize("command", ["sweep", "train"])
     def test_bad_setting_in_a_sweep_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                     command):

@@ -13,6 +13,7 @@ from fuzzyrunoff.clustering import (
     _objective,
     _sc_sq_dist_rows,
     _squared_distances,
+    blend_scale,
     init_partition,
     norm_matrices,
     run_fcm,
@@ -32,6 +33,11 @@ def two_blobs(seed=0, n_per=10, spread=0.1, centers=((0.0, 0.0), (10.0, 10.0))):
     rng = np.random.default_rng(seed)
     parts = [c + rng.normal(scale=spread, size=(n_per, 2)) for c in centers]
     return np.vstack(parts)
+
+
+def gk_covariances(z, u, centers, m, gamma):
+    """GK's blended covariances of partition ``u``, formed as the loop forms them."""
+    return update_covariances(scatter_matrices(z, u**m, centers), gamma, blend_scale(z))
 
 
 def assert_partition(u, atol=1e-9):
@@ -67,7 +73,7 @@ class TestUpdateCenters:
     def test_crisp_memberships_give_cluster_means(self):
         z = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [12.0, 12.0]])
         u = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-        v = update_centers(z, u, m=2.0)
+        v = update_centers(z, u**2.0)
         assert np.allclose(v[0], [0.5, 0.5])
         assert np.allclose(v[1], [11.0, 11.0])
 
@@ -75,26 +81,26 @@ class TestUpdateCenters:
         rng = np.random.default_rng(2)
         z = rng.normal(size=(20, 3))
         u = np.ones((1, 20))
-        v = update_centers(z, u, m=2.0)
+        v = update_centers(z, u**2.0)
         assert np.allclose(v[0], z.mean(axis=0), atol=1e-12)
 
     def test_two_points_crisp(self):
         z = np.array([[0.0, 0.0], [2.0, 2.0]])
         u = np.eye(2)
-        v = update_centers(z, u, m=2.0)
+        v = update_centers(z, u**2.0)
         assert np.allclose(v, z)
 
     def test_empty_cluster_rejected(self):
         z = np.zeros((3, 2))
         u = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         with pytest.raises(NumericalError, match="cluster 1"):
-            update_centers(z, u, m=2.0)
+            update_centers(z, u**2.0)
 
     def test_empty_cluster_has_no_scatter(self):
         z = np.zeros((3, 2))
         u = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         with pytest.raises(NumericalError, match="cluster 1 has zero membership mass"):
-            scatter_matrices(z, u, np.zeros((2, 2)), m=2.0)
+            scatter_matrices(z, u**2.0, np.zeros((2, 2)))
 
     def test_fcm_ending_with_an_empty_cluster_is_refused(self):
         # two distinct points for three clusters: the last update leaves
@@ -108,16 +114,16 @@ class TestCovariances:
     def test_zero_scatter_becomes_scaled_identity(self):
         z = np.full((6, 2), 3.0)
         u = np.ones((1, 6))
-        centers = update_centers(z, u, m=2.0)
+        centers = update_centers(z, u**2.0)
         gamma = 1e-3
-        covs = update_covariances(z, u, centers, m=2.0, gamma=gamma)
+        covs = gk_covariances(z, u, centers, 2.0, gamma)
         assert np.allclose(covs[0], gamma * np.eye(2), atol=1e-15)
 
     def test_crisp_hand_scatter(self):
         z = np.array([[-1.0, 0.0], [1.0, 0.0]])
         u = np.ones((1, 2))
         centers = np.array([[0.0, 0.0]])
-        raw = scatter_matrices(z, u, centers, m=2.0)
+        raw = scatter_matrices(z, u**2.0, centers)
         assert np.allclose(raw[0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_isotropic_blob_matches_sample_covariance(self):
@@ -125,8 +131,8 @@ class TestCovariances:
         rng = np.random.default_rng(5)
         z = rng.normal(size=(2000, 2))
         u = np.ones((1, 2000))
-        centers = update_centers(z, u, m=2.0)
-        covs = update_covariances(z, u, centers, m=2.0, gamma=0.0)
+        centers = update_centers(z, u**2.0)
+        covs = gk_covariances(z, u, centers, 2.0, 0.0)
         diff = z - z.mean(axis=0)
         oracle = diff.T @ diff / z.shape[0]
         assert np.allclose(covs[0], oracle, atol=1e-12)
@@ -137,10 +143,11 @@ class TestCovariances:
         # rounds to about -6.5e-18, whose cube root is complex
         z = np.array([[1.1, 1.8, -2.6], [-0.1, 1.0, 1.4], [0.7, 1.5, 0.3]])
         u = init_partition(3, 2, seed=0)
-        centers = update_centers(z, u, m=2.0)
+        centers = update_centers(z, u**2.0)
         gamma = 1e-3
-        covs = update_covariances(z, u, centers, m=2.0, gamma=gamma)
-        raw = scatter_matrices(z, u, centers, m=2.0)
+        assert blend_scale(z) == 1.0
+        covs = gk_covariances(z, u, centers, 2.0, gamma)
+        raw = scatter_matrices(z, u**2.0, centers)
         assert covs.tobytes() == ((1.0 - gamma) * raw + gamma * 1.0 * np.eye(3)).tobytes()
         assert_partition(run_gk(z, ClusterConfig(n_clusters=2, seed=0, max_iter=50))[0])
 
@@ -148,16 +155,16 @@ class TestCovariances:
         # gamma = 0 keeps the raw collinear scatter, which is singular
         z = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         u = np.ones((1, 3))
-        centers = update_centers(z, u, m=2.0)
+        centers = update_centers(z, u**2.0)
         with pytest.raises(NumericalError, match="cluster 0"):
-            update_covariances(z, u, centers, m=2.0, gamma=0.0)
+            gk_covariances(z, u, centers, 2.0, 0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(50, 3))
         u = init_partition(50, 2, seed=0)
-        centers = update_centers(z, u, m=2.0)
-        covs = update_covariances(z, u, centers, m=2.0, gamma=1e-3)
+        centers = update_centers(z, u**2.0)
+        covs = gk_covariances(z, u, centers, 2.0, 1e-3)
         for f in covs:
             assert np.allclose(f, f.T, atol=1e-10)
 
@@ -222,7 +229,7 @@ class TestKernels:
             um = u**m
             expected = np.stack([np.einsum("k,ki,kj->ij", w, z - v, z - v) / w.sum()
                                  for w, v in zip(um, centers)])
-            np.testing.assert_allclose(scatter_matrices(z, u, centers, m), expected,
+            np.testing.assert_allclose(scatter_matrices(z, u**m, centers), expected,
                                        rtol=1e-12)
 
     def test_distances_match_einsum(self):
@@ -242,6 +249,52 @@ class TestKernels:
             assert _squared_distances(z, centers, eye).tobytes() == expected
             assert _squared_distances(z, centers).tobytes() == expected
 
+    @staticmethod
+    def wide_problem(rng, d):
+        """A problem of width ``d`` whose data repeats one center and holds
+        negative zeros, so exact zeros of both signs reach the sums."""
+        n, c = int(rng.integers(5, 200)), int(rng.integers(2, 6))
+        z = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        centers = rng.normal(size=(c, d))
+        centers[0] = 0.0
+        z[0] = -0.0
+        z[1] = centers[1]
+        a = rng.normal(size=(c, d, d))
+        return z, centers, a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
+
+    @staticmethod
+    def column_order_distances(z, centers, norms=None):
+        """Per cluster the terms (diff @ A) * diff, added into a zero row one
+        column at a time in column order."""
+        out = np.zeros((len(centers), len(z)))
+        for i, v in enumerate(centers):
+            diff = z - v
+            terms = (diff if norms is None else diff @ norms[i]) * diff
+            for j in range(z.shape[1]):
+                out[i] = out[i] + terms[:, j]
+        return np.maximum(out, 0.0)
+
+    def test_distances_equal_the_column_order_reference(self):
+        rng = np.random.default_rng(44)
+        for d in range(1, 13):
+            for _ in range(10):
+                z, centers, spd = self.wide_problem(rng, d)
+                for data in (z, np.asfortranarray(z)):
+                    for norms in (spd, None):
+                        expected = self.column_order_distances(data, centers, norms)
+                        got = _squared_distances(data, centers, norms)
+                        assert got.tobytes() == expected.tobytes()
+
+    def test_distances_equal_the_short_axis_sum_up_to_seven_columns(self):
+        rng = np.random.default_rng(45)
+        for d in range(1, 8):
+            for _ in range(10):
+                z, centers, spd = self.wide_problem(rng, d)
+                expected = np.stack([((z - v) @ a * (z - v)).sum(axis=1)
+                                     for v, a in zip(centers, spd)])
+                np.maximum(expected, 0.0, out=expected)
+                assert _squared_distances(z, centers, spd).tobytes() == expected.tobytes()
+
     def test_singular_covariance_names_the_first_cluster(self):
         # crisp partition: cluster 0 spans the plane, clusters 1 and 2 are
         # each a line, so with gamma = 0 both of their scatters are singular
@@ -250,9 +303,9 @@ class TestKernels:
                       [0.0, 5.0], [0.0, 6.0], [0.0, 7.0]])
         u = np.zeros((3, 10))
         u[0, :4] = u[1, 4:7] = u[2, 7:] = 1.0
-        centers = update_centers(z, u, m=2.0)
+        centers = update_centers(z, u**2.0)
         with pytest.raises(NumericalError, match="covariance of cluster 1 is singular"):
-            update_covariances(z, u, centers, m=2.0, gamma=0.0)
+            gk_covariances(z, u, centers, 2.0, 0.0)
 
     def test_non_positive_definite_names_the_first_cluster(self):
         stack = np.array([np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])])
@@ -314,7 +367,7 @@ class TestRunGk:
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=3)
         u, centers, _ = run_gk(z, cfg)
         major = rot @ np.array([1.0, 0.0])
-        for f in update_covariances(z, u, centers, cfg.m, cfg.gamma):
+        for f in gk_covariances(z, u, centers, cfg.m, cfg.gamma):
             w, vec = np.linalg.eigh(f)
             dominant = vec[:, np.argmax(w)]
             deviation = math.degrees(math.acos(min(1.0, abs(dominant @ major))))
@@ -347,12 +400,12 @@ class TestRunGk:
         z = two_blobs(seed=13)
         cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=5)
         u, centers, _ = run_gk(z, cfg)
-        norms = norm_matrices(update_covariances(z, u, centers, cfg.m, cfg.gamma))
+        norms = norm_matrices(gk_covariances(z, u, centers, cfg.m, cfg.gamma))
         d2 = _squared_distances(z, centers, norms)
-        j = _objective(u, d2, cfg.m)
+        j = _objective(u**cfg.m, d2)
         perm = [1, 0]
         d2_perm = _squared_distances(z, centers[perm], norms[perm])
-        j_perm = _objective(u[perm], d2_perm, cfg.m)
+        j_perm = _objective(u[perm]**cfg.m, d2_perm)
         assert j == pytest.approx(j_perm, rel=1e-12)
 
     def test_partition_is_valid(self):
@@ -403,7 +456,7 @@ class TestRunFcm:
         cfg = ClusterConfig(algorithm="fcm", n_clusters=2, seed=4, gamma=0.0)
         u, centers, _ = run_fcm(z, cfg)
         assert_partition(u)
-        scatter = scatter_matrices(z, u, centers, cfg.m)
+        scatter = scatter_matrices(z, u**cfg.m, centers)
         assert np.all(scatter[:, 2, :] == 0) and np.all(scatter[:, :, 2] == 0)
         with pytest.raises(NumericalError, match="singular"):
             run_gk(z, ClusterConfig(algorithm="gk", n_clusters=2, seed=4, gamma=0.0))

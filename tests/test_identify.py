@@ -193,7 +193,7 @@ class TestSolveConsequents:
             assert np.linalg.norm(y - pi @ other) >= res - 1e-12
 
     def test_all_zero_regressors_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="regressor matrix is identically zero"):
             solve_consequents(np.zeros((4, 3)), np.ones(4))
 
 

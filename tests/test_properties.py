@@ -130,6 +130,94 @@ def test_partition_columns_sum_to_one(z, c, seed):
         assert np.allclose(u.sum(axis=0), 1.0, rtol=0, atol=1e-9)
 
 
+def unhoisted_run_alternating(z, cfg: ClusterConfig, adaptive_norm: bool):
+    """The alternating-optimisation loop in its earlier form: each step takes
+    u**m again, the blend scale is recomputed every iteration and each
+    squared distance is a short-axis ``sum(axis=1)`` over fresh temporaries."""
+    m, mass_of = cfg.m, clustering._membership_mass
+
+    def update_centers(u):
+        um = u**m
+        return (um @ z) / mass_of(um)[:, None]
+
+    def update_covariances(u, centers):
+        um = u**m
+        mass = mass_of(um)
+        c, d = centers.shape
+        covs = np.empty((c, d, d))
+        for i in range(c):
+            diff = z - centers[i]
+            covs[i] = ((diff.T * um[i]) @ diff) / mass[i]
+        if cfg.gamma > 0:
+            diff = z - z.mean(axis=0)
+            det = float(np.linalg.det((diff.T @ diff) / z.shape[0]))
+            scale = det ** (1.0 / d) if det > 0 else 1.0
+            covs = (1.0 - cfg.gamma) * covs
+            covs[:, range(d), range(d)] += cfg.gamma * scale
+        smallest = np.linalg.eigvalsh(covs)[:, 0]
+        singular = smallest <= 1e-12 * np.trace(covs, axis1=1, axis2=2)
+        if singular.any():
+            raise NumericalError(f"covariance of cluster {int(np.argmax(singular))} "
+                                 "is singular after regularisation")
+        return covs
+
+    def squared_distances(centers, norms):
+        out = np.empty((len(centers), len(z)))
+        for i in range(len(centers)):
+            diff = z - centers[i]
+            out[i] = ((diff if norms is None else diff @ norms[i]) * diff).sum(axis=1)
+        return np.maximum(out, 0.0)
+
+    u = clustering.init_partition(len(z), cfg.n_clusters, cfg.seed)
+    norms, centers, trace = None, None, clustering.IterationTrace()
+    for _ in range(cfg.max_iter):
+        centers = update_centers(u)
+        if adaptive_norm:
+            norms = clustering.norm_matrices(update_covariances(u, centers))
+        d2 = squared_distances(centers, norms)
+        u_new = clustering.update_memberships(d2, m)
+        delta = float(np.abs(u_new - u).max())
+        trace.objective.append(float(((u_new**m) * d2).sum()))
+        trace.delta_u.append(delta)
+        u = u_new
+        if delta <= cfg.xi:
+            trace.converged = True
+            break
+    mass_of(u**m)
+    return u, centers, trace
+
+
+def outcome(run, *args):
+    """The bits of a clustering run, or the message of its numerical failure."""
+    try:
+        u, centers, trace = run(*args)
+    except NumericalError as exc:
+        return str(exc)
+    return (bits(u), bits(centers), bits(trace.objective), bits(trace.delta_u),
+            trace.converged)
+
+
+@st.composite
+def clumped_clouds(draw):
+    """A few distinct grid points, each repeated: a center can land on a point
+    exactly, so the zero-distance branch of update_memberships runs."""
+    z = draw(grid_clouds())
+    distinct = min(draw(st.integers(2, 5)), len(z))
+    return z[draw(st.lists(st.integers(0, distinct - 1), min_size=3, max_size=40))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grid_clouds(), clumped_clouds()), st.integers(2, 4), seeds,
+       st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([0.0, 1e-3]))
+def test_gk_and_fcm_equal_the_unhoisted_loop_bit_for_bit(z, c, seed, m, gamma):
+    if c >= len(z):
+        return
+    cfg = ClusterConfig(n_clusters=c, seed=seed, m=m, gamma=gamma, max_iter=40)
+    for run, adaptive_norm in ((run_gk, True), (run_fcm, False)):
+        assert outcome(run, z, cfg) == outcome(unhoisted_run_alternating, z, cfg,
+                                               adaptive_norm)
+
+
 @settings(max_examples=50, deadline=None)
 @given(grid_clouds(dims=st.integers(1, 4)), st.integers(2, 6), seeds)
 def test_indices_ignore_the_sample_order(z, c, seed):

@@ -126,6 +126,28 @@ class TestPartitionIndexSc:
         with pytest.raises(NumericalError, match="coincident centers"):
             all_indices(u, z, centers)
 
+    def test_cluster_without_members_rejected(self):
+        centers = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 4.0]])
+        z = np.random.default_rng(2).normal(size=(9, 2))
+        u = crisp_u(3, 9)
+        u[0] += u[1]
+        u[1] = 0.0
+        with pytest.raises(NumericalError, match="^cluster 1 has no members$"):
+            all_indices(u, z, centers)
+
+    def test_empty_cluster_is_named_before_coincident_centers(self):
+        # an empty cluster at a shared center is reported as empty; the same
+        # centers with every cluster populated are coincident
+        centers = np.zeros((2, 2))
+        z = np.random.default_rng(3).normal(size=(6, 2))
+        u = np.zeros((2, 6))
+        u[1] = 1.0
+        with pytest.raises(NumericalError, match="^cluster 0 has no members$"):
+            all_indices(u, z, centers)
+        with pytest.raises(NumericalError,
+                           match="^coincident centers: cluster 0 has zero separation$"):
+            all_indices(crisp_u(2, 6), z, centers)
+
     def test_two_of_three_coincident_centers_rejected(self):
         # every cluster keeps a nonzero summed separation; the minimum is zero
         centers = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])
