@@ -151,34 +151,24 @@ class Experiment:
     def sweep_range(self):
         return range(2, self.get_int("c_max", 8) + 1)
 
-    def _pair(self, key, default):
-        raw = self.get(key, default)
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"config key '{key}' must be 'low,high'")
+    def _values(self, key, default, count, kind=float):
+        """``count`` comma-separated values of type ``kind`` (float or int)."""
+        parts = [p.strip() for p in self.get(key, default).split(",")]
+        if len(parts) != count:
+            raise ConfigError(f"config key '{key}' needs {count} comma-separated values")
         try:
-            return float(parts[0]), float(parts[1])
+            return tuple(kind(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"config key '{key}' must be numeric") from None
-
-    def _triple(self, key, default):
-        raw = self.get(key, default)
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"config key '{key}' needs 3 comma-separated values")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' must be numeric") from None
+            what = "integers" if kind is int else "numeric"
+            raise ConfigError(f"config key '{key}' must be {what}") from None
 
     def storm_params(self) -> StormParams:
-        lo, hi = self._pair("storm_pulses", "3,6")
         return StormParams(
-            pulses=(int(lo), int(hi)),
-            amplitude_range=self._pair("storm_amplitude", "6,14"),
-            width_range=self._pair("storm_width", "600,1500"),
-            station_gains=self._triple("storm_station_gains", "1.3,0.8,1.1"),
-            station_delays=self._triple("storm_station_delays", "0,30,60"),
+            pulses=self._values("storm_pulses", "3,6", 2, int),
+            amplitude_range=self._values("storm_amplitude", "6,14", 2),
+            width_range=self._values("storm_width", "600,1500", 2),
+            station_gains=self._values("storm_station_gains", "1.3,0.8,1.1", 3),
+            station_delays=self._values("storm_station_delays", "0,30,60", 3),
             routing_lag=self.get_int("storm_routing_lag", 5),
             storage=self.get_float("storm_storage", 0.9),
             gain=self.get_float("storm_gain", 0.08),

@@ -19,11 +19,8 @@ once (2-d, finite).
 
 All three are deterministic for a fixed seed, and iteration traces
 reproduce bit for bit.  Squared distances are summed over the coordinates
-in an explicit order: one column at a time, in column order, into a zeroed
-row.  numpy sums an axis of fewer than 8 elements in the same order, so
-for d <= 7 these sums equal ``.sum(axis=1)`` bit for bit; for d >= 8 numpy
-sums pairwise and the two can differ by round-off.  Every other reduction
-uses numpy's fixed summation order.
+one column at a time, in column order (see ``_sq_euclidean``); every other
+reduction uses numpy's fixed summation order.
 
 The alternating-optimisation loop takes u**m once per iteration (the
 objective's weights are the next iteration's), the blend scale of the GK
@@ -204,25 +201,43 @@ def norm_matrices(covariances: np.ndarray) -> np.ndarray:
     return (det ** (1.0 / d))[:, None, None] * np.linalg.inv(covariances)
 
 
+def _sq_euclidean(cols: np.ndarray, points: np.ndarray, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from each of the (k, d) ``points`` to every
+    sample, written into the (k, N) ``out``; ``cols`` holds the samples as
+    contiguous columns (d, N), ``tmp`` is scratch of the shape of ``out``.
+
+    The coordinates are added to the zeroed ``out`` one at a time in column
+    order, starting from 0.  numpy sums an axis of fewer than 8 elements in
+    that same order, so for d <= 7 this equals ``(diff ** 2).sum(axis=-1)``
+    bit for bit; for d >= 8 numpy sums pairwise and the two can differ by
+    round-off.
+    """
+    out.fill(0.0)
+    for j, col in enumerate(cols):
+        np.subtract(points[:, j, None], col[None, :], out=tmp)
+        np.square(tmp, out=tmp)
+        out += tmp
+    return out
+
+
 def _squared_distances(z: np.ndarray, centers: np.ndarray, norms=None) -> np.ndarray:
     """(C, N) matrix of squared induced distances; ``norms=None`` is the
-    Euclidean norm (identity norm-inducing matrices).
+    Euclidean norm, computed by ``_sq_euclidean``.
 
-    Per cluster the terms t = (diff @ A) * diff (diff * diff for the
-    Euclidean norm) are formed in place and their columns added into the
-    output row one at a time in column order, starting from 0.  numpy sums
-    an axis of fewer than 8 elements in that same order, so for d <= 7 this
-    equals ``t.sum(axis=1)`` bit for bit; for d >= 8 numpy sums pairwise
-    and the two can differ by round-off.
+    Per cluster the terms t = (diff @ A) * diff are formed in place and their
+    columns added into the output row in the order ``_sq_euclidean`` uses.
     """
-    c = centers.shape[0]
-    out = np.zeros((c, z.shape[0]))
+    shape = (centers.shape[0], z.shape[0])
+    if norms is None:
+        return _sq_euclidean(np.ascontiguousarray(z.T), centers, np.empty(shape),
+                             np.empty(shape))
+    out = np.zeros(shape)
     diff = np.empty_like(z, dtype=float)
-    terms = diff if norms is None else np.empty(z.shape)
-    for i in range(c):
+    terms = np.empty(z.shape)
+    for i in range(shape[0]):
         np.subtract(z, centers[i], out=diff)
-        if norms is not None:
-            np.matmul(diff, norms[i], out=terms)
+        np.matmul(diff, norms[i], out=terms)
         np.multiply(terms, diff, out=terms)
         row = out[i]
         for col in terms.T:
@@ -253,11 +268,7 @@ def update_memberships(distances, m: float) -> np.ndarray:
     inv = ratio ** (-p)
     u = inv / inv.sum(axis=0, keepdims=True)
     if hit.any():
-        cols = np.where(hit)[0]
-        u[:, cols] = 0.0
-        for k in cols:
-            members = np.where(zero[:, k])[0]
-            u[members, k] = 1.0 / len(members)
+        u[:, hit] = zero[:, hit] / zero[:, hit].sum(axis=0)
     return u
 
 
@@ -286,10 +297,7 @@ def run_fcm(data, cfg: ClusterConfig):
 def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
     cfg.validate()
     z = _as_data(data)
-    n = z.shape[0]
-    if cfg.n_clusters >= n:
-        raise ValueError(f"need C < N, got C={cfg.n_clusters}, N={n}")
-    u = init_partition(n, cfg.n_clusters, cfg.seed)
+    u = init_partition(z.shape[0], cfg.n_clusters, cfg.seed)
     um = u**cfg.m
     scale = blend_scale(z) if adaptive_norm and cfg.gamma > 0 else None
     norms = None
@@ -330,25 +338,6 @@ def _minmax_normalise(z: np.ndarray):
 _SC_BLOCK_BYTES = 2**20
 
 
-def _sc_sq_dist_rows(cols: np.ndarray, rows: slice, out: np.ndarray,
-                     tmp: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from the points ``rows`` to every point,
-    written into ``out``; ``cols`` holds the coordinates as contiguous
-    columns (d, N), ``tmp`` is scratch of the shape of ``out``.
-
-    The coordinates are added to ``out`` one at a time in column order,
-    starting from 0.  numpy sums an axis of fewer than 8 elements in that
-    same order, so for d <= 7 this equals ``(diff ** 2).sum(axis=-1)`` bit
-    for bit; for d >= 8 numpy sums pairwise and the two differ by round-off.
-    """
-    out.fill(0.0)
-    for col in cols:
-        np.subtract(col[rows, None], col[None, :], out=tmp)
-        np.square(tmp, out=tmp)
-        out += tmp
-    return out
-
-
 def run_sc(data, cfg: ClusterConfig):
     """Subtractive clustering: density-peak center selection.
 
@@ -366,10 +355,8 @@ def run_sc(data, cfg: ClusterConfig):
     time, and the exponentials are taken in place.  Only the distance rows
     of the accepted centers are kept, so memory is O(budget + d * N + k * N)
     for k centers, never O(N^2).  Every distance, the centers' rows
-    included, comes from ``_sc_sq_dist_rows``, so the result does not depend
-    on the block.  For d <= 7 the distances equal a coordinate sum over a
-    full (N, N, d) difference array bit for bit; for d >= 8 they can differ
-    from it by round-off (see ``_sc_sq_dist_rows``).
+    included, comes from ``_sq_euclidean``, so the result does not depend
+    on the block.
     """
     cfg.validate()
     z = _as_data(data)
@@ -387,7 +374,7 @@ def run_sc(data, cfg: ClusterConfig):
     for start in range(0, n, block):
         stop = min(start + block, n)
         size = stop - start
-        e = _sc_sq_dist_rows(cols, slice(start, stop), out[:size], tmp[:size])
+        e = _sq_euclidean(cols, zn[start:stop], out[:size], tmp[:size])
         e *= -alpha
         np.exp(e, out=e)
         potential[start:stop] = e.sum(axis=1)
@@ -397,7 +384,7 @@ def run_sc(data, cfg: ClusterConfig):
     accepted = [idx]
     center_rows = []  # squared distances from each accepted center
     while True:
-        dist = _sc_sq_dist_rows(cols, slice(idx, idx + 1), np.empty((1, n)), tmp[:1])
+        dist = _sq_euclidean(cols, zn[idx:idx + 1], np.empty((1, n)), tmp[:1])
         center_rows.append(dist[0])
         p_star = float(potential[idx])
         potential = potential - p_star * np.exp(-beta * center_rows[-1])

@@ -113,6 +113,17 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err == "config error: config key 'seed' must be an integer\n"
 
+    @pytest.mark.parametrize("value, message", [
+        ("3.7,6.9", "config key 'storm_pulses' must be integers"),
+        ("3", "config key 'storm_pulses' needs 2 comma-separated values"),
+    ])
+    def test_storm_pulses_must_be_two_integers(self, tmp_path, monkeypatch, capsys,
+                                               value, message):
+        config = write_config(tmp_path, f"storm_pulses = {value}\n")
+        assert run(tmp_path, "synth", config, monkeypatch) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out" / "train.csv").exists()
+
     @pytest.mark.parametrize("command", ["sweep", "train"])
     def test_bad_setting_in_a_sweep_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                     command):

@@ -11,7 +11,7 @@ from fuzzyrunoff.clustering import (
     _as_data,
     _minmax_normalise,
     _objective,
-    _sc_sq_dist_rows,
+    _sq_euclidean,
     _squared_distances,
     blend_scale,
     init_partition,
@@ -280,9 +280,10 @@ class TestKernels:
             for _ in range(10):
                 z, centers, spd = self.wide_problem(rng, d)
                 for data in (z, np.asfortranarray(z)):
-                    for norms in (spd, None):
-                        expected = self.column_order_distances(data, centers, norms)
-                        got = _squared_distances(data, centers, norms)
+                    for points, norms in ((centers, spd), (centers, None),
+                                          (centers[::-1], None)):
+                        expected = self.column_order_distances(data, points, norms)
+                        got = _squared_distances(data, points, norms)
                         assert got.tobytes() == expected.tobytes()
 
     def test_distances_equal_the_short_axis_sum_up_to_seven_columns(self):
@@ -636,11 +637,12 @@ class TestBlockedSc:
         # from d = 8 on numpy sums a short axis pairwise, so the documented
         # order is pinned against an explicit column-by-column sum
         zn = np.random.default_rng(46).random((50, 9))
+        points = zn[[9, 3, 7, 4, 8, 5, 6]]
         expected = np.zeros((7, 50))
         for k in range(9):
-            expected += (zn[3:10, k, None] - zn[None, :, k]) ** 2
+            expected += (points[:, k, None] - zn[None, :, k]) ** 2
         out, tmp = np.empty((7, 50)), np.empty((7, 50))
-        got = _sc_sq_dist_rows(np.ascontiguousarray(zn.T), slice(3, 10), out, tmp)
+        got = _sq_euclidean(np.ascontiguousarray(zn.T), points, out, tmp)
         assert got is out
         assert got.tobytes() == expected.tobytes()
 
