@@ -86,11 +86,6 @@ class Experiment:
     def get(self, key, default=None):
         return self.raw.get(key, default)
 
-    def require(self, key) -> str:
-        if key not in self.raw:
-            raise ConfigError(f"missing config key '{key}'")
-        return self.raw[key]
-
     def get_float(self, key, default):
         try:
             return float(self.raw.get(key, default))
@@ -122,14 +117,11 @@ class Experiment:
 
     @property
     def normalization_modes(self) -> list[bool]:
+        modes = {"off": [False], "on": [True], "both": [False, True]}
         mode = self.get("normalization", "off")
-        if mode == "both":
-            return [False, True]
-        if mode == "on":
-            return [True]
-        if mode == "off":
-            return [False]
-        raise ConfigError("config key 'normalization' must be on, off, or both")
+        if mode not in modes:
+            raise ConfigError("config key 'normalization' must be on, off, or both")
+        return modes[mode]
 
     @property
     def base_interval(self) -> float:
@@ -179,7 +171,9 @@ class Experiment:
         )
 
     def load_series(self, key) -> EventSeries:
-        return load_event_csv(self.require(key), self.base_interval)
+        if key not in self.raw:
+            raise ConfigError(f"missing config key '{key}'")
+        return load_event_csv(self.raw[key], self.base_interval)
 
     def resolve_lag(self, series: EventSeries) -> int:
         lag = self.get("lag", "auto")

@@ -93,22 +93,26 @@ class TsModel:
 
 
 def firing_matrix(model: TsModel, X) -> np.ndarray:
-    """(N, C) min-operator firing strengths for every row of ``X``."""
-    X = _check_batch(model, X)
-    if X.shape[0] == 0:
-        return np.zeros((0, model.rule_count))
-    # memberships: (N, C, n); firing = min over input dimensions
-    z = (X[:, None, :] - model.premise_means[None, :, :]) / model.premise_widths[None, :, :]
-    return np.exp(-(z**2)).min(axis=2)
+    """(N, C) min-operator firing strengths for every row of ``X``, taken as
+    exp(-max_k z_k^2) on (n, C, N) arrays: one exp per (row, rule), equal to
+    min_k exp(-z_k^2) bit for bit because exp is monotone."""
+    Xt = np.ascontiguousarray(_check_batch(model, X).T)
+    z = Xt[:, None, :] - model.premise_means.T[:, :, None]
+    z /= model.premise_widths.T[:, :, None]
+    z *= z
+    a = z.max(axis=0)
+    return np.ascontiguousarray(np.exp(np.negative(a, out=a), out=a).T)
 
 
 def rule_output_matrix(model: TsModel, X) -> np.ndarray:
-    """(N, C) affine consequent outputs for every row of ``X``."""
-    X = _check_batch(model, X)
-    theta = model.consequents
-    # Summation runs along the feature axis independently per (row, rule),
-    # which keeps single-row and batched evaluation bit-identical.
-    return theta[None, :, 0] + (X[:, None, :] * theta[None, :, 1:]).sum(axis=2)
+    """(N, C) affine consequent outputs for every row of ``X``: x_k * theta_k
+    summed over the input columns in order, then the intercept, per (row,
+    rule), so a row alone and in a batch agree bit for bit.  For n <= 7 this
+    is numpy's sum along a feature axis; for n >= 8 round-off can differ."""
+    Xt = np.ascontiguousarray(_check_batch(model, X).T)
+    y = (Xt[:, None, :] * model.consequents[:, 1:].T[:, :, None]).sum(axis=0)
+    y += model.consequents[:, :1]
+    return np.ascontiguousarray(y.T)
 
 
 def nearest_rule_index(model: TsModel, X) -> np.ndarray:
@@ -149,7 +153,7 @@ def predict(model: TsModel, x) -> float:
 def predict_batch(model: TsModel, X) -> np.ndarray:
     """Vectorised :func:`predict` over the rows of an (N, n) matrix."""
     X = _check_batch(model, X)
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
         raise ValueError(f"non-finite input at row {bad}")
     w, wsum, degenerate, nearest = _firing_with_fallback(model, X)
@@ -176,12 +180,10 @@ def _firing_with_fallback(model: TsModel, X: np.ndarray):
 
 def _check_batch(model: TsModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != model.input_dim):
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(
             f"expected (N, {model.input_dim}) input matrix, got shape {X.shape}"
         )
-    if X.shape[0] == 0:
-        X = X.reshape(0, model.input_dim)
     return X
 
 

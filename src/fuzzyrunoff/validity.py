@@ -13,6 +13,7 @@ scores each partition with ``all_indices``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,9 +114,7 @@ def all_indices(u: np.ndarray, z: np.ndarray, v: np.ndarray) -> dict[str, float]
 
 def consensus_count(per_index_optima) -> int:
     """Mode of the per-index optima; ties resolve to the smallest count."""
-    counts: dict[int, int] = {}
-    for c in per_index_optima:
-        counts[int(c)] = counts.get(int(c), 0) + 1
+    counts = Counter(int(c) for c in per_index_optima)
     if not counts:
         raise ValueError("no per-index optima to take a consensus of")
     best = max(counts.values())
@@ -172,28 +171,15 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
             values = all_indices(u, z, centers)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             failures[c] = str(exc)
-            for name in names:
-                table[name].append(float("nan"))
-            continue
+            values = dict.fromkeys(names, float("nan"))
         for name in names:
             table[name].append(values[name])
     if len(failures) == len(c_values):
         raise NumericalError(f"clustering failed for every C in {c_values}")
 
     per_index = {}
-    for name in names:
-        col = np.asarray(table[name])
-        good = ~np.isnan(col)
-        candidates = np.asarray(c_values)[good]
-        vals = col[good]
-        pick = np.argmax(vals) if INDEX_DIRECTIONS[name] == "max" else np.argmin(vals)
-        per_index[name] = int(candidates[pick])
-
-    consensus = consensus_count(per_index.values())
-    return ValidityReport(
-        c_values=c_values,
-        table=table,
-        per_index_optimum=per_index,
-        consensus=consensus,
-        failures=failures,
-    )
+    for name in names:  # the first optimum among the C values that did not fail
+        pick = np.nanargmax if INDEX_DIRECTIONS[name] == "max" else np.nanargmin
+        per_index[name] = c_values[pick(table[name])]
+    return ValidityReport(c_values=c_values, table=table, per_index_optimum=per_index,
+                          consensus=consensus_count(per_index.values()), failures=failures)

@@ -173,6 +173,14 @@ class TestPredictBatch:
         model = one_input_model((0, 1, [0, 1]))
         out = predict_batch(model, np.zeros((0, 1)))
         assert out.shape == (0,)
+        assert firing_matrix(model, np.zeros((0, 1))).shape == (0, 1)
+        assert rule_output_matrix(model, np.zeros((0, 1))).shape == (0, 1)
+
+    @pytest.mark.parametrize("fn", [predict_batch, firing_matrix, rule_output_matrix])
+    def test_empty_matrix_of_the_wrong_width_is_refused(self, fn):
+        model = TsModel(np.zeros((2, 4)), np.ones((2, 4)), np.zeros((2, 5)))
+        with pytest.raises(ValueError, match=r"expected \(N, 4\) input matrix, got shape \(0, 7\)"):
+            fn(model, np.zeros((0, 7)))
 
     def test_single_row(self):
         model = one_input_model((0, 1, [1, 2]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyrunoff.evalmetrics import ce, metric_set, r, rmse, ve
+from fuzzyrunoff.evalmetrics import MetricSet, ce, metric_set, r, rmse, ve
 
 
 class TestRmse:
@@ -120,3 +120,40 @@ def test_metric_set_bundles_all_four():
     assert ms.r == r(y, yhat)
     assert ms.rmse >= 0
     assert -1 <= ms.r <= 1
+
+
+def separate_passes(y, yhat) -> MetricSet:
+    """The four criteria, each from its own pass over the pair."""
+    y, yhat = np.asarray(y, dtype=float), np.asarray(yhat, dtype=float)
+    f0 = float(np.sum((y - y.mean()) ** 2))
+    dy, dp = y - y.mean(), yhat - yhat.mean()
+    return MetricSet(
+        rmse=float(np.sqrt(np.mean((y - yhat) ** 2))),
+        ce=1.0 - float(np.sum((y - yhat) ** 2)) / f0,
+        ve=(float(np.sum(y)) - float(np.sum(yhat))) / float(np.sum(y)) * 100.0,
+        r=float(np.sum(dy * dp)) / (float(np.sqrt(np.sum(dy**2)))
+                                   * float(np.sqrt(np.sum(dp**2)))),
+    )
+
+
+def test_metric_set_equals_separate_passes_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        size, scale = int(rng.integers(2, 400)), 10.0 ** rng.uniform(-6, 6)
+        y = (rng.normal(size=size) + rng.normal()) * scale
+        yhat = y + rng.normal(size=size) * scale * rng.uniform(0, 2)
+        got, want = metric_set(y, yhat), separate_passes(y, yhat)
+        assert np.array([got.rmse, got.ce, got.ve, got.r]).tobytes() == \
+            np.array([want.rmse, want.ce, want.ve, want.r]).tobytes()
+
+
+@pytest.mark.parametrize("y, yhat, message", [
+    ([], [], "empty series"),
+    ([1.0], [1.0, 2.0], "length mismatch"),
+    ([2.0, 2.0], [1.0, 1.0], "constant"),  # ce's error before ve's and r's
+    ([1.0, -1.0], [3.0, 3.0], "sums to zero"),  # ve's error before r's
+    ([1.0, 2.0], [5.0, 5.0], "zero variance"),
+])
+def test_metric_set_raises_the_first_error_of_rmse_ce_ve_r(y, yhat, message):
+    with pytest.raises(ValueError, match=message):
+        metric_set(y, yhat)

@@ -20,12 +20,16 @@ from fuzzyrunoff.clustering import (
     sc_partition,
 )
 from fuzzyrunoff.core import (
+    DEGENERACY_FLOOR,
     Scheme,
     TsModel,
     dump_model,
+    firing_matrix,
+    nearest_rule_index,
     parse_model,
     predict,
     predict_batch,
+    rule_output_matrix,
 )
 from fuzzyrunoff.identify import solve_consequents
 from fuzzyrunoff.validity import all_indices
@@ -79,6 +83,60 @@ def test_single_row_equals_batch_bit_for_bit(model, data):
     batch = predict_batch(model, X)
     for k in range(rows):
         assert bits(predict(model, X[k])) == bits(batch[k])
+
+
+def firing_nci(model: TsModel, X) -> np.ndarray:
+    """The firing strengths as (N, C, n) memberships reduced by min."""
+    z = (X[:, None, :] - model.premise_means[None, :, :]) / model.premise_widths[None, :, :]
+    return np.exp(-(z**2)).min(axis=2)
+
+
+def rule_outputs_nci(model: TsModel, X) -> np.ndarray:
+    """The rule outputs as (N, C, n) products summed along the feature axis."""
+    theta = model.consequents
+    return theta[None, :, 0] + (X[:, None, :] * theta[None, :, 1:]).sum(axis=2)
+
+
+def predict_batch_nci(model: TsModel, X) -> np.ndarray:
+    """Weighted average of ``rule_outputs_nci`` by ``firing_nci``, with the
+    nearest-rule fallback below DEGENERACY_FLOOR."""
+    w, outputs = firing_nci(model, X), rule_outputs_nci(model, X)
+    wsum = w.sum(axis=1)
+    degenerate = wsum < DEGENERACY_FLOOR
+    wsum[degenerate] = 1.0
+    yhat = (w * outputs).sum(axis=1) / wsum
+    if degenerate.any():
+        yhat[degenerate] = outputs[degenerate, nearest_rule_index(model, X[degenerate])]
+    return yhat
+
+
+@st.composite
+def wide_models_and_rows(draw):
+    """A model with n = 1..7 inputs and C = 1..12 rules, and 0..6 finite
+    rows plus 0..2 rows far outside every rule (they take the fallback)."""
+    n, c = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+
+    def matrix(elements, rows, cols):
+        return np.array([[draw(elements) for _ in range(cols)]
+                         for _ in range(rows)]).reshape(rows, cols)
+
+    model = TsModel(matrix(finite, c, n), matrix(widths, c, n), matrix(finite, c, n + 1))
+    X = matrix(finite, draw(st.integers(0, 6)), n)
+    far = (model.premise_means + 10 * model.premise_widths).max(axis=0)
+    X = np.vstack([X] + [far] * draw(st.integers(0, 2)))
+    return model, X[draw(st.permutations(range(len(X))))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_models_and_rows())
+def test_rule_major_inference_equals_the_feature_axis_formulas(case):
+    model, X = case
+    c = model.rule_count
+    for fn, reference in ((firing_matrix, firing_nci), (rule_output_matrix, rule_outputs_nci)):
+        out = fn(model, X)
+        assert out.shape == (len(X), c) and out.flags.c_contiguous
+        assert bits(out) == bits(reference(model, X))
+    assert bits(predict_batch(model, X)) == bits(predict_batch_nci(model, X))
 
 
 @settings(max_examples=200, deadline=None)
