@@ -233,6 +233,11 @@ def cmd_synth(exp: Experiment) -> int:
     return 0
 
 
+def _require_rows(key: str, c: int, n_rows: int) -> None:
+    if c >= n_rows:
+        raise ConfigError(f"{key}={c} must be < supervised rows N={n_rows}")
+
+
 def cmd_sweep(exp: Experiment) -> int:
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
@@ -240,10 +245,7 @@ def cmd_sweep(exp: Experiment) -> int:
     normalized = True in exp.normalization_modes
     sset = build_supervised(series, lag=lag, stride=stride, normalization=normalized)
     c_range = exp.sweep_range
-    if c_range.stop - 1 >= sset.n_rows:
-        raise ConfigError(
-            f"c_max={c_range.stop - 1} must be < supervised rows N={sset.n_rows}"
-        )
+    _require_rows("c_max", c_range.stop - 1, sset.n_rows)
     algorithms = [a for a in exp.algorithms if a in ("gk", "fcm")]
     if not algorithms:
         raise ConfigError("sweep needs gk or fcm in 'algorithms' "
@@ -283,6 +285,9 @@ def cmd_train(exp: Experiment) -> int:
                                         normalization=normalized)
                 cfg = exp.cluster_config(algorithm)
                 c_range = exp.sweep_range if sweep_requested and algorithm != "sc" else None
+                if algorithm != "sc":
+                    c = c_range.stop - 1 if c_range else cfg.n_clusters
+                    _require_rows("c_max" if c_range else "clusters", c, sset.n_rows)
                 model, fit = fit_model(sset.joined(), cfg, c_range=c_range)
                 record = sset.normalization
                 norm = None if record is None else (tuple(record.mins.tolist()),

@@ -18,13 +18,14 @@ memberships (C, N), the centers (C, d).  Each entry point checks its data
 once (2-d, finite).
 
 All three are deterministic for a fixed seed, and iteration traces
-reproduce bit for bit.  Squared distances are summed over the coordinates
-one column at a time, in column order (see ``_sq_euclidean``); every other
+reproduce bit for bit.  Distances, GK's induced ones included, work on the
+samples as contiguous (d, N) columns and sum the squared terms over the
+coordinates one at a time, in order (see ``_sq_euclidean``); every other
 reduction uses numpy's fixed summation order.
 
 The alternating-optimisation loop takes u**m once per iteration (the
-objective's weights are the next iteration's), the blend scale of the GK
-covariances once per run, and reuses its scratch buffers across clusters.
+objective's weights are the next iteration's), the GK blend scale and the
+(d, N) columns once per run, and reuses its scratch buffers across clusters.
 """
 
 from __future__ import annotations
@@ -225,23 +226,24 @@ def _squared_distances(z: np.ndarray, centers: np.ndarray, norms=None) -> np.nda
     """(C, N) matrix of squared induced distances; ``norms=None`` is the
     Euclidean norm, computed by ``_sq_euclidean``.
 
-    Per cluster the terms t = (diff @ A) * diff are formed in place and their
-    columns added into the output row in the order ``_sq_euclidean`` uses.
+    Per cluster the (d, N) terms (A^T diff) * diff are formed in place from
+    the samples' contiguous columns, and their rows are added into the
+    zeroed output row in order, the summation order of ``_sq_euclidean``.
     """
+    cols = np.ascontiguousarray(z.T)
     shape = (centers.shape[0], z.shape[0])
     if norms is None:
-        return _sq_euclidean(np.ascontiguousarray(z.T), centers, np.empty(shape),
-                             np.empty(shape))
+        return _sq_euclidean(cols, centers, np.empty(shape), np.empty(shape))
     out = np.zeros(shape)
-    diff = np.empty_like(z, dtype=float)
-    terms = np.empty(z.shape)
+    diff = np.empty(cols.shape)
+    terms = np.empty(cols.shape)
     for i in range(shape[0]):
-        np.subtract(z, centers[i], out=diff)
-        np.matmul(diff, norms[i], out=terms)
-        np.multiply(terms, diff, out=terms)
+        np.subtract(cols, centers[i][:, None], out=diff)
+        np.matmul(norms[i].T, diff, out=terms)
+        terms *= diff
         row = out[i]
-        for col in terms.T:
-            row += col
+        for t in terms:
+            row += t
     # tiny negatives from round-off would break the power update
     np.maximum(out, 0.0, out=out)
     return out
@@ -257,18 +259,17 @@ def update_memberships(distances, m: float) -> np.ndarray:
     if np.any(d2 < 0):
         raise ValueError("squared distances must be non-negative")
     p = 1.0 / (m - 1.0)
-    zero = d2 == 0.0
-    hit = zero.any(axis=0)
     # Scale each column by its min distance: ratios >= 1, no overflow.
     dmin = d2.min(axis=0)
-    safe = np.where(hit, 1.0, dmin)
-    ratio = d2 / safe[None, :]
-    if hit.any():
-        ratio[:, hit] = 1.0  # placeholder; these columns are rewritten below
-    inv = ratio ** (-p)
-    u = inv / inv.sum(axis=0, keepdims=True)
-    if hit.any():
-        u[:, hit] = zero[:, hit] / zero[:, hit].sum(axis=0)
+    hit = np.flatnonzero(dmin == 0.0)  # the columns holding an exact zero
+    dmin[hit] = 1.0
+    ratio = d2 / dmin
+    ratio[:, hit] = 1.0  # placeholder; these columns are rewritten below
+    u = ratio ** (-p)
+    u /= u.sum(axis=0)
+    if hit.size:
+        zero = d2[:, hit] == 0.0
+        u[:, hit] = zero / zero.sum(axis=0)
     return u
 
 
@@ -300,6 +301,7 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
     u = init_partition(z.shape[0], cfg.n_clusters, cfg.seed)
     um = u**cfg.m
     scale = blend_scale(z) if adaptive_norm and cfg.gamma > 0 else None
+    cols = np.ascontiguousarray(z.T)
     norms = None
     trace = IterationTrace()
     centers = None
@@ -308,7 +310,7 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
         if adaptive_norm:
             covs = update_covariances(scatter_matrices(z, um, centers), cfg.gamma, scale)
             norms = norm_matrices(covs)
-        d2 = _squared_distances(z, centers, norms)
+        d2 = _squared_distances(cols.T, centers, norms)  # takes cols, no copy
         u_new = update_memberships(d2, cfg.m)
         um = u_new**cfg.m  # the objective's weights and the next iteration's
         delta = float(np.abs(u_new - u).max())

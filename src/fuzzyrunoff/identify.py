@@ -177,7 +177,8 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
     Clustering -> premise parameters -> normalised truth values -> global
     regressors -> least-squares consequents.  When ``c_range`` is given the
     rule count is chosen first by the validity-index consensus over that
-    range (gk/fcm only); otherwise cfg.n_clusters is used as-is.
+    range (gk/fcm only) and the sweep's partition of that C is used;
+    otherwise cfg.n_clusters is used as-is.
 
     Returns (TsModel, FitReport).
     """
@@ -189,16 +190,14 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
     if y.size and np.all(y == y[0]):
         raise DataValidationError(f"output column is constant ({float(y[0])!r}); there is nothing to fit")
     consensus = None
-    if c_range is not None:
-        if cfg.algorithm == "sc":
-            raise ValueError("subtractive clustering finds its own cluster count; "
-                             "c_range is not applicable")
+    if c_range is None:
+        with _stage("clustering"):
+            u, _, trace = run_clustering(z, cfg)
+    else:  # the sweep refuses sc, and it has already clustered the consensus C
         with _stage("rule-count sweep"):
-            consensus = sweep_clusters(z, cfg, c_range).consensus
-        cfg = replace(cfg, n_clusters=consensus)
-
-    with _stage("clustering"):
-        u, _, trace = run_clustering(z, cfg)
+            sweep = sweep_clusters(z, cfg, c_range)
+        consensus = sweep.consensus
+        u, _, trace = sweep.partition
     with _stage("premise estimation"):
         means = premise_means(z, u, cfg.m)
         widths = premise_widths(z, u, cfg.m, means)

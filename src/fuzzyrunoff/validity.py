@@ -7,8 +7,8 @@ mode of the six per-index optima (ties resolved toward the smallest C).
 ``all_indices`` scores one partition.  PC, PE and MPC depend on the
 partition matrix alone; the partition index, separation index and Xie-Beni
 index share one pass of plain Euclidean sample-to-center distances and one
-table of center separations.  ``sweep_clusters`` clusters once per C and
-scores each partition with ``all_indices``.
+table of center separations.  ``sweep_clusters`` clusters once per C, scores
+each partition with ``all_indices`` and keeps the consensus C's partition.
 """
 
 from __future__ import annotations
@@ -123,13 +123,19 @@ def consensus_count(per_index_optima) -> int:
 
 @dataclass
 class ValidityReport:
-    """Index values over a C range plus per-index optima and the consensus."""
+    """Index values over a C range plus per-index optima and the consensus.
+
+    ``partition`` is the consensus C's (u, centers, trace), which fit_model
+    reuses.  It is the only partition kept: a report may outlive its sweep,
+    and every C's partition would cost memory in proportion to the range.
+    """
 
     c_values: list[int]
     table: dict[str, list[float]]          # index name -> value per C (nan = failed run)
     per_index_optimum: dict[str, int]
     consensus: int
     failures: dict[int, str] = field(default_factory=dict)
+    partition: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_csv(self, path) -> None:
         names = list(INDEX_DIRECTIONS)
@@ -163,11 +169,12 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     names = list(INDEX_DIRECTIONS)
     table = {name: [] for name in names}
     failures: dict[int, str] = {}
+    partitions = {}
     for c in c_values:
         cfg = replace(cfg_template, n_clusters=c)
         cfg.validate()  # a bad setting is no clustering failure
         try:
-            u, centers, _ = runner(z, cfg)
+            u, centers, _ = partitions[c] = runner(z, cfg)
             values = all_indices(u, z, centers)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             failures[c] = str(exc)
@@ -181,5 +188,7 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     for name in names:  # the first optimum among the C values that did not fail
         pick = np.nanargmax if INDEX_DIRECTIONS[name] == "max" else np.nanargmin
         per_index[name] = c_values[pick(table[name])]
+    consensus = consensus_count(per_index.values())
     return ValidityReport(c_values=c_values, table=table, per_index_optimum=per_index,
-                          consensus=consensus_count(per_index.values()), failures=failures)
+                          consensus=consensus, failures=failures,
+                          partition=partitions[consensus])

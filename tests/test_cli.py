@@ -210,6 +210,16 @@ class TestTrain:
         assert run(tmp_path, "train", config, monkeypatch) == 3
         assert capsys.readouterr().err.startswith("data error:")
 
+    @pytest.mark.parametrize("clusters, key", [("8", "clusters"), ("sweep", "c_max")])
+    def test_more_clusters_than_rows_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                     clusters, key):
+        write_degenerate_event(tmp_path, 6)
+        config = write_config(tmp_path, "algorithms = gk\nstrides = 1\n"
+                                        f"lag = 0\nclusters = {clusters}\nc_max = 8\n")
+        assert run(tmp_path, "train", config, monkeypatch) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: {key}=8 must be < supervised rows N=\d+\n", err)
+
     def test_sweep_selected_rule_count(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"
                                         "normalization = on\n"

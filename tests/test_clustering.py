@@ -344,6 +344,44 @@ class TestUpdateMemberships:
         assert np.allclose(u.sum(axis=0), 1.0, atol=1e-9)
         assert_partition(u)
 
+    @staticmethod
+    def boolean_pass_memberships(distances, m):
+        """The update with full-size boolean passes and fresh arrays."""
+        d2 = np.asarray(distances, dtype=float)
+        if np.any(d2 < 0):
+            raise ValueError("squared distances must be non-negative")
+        p = 1.0 / (m - 1.0)
+        zero = d2 == 0.0
+        hit = zero.any(axis=0)
+        safe = np.where(hit, 1.0, d2.min(axis=0))
+        ratio = d2 / safe[None, :]
+        if hit.any():
+            ratio[:, hit] = 1.0
+        inv = ratio ** (-p)
+        u = inv / inv.sum(axis=0, keepdims=True)
+        if hit.any():
+            u[:, hit] = zero[:, hit] / zero[:, hit].sum(axis=0)
+        return u
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_in_place_update_equals_the_boolean_pass_reference(self, m):
+        rng = np.random.default_rng(9)
+        for case in range(300):
+            c, n = int(rng.integers(1, 9)), int(rng.integers(1, 400))
+            d2 = rng.random((c, n)) * 10.0 ** rng.uniform(-3, 3)
+            if case % 2:  # exact zeros, ties among them and all-zero columns
+                d2 = d2.round(int(rng.integers(0, 2)))
+                d2[:, rng.random(n) < 0.1] = 0.0
+            expected = self.boolean_pass_memberships(d2, m)
+            got = update_memberships(d2, m)
+            assert got.tobytes() == expected.tobytes()
+            assert got.shape == expected.shape
+
+    def test_negative_distance_refused_beside_a_nan(self):
+        d2 = np.array([[1.0, np.nan], [2.0, -1e-300]])
+        with pytest.raises(ValueError, match="non-negative"):
+            update_memberships(d2, m=2.0)
+
 
 class TestRunGk:
     def test_recovers_separated_blob_centers(self):

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fuzzyrunoff import core
+from fuzzyrunoff import clustering, core
 from fuzzyrunoff.clustering import ClusterConfig, NumericalError
 from fuzzyrunoff.identify import (
     build_regressors,
@@ -256,6 +257,28 @@ class TestFitModel:
         model, report = fit_model(z, cfg, c_range=range(2, 6))
         assert report.consensus_c == 3
         assert model.rule_count == 3
+
+    @pytest.mark.parametrize("algorithm", ["gk", "fcm"])
+    def test_swept_fit_equals_the_fixed_count_fit(self, monkeypatch, algorithm):
+        rng = np.random.default_rng(10)
+        centers = np.array([[0.0, 0.0, 1.0], [8.0, 5.0, 3.0], [16.0, 10.0, -2.0]])
+        z = np.vstack([c + rng.normal(scale=0.7, size=(60, 3)) for c in centers])
+        cfg = ClusterConfig(algorithm=algorithm, seed=3)
+        runs = []
+        real = clustering._run_alternating
+
+        def counting(data, run_cfg, adaptive_norm):
+            runs.append(run_cfg.n_clusters)
+            return real(data, run_cfg, adaptive_norm)
+
+        monkeypatch.setattr(clustering, "_run_alternating", counting)
+        swept, swept_report = fit_model(z, cfg, c_range=range(2, 7))
+        assert sorted(runs) == [2, 3, 4, 5, 6]  # each C clustered once
+        consensus = swept_report.consensus_c
+        fixed, fixed_report = fit_model(z, replace(cfg, n_clusters=consensus))
+        assert runs[5:] == [consensus]
+        assert core.dump_model(swept) == core.dump_model(fixed)
+        assert replace(swept_report, consensus_c=None) == fixed_report
 
     def test_sc_pipeline_produces_model(self):
         rng = np.random.default_rng(11)
