@@ -343,8 +343,8 @@ def cmd_evaluate(exp: Experiment) -> int:
             raise DataValidationError(f"{path}: {exc}") from exc
         scheme = model.scheme
         if scheme is None:
-            raise DataValidationError(f"{path}: format tsmodel-v1 records no training "
-                                      "scheme; retrain the model to evaluate it")
+            raise DataValidationError(f"{path}: the model records no training scheme; "
+                                      "retrain it with train to evaluate it")
         record = NormalizationRecord(*scheme.normalization) if scheme.normalization else None
         if scheme.stride not in allowed:
             raise ConfigError(

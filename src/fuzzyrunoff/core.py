@@ -6,6 +6,16 @@ function per input dimension (the premise) and an affine coefficient vector
 across input dimensions as the rule firing strength, and returns the
 firing-weighted average of the per-rule affine outputs.
 
+Inference is rule-major from input to output.  The (N, n) input rows are
+taken once as a contiguous (n, N) array; the firing and then the rule
+outputs are formed in one (n, C, N) scratch buffer and reduced over the
+inputs to (C, N) arrays; the firing total and the weighted sum are sums of
+(C, N) arrays over the rules.  Those sums keep numpy's order for the row sum
+of an (N, C) array, so the result is bit for bit the rows-layout formula:
+in order for C < 8; for C >= 8 pairwise, with eight accumulators started
+from +0.0 over blocks of 8 rules, combined as ((r0 + r1) + (r2 + r3)) +
+((r4 + r5) + (r6 + r7)), then the remaining rules in order.
+
 Note on the membership function: the Gaussian used here is
 
     mf(x) = exp(-(x - mean)^2 / width^2)
@@ -82,6 +92,11 @@ class TsModel:
         positive = (widths > 0).all(axis=1)
         if not positive.all():
             raise ValueError(f"rule {int(np.argmin(positive))}: premise widths must be > 0")
+        # views of the parameters as the rule-major kernels broadcast them
+        # over (n, C, N): means, widths and input coefficients (n, C, 1),
+        # intercepts (C, 1)
+        object.__setattr__(self, "_rule_major", (
+            means.T[:, :, None], widths.T[:, :, None], theta[:, 1:].T[:, :, None], theta[:, :1]))
 
     @property
     def input_dim(self) -> int:
@@ -96,23 +111,18 @@ def firing_matrix(model: TsModel, X) -> np.ndarray:
     """(N, C) min-operator firing strengths for every row of ``X``, taken as
     exp(-max_k z_k^2) on (n, C, N) arrays: one exp per (row, rule), equal to
     min_k exp(-z_k^2) bit for bit because exp is monotone."""
-    Xt = np.ascontiguousarray(_check_batch(model, X).T)
-    z = Xt[:, None, :] - model.premise_means.T[:, :, None]
-    z /= model.premise_widths.T[:, :, None]
-    z *= z
-    a = z.max(axis=0)
-    return np.ascontiguousarray(np.exp(np.negative(a, out=a), out=a).T)
+    cols = _columns(model, X)
+    return np.ascontiguousarray(_firing_rows(model, cols, _scratch(model, cols)).T)
 
 
 def rule_output_matrix(model: TsModel, X) -> np.ndarray:
     """(N, C) affine consequent outputs for every row of ``X``: x_k * theta_k
-    summed over the input columns in order, then the intercept, per (row,
-    rule), so a row alone and in a batch agree bit for bit.  For n <= 7 this
-    is numpy's sum along a feature axis; for n >= 8 round-off can differ."""
-    Xt = np.ascontiguousarray(_check_batch(model, X).T)
-    y = (Xt[:, None, :] * model.consequents[:, 1:].T[:, :, None]).sum(axis=0)
-    y += model.consequents[:, :1]
-    return np.ascontiguousarray(y.T)
+    summed over the input columns in order, then the intercept.  For n <= 7
+    this is numpy's sum along a feature axis; for n >= 8 round-off can
+    differ.  A row alone and in a batch agree bit for bit, except a one-rule
+    model's single row with n >= 8, which numpy sums pairwise."""
+    cols = _columns(model, X)
+    return np.ascontiguousarray(_rule_output_rows(model, cols, _scratch(model, cols)).T)
 
 
 def nearest_rule_index(model: TsModel, X) -> np.ndarray:
@@ -151,31 +161,87 @@ def predict(model: TsModel, x) -> float:
 
 
 def predict_batch(model: TsModel, X) -> np.ndarray:
-    """Vectorised :func:`predict` over the rows of an (N, n) matrix."""
-    X = _check_batch(model, X)
-    if not np.isfinite(X).all():
-        bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
+    """Vectorised :func:`predict` over the rows of an (N, n) matrix, in the
+    rule-major layout and summation order of the module docstring."""
+    cols = _columns(model, X)
+    if not np.isfinite(cols).all():
+        bad = int(np.argwhere(~np.isfinite(cols).all(axis=0))[0, 0])
         raise ValueError(f"non-finite input at row {bad}")
-    w, wsum, degenerate, nearest = _firing_with_fallback(model, X)
-    outputs = rule_output_matrix(model, X)
-    yhat = (w * outputs).sum(axis=1) / wsum
+    scratch = _scratch(model, cols)
+    w, wsum, degenerate, nearest = _firing_with_fallback(model, cols, scratch)
+    outputs = _rule_output_rows(model, cols, scratch)
+    yhat = _rule_sum(np.multiply(w, outputs, out=w))
+    yhat /= wsum
     if nearest is not None:
-        yhat[degenerate] = outputs[degenerate, nearest]
+        yhat[degenerate] = outputs[nearest, np.flatnonzero(degenerate)]
     return yhat
 
 
-def _firing_with_fallback(model: TsModel, X: np.ndarray):
-    """(w, wsum, degenerate, nearest) for the (N, n) array ``X``: the firing
-    matrix, its row sums with 1.0 on the rows whose total is below
+def _columns(model: TsModel, X) -> np.ndarray:
+    """The rows of ``X``, checked against the model, as one contiguous
+    (n, N) array."""
+    return np.ascontiguousarray(_check_batch(model, X).T)
+
+
+def _scratch(model: TsModel, cols: np.ndarray) -> np.ndarray:
+    """The (n, C, N) buffer that the firing and the rule outputs share."""
+    return np.empty((cols.shape[0], model.rule_count, cols.shape[1]))
+
+
+def _firing_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(C, N) firing strengths of the (n, N) columns, formed in ``scratch``."""
+    means, widths, _, _ = model._rule_major
+    z = np.subtract(cols[:, None, :], means, out=scratch)
+    z /= widths
+    z *= z
+    a = z.max(axis=0)
+    return np.exp(np.negative(a, out=a), out=a)
+
+
+def _rule_output_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(C, N) rule outputs of the (n, N) columns: the products x_k * theta_k
+    formed in ``scratch``, added over the inputs in order, then the
+    intercepts."""
+    _, _, slopes, intercepts = model._rule_major
+    y = np.multiply(cols[:, None, :], slopes, out=scratch).sum(axis=0)
+    y += intercepts
+    return y
+
+
+def _rule_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the rules of the (C, N) array ``a`` in numpy's order for the
+    row sum of its (N, C) transpose (module docstring); above 128 rules numpy
+    splits the rules in two, the first part a multiple of 8.  Starting the
+    accumulators from +0.0 sums a column of -0.0 to +0.0, as numpy does."""
+    c = a.shape[0]
+    if c < 8:
+        return a.sum(axis=0)
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _rule_sum(a[:half]) + _rule_sum(a[half:])
+    blocks = c - c % 8
+    r = a[:8] + 0.0
+    for i in range(8, blocks, 8):
+        r += a[i:i + 8]
+    total = (r[0] + r[1]) + (r[2] + r[3])
+    total += (r[4] + r[5]) + (r[6] + r[7])
+    for row in a[blocks:]:
+        total += row
+    return total
+
+
+def _firing_with_fallback(model: TsModel, cols: np.ndarray, scratch: np.ndarray):
+    """(w, wsum, degenerate, nearest) for the (n, N) columns ``cols``: the
+    (C, N) firing, its sums over the rules with 1.0 where the total is below
     DEGENERACY_FLOOR, the mask of those rows and their nearest rules (None
     if there are none)."""
-    w = firing_matrix(model, X)
-    wsum = w.sum(axis=1)
+    w = _firing_rows(model, cols, scratch)
+    wsum = _rule_sum(w)
     degenerate = wsum < DEGENERACY_FLOOR
     if not degenerate.any():
         return w, wsum, degenerate, None
     wsum[degenerate] = 1.0
-    return w, wsum, degenerate, nearest_rule_index(model, X[degenerate])
+    return w, wsum, degenerate, nearest_rule_index(model, cols[:, degenerate].T.copy())
 
 
 def _check_batch(model: TsModel, X) -> np.ndarray:
@@ -238,8 +304,8 @@ def _value(entries: dict, key: str, convert):
 def parse_model(text: str) -> TsModel:
     """Inverse of :func:`dump_model`; values are restored bit-exactly.
 
-    Also reads ``tsmodel-v1`` text, which yields a model without a scheme.
-    A malformed file raises ValueError naming the bad line or missing key.
+    Only ``tsmodel-v2`` text is read.  A malformed file raises ValueError
+    naming the bad line or missing key.
     """
     header: dict[str, tuple[int, str]] = {}
     rules_raw: list[dict] = []
@@ -254,7 +320,7 @@ def parse_model(text: str) -> TsModel:
         elif key:
             header[key] = (lineno, rest)
     tag = header.get("format", (0, None))[1]
-    if tag not in ("tsmodel-v1", _FORMAT_TAG):  # v1 files carry no scheme
+    if tag != _FORMAT_TAG:
         raise ValueError(f"unsupported model format: {tag!r}")
     n = _value(header, "input_dim", int)
     c = _value(header, "rule_count", int)

@@ -57,8 +57,10 @@ def normalized_truth(model: core.TsModel, X) -> np.ndarray:
     Rows whose total firing underflows get a one-hot row at the nearest
     rule, matching the prediction-time fallback.
     """
-    w, wsum, degenerate, nearest = core._firing_with_fallback(model, np.asarray(X, dtype=float))
-    truth = w / wsum[:, None]
+    cols = core._columns(model, X)
+    scratch = core._scratch(model, cols)
+    w, wsum, degenerate, nearest = core._firing_with_fallback(model, cols, scratch)
+    truth = np.ascontiguousarray((w / wsum).T)
     if nearest is not None:
         truth[degenerate] = np.eye(model.rule_count)[nearest]
     return truth

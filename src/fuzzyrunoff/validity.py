@@ -128,6 +128,8 @@ class ValidityReport:
     ``partition`` is the consensus C's (u, centers, trace), which fit_model
     reuses.  It is the only partition kept: a report may outlive its sweep,
     and every C's partition would cost memory in proportion to the range.
+    During the sweep only the partitions of the indices' optima so far are
+    held, since no other C can become the consensus.
     """
 
     c_values: list[int]
@@ -170,17 +172,26 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     table = {name: [] for name in names}
     failures: dict[int, str] = {}
     partitions = {}
+    leaders = {}  # index name -> (score, C) of its optimum so far
     for c in c_values:
         cfg = replace(cfg_template, n_clusters=c)
         cfg.validate()  # a bad setting is no clustering failure
         try:
-            u, centers, _ = partitions[c] = runner(z, cfg)
-            values = all_indices(u, z, centers)
+            partitions[c] = runner(z, cfg)
+            values = all_indices(partitions[c][0], z, partitions[c][1])
         except (NumericalError, np.linalg.LinAlgError) as exc:
             failures[c] = str(exc)
             values = dict.fromkeys(names, float("nan"))
         for name in names:
             table[name].append(values[name])
+            # as nanargmax/nanargmin: nan scores worst, the first optimum wins
+            score = values[name] if INDEX_DIRECTIONS[name] == "max" else -values[name]
+            score = -np.inf if np.isnan(score) else score
+            if name not in leaders or score > leaders[name][0]:
+                leaders[name] = (score, c)
+        # only an index's optimum so far can end up in the consensus
+        kept = {leader for _, leader in leaders.values()}
+        partitions = {k: partition for k, partition in partitions.items() if k in kept}
     if len(failures) == len(c_values):
         raise NumericalError(f"clustering failed for every C in {c_values}")
 

@@ -373,7 +373,17 @@ class TestModelFile:
         rc, path = self.evaluate_copy(trained, tmp_path, to_v1)
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {path}: ") and "retrain" in err
+        assert err == f"data error: {path}: unsupported model format: 'tsmodel-v1'\n"
+
+    def test_model_without_scheme_must_be_retrained(self, trained, tmp_path, capsys):
+        def drop_scheme(text):
+            return re.sub(r"(algorithm|stride|lag|norm_mins|norm_maxs) [^\n]*\n", "", text)
+
+        rc, path = self.evaluate_copy(trained, tmp_path, drop_scheme)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and "no training scheme" in err
+        assert "retrain" in err and "v1" not in err
 
 
 class TestConstantObserved:

@@ -203,6 +203,17 @@ class TestPredictBatch:
             for k in range(X.shape[0]):
                 assert batch[k] == predict(model, X[k])
 
+    def test_rule_sum_is_numpys_row_sum_of_the_transpose(self):
+        # C = 1..40: the in-order sum, blocks of 8 rules and their remainders;
+        # C = 129..136: more than 128 rules, which numpy splits in two
+        rng = np.random.default_rng(7)
+        for c in [*range(1, 41), *range(129, 137)]:
+            a = rng.normal(size=(c, 40)) * 10.0 ** rng.integers(-8, 9, size=(c, 40))
+            a[:, :4] = -0.0  # numpy sums these columns to +0.0
+            a[:, 4:8] = rng.choice([0.0, -0.0], size=(c, 4))
+            want = np.ascontiguousarray(a.T).sum(axis=1)
+            assert core._rule_sum(a).tobytes() == want.tobytes(), c
+
     def test_row_index_in_error(self):
         model = one_input_model((0, 1, [0, 1]))
         X = np.array([[1.0], [np.nan], [2.0]])
@@ -341,18 +352,16 @@ class TestSerialization:
         assert self.roundtrip(one_input_model(rule)).scheme is None
 
     def test_reads_v1_text(self):
-        # written by the v1 serialiser, before models carried their scheme
+        # written by the v1 serialiser, before models carried their scheme;
+        # that format is no longer read
         v1 = ("format tsmodel-v1\ninput_dim 2\nrule_count 2\n"
               "rule 0\nmeans 0.3333333333333333 -2.5\nwidths 3.141592653589793 0.1\n"
               "theta 2.718281828459045 -0.14285714285714285 1e-300\n"
               "rule 1\nmeans 7.0 0.0\nwidths 1e-08 2.0\ntheta -0.0 500000.0 1.25\n")
-        model = core.parse_model(v1)
-        assert model.scheme is None
-        assert np.array_equal(model.premise_means, [[1 / 3, -2.5], [7.0, 0.0]])
-        assert np.array_equal(model.premise_widths, [[math.pi, 0.1], [1e-8, 2.0]])
-        assert np.array_equal(model.consequents,
-                              [[math.e, -1 / 7, 1e-300], [-0.0, 5e5, 1.25]])
-        assert math.copysign(1.0, model.consequents[1, 0]) == -1.0
+        with pytest.raises(ValueError, match=r"^unsupported model format: 'tsmodel-v1'$"):
+            core.parse_model(v1)
+        v2 = v1.replace("tsmodel-v1", "tsmodel-v2")
+        assert core.parse_model(v2).scheme is None  # the same rules as v2 text load
 
     @pytest.mark.parametrize("edit,message", [
         (lambda t: t.replace("means 0.5\n", ""), "rule 0: missing 'means' line"),

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -306,6 +308,34 @@ class TestSweep:
         assert np.isnan(report.table["pc"][report.c_values.index(4)])
         assert all(opt != 4 for opt in report.per_index_optimum.values())
         assert report.consensus == 3
+
+    @pytest.mark.parametrize("algorithm", ["gk", "fcm"])
+    def test_holds_only_the_partitions_of_running_optima(self, monkeypatch, algorithm):
+        import fuzzyrunoff.validity as validity_mod
+
+        runner = getattr(validity_mod, f"run_{algorithm}")
+        returned, alive = [], []
+
+        def tracked(data, cfg):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in returned))
+            if cfg.n_clusters == 5:
+                raise NumericalError("staged failure")
+            partition = runner(data, cfg)
+            returned.append(weakref.ref(partition[0]))
+            return partition
+
+        monkeypatch.setattr(validity_mod, f"run_{algorithm}", tracked)
+        report = validity_mod.sweep_clusters(
+            three_blobs(seed=24), ClusterConfig(algorithm=algorithm, seed=0), range(2, 9))
+        for k in range(1, len(report.c_values)):  # the k-th call follows k scored C
+            optima = {np.nanargmax(report.table[name][:k]) if direction == "max"
+                      else np.nanargmin(report.table[name][:k])
+                      for name, direction in INDEX_DIRECTIONS.items()}
+            assert alive[k] <= len(optima), (k, alive)
+        gc.collect()
+        held = [ref() for ref in returned if ref() is not None]
+        assert len(held) == 1 and held[0] is report.partition[0]
 
     def test_all_c_failing_raises(self, monkeypatch):
         import fuzzyrunoff.validity as validity_mod
