@@ -9,7 +9,7 @@ validation forecasts with the four error measures.
 
 import numpy as np
 
-from fuzzyrunoff import ClusterConfig, StormParams, build_supervised, estimate_lag, fit_model, metric_set, predict_batch, synth_storm
+from fuzzyrunoff import ClusterConfig, StormParams, estimate_lag, fit_model, metric_set, predict_batch, scheme_sets, synth_storm
 
 params = StormParams(
     pulses=(3, 6),
@@ -35,10 +35,8 @@ print()
 
 print(f"{'algorithm':>9s} {'stride':>6s} {'rmse':>8s} {'ce':>7s} {'ve%':>7s} {'r':>6s}")
 for stride in (1, 2, 5, 10):
-    # keep the most recent admissible rain sample in view at each horizon
-    lag_eff = max(0, lag - stride)
-    tset = build_supervised(train, lag=lag_eff, stride=stride)
-    vset = build_supervised(valid, lag=lag_eff, stride=stride)
+    # the rain shifts by lag minus stride: each horizon sees the latest admissible rain
+    tset, vset = scheme_sets(lag, stride, False, train, valid)
     for algo in ("gk", "fcm", "sc"):
         cfg = ClusterConfig(algorithm=algo, n_clusters=3, seed=42)
         model, fit = fit_model(tset.joined(), cfg)

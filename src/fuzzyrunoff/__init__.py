@@ -32,6 +32,7 @@ from .dataio import (
     build_supervised,
     estimate_lag,
     load_event_csv,
+    scheme_sets,
     synth_storm,
     write_event_csv,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "run_sc",
     "save_model",
     "sc_partition",
+    "scheme_sets",
     "sweep_clusters",
     "synth_storm",
     "ve",

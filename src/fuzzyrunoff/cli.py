@@ -33,6 +33,7 @@ from .dataio import (
     estimate_lag,
     load_event_csv,
     outside_unit_fraction,
+    scheme_sets,
     synth_storm,
     write_event_csv,
 )
@@ -242,8 +243,7 @@ def cmd_sweep(exp: Experiment) -> int:
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
     stride = exp.get_int("sweep_stride", 1)
-    normalized = True in exp.normalization_modes
-    sset = build_supervised(series, lag=lag, stride=stride, normalization=normalized)
+    sset, = scheme_sets(lag, stride, True in exp.normalization_modes, series)
     c_range = exp.sweep_range
     _require_rows("c_max", c_range.stop - 1, sset.n_rows)
     algorithms = [a for a in exp.algorithms if a in ("gk", "fcm")]
@@ -275,14 +275,8 @@ def cmd_train(exp: Experiment) -> int:
     count = 0
     for algorithm in exp.algorithms:
         for stride in exp.strides:
-            # per-scheme alignment: the rainfall acting on the target lies
-            # `lag` samples before it, and the supervised rows carry rain
-            # from the forecast-origin step, so shift by lag minus stride
-            # (floored at 0: far horizons cannot see future rain)
-            lag_eff = max(0, lag - stride)
             for normalized in exp.normalization_modes:
-                sset = build_supervised(series, lag=lag_eff, stride=stride,
-                                        normalization=normalized)
+                sset, = scheme_sets(lag, stride, normalized, series)
                 cfg = exp.cluster_config(algorithm)
                 c_range = exp.sweep_range if sweep_requested and algorithm != "sc" else None
                 if algorithm != "sc":
@@ -292,7 +286,7 @@ def cmd_train(exp: Experiment) -> int:
                 record = sset.normalization
                 norm = None if record is None else (tuple(record.mins.tolist()),
                                                     tuple(record.maxs.tolist()))
-                scheme = core.Scheme(algorithm, stride, lag_eff, norm)
+                scheme = core.Scheme(algorithm, stride, sset.lag, norm)
                 name = _combo_name(algorithm, stride, normalized)
                 core.save_model(replace(model, scheme=scheme),
                                 os.path.join(models_dir, f"{name}.model.txt"))
@@ -309,12 +303,22 @@ def _metric_row(label, stride, split, ms):
     return [label, stride, split, repr(ms.rmse), repr(ms.ve), repr(ms.ce), repr(ms.r)]
 
 
-def _require_varying(observed: np.ndarray, key: str) -> None:
-    """Refuse a constant observed series: the coefficient of efficiency
-    divides by its variance."""
-    if np.all(observed == observed[0]):
+def _score(model: core.TsModel, series: EventSeries, key: str):
+    """(rows, metrics, predictions) of ``model`` on ``series``, the rows built
+    from the model's scheme.  A split that cannot be scored is a data error
+    naming its CSV ``key``: a constant observed series, whose variance CE
+    divides by, or any other series that metric_set refuses."""
+    scheme = model.scheme
+    record = NormalizationRecord(*scheme.normalization) if scheme.normalization else False
+    sset = build_supervised(series, lag=scheme.lag, stride=scheme.stride, normalization=record)
+    if np.all(sset.y == sset.y[0]):
         raise DataValidationError(f"{key}: observed series is constant "
-                                  f"({float(observed[0])!r}); there is nothing to score")
+                                  f"({float(sset.y[0])!r}); there is nothing to score")
+    yhat = core.predict_batch(model, sset.x)
+    try:
+        return sset, metric_set(sset.y, yhat), yhat
+    except ValueError as exc:
+        raise DataValidationError(f"{key}: {exc}") from None
 
 
 def cmd_evaluate(exp: Experiment) -> int:
@@ -345,34 +349,25 @@ def cmd_evaluate(exp: Experiment) -> int:
         if scheme is None:
             raise DataValidationError(f"{path}: the model records no training scheme; "
                                       "retrain it with train to evaluate it")
-        record = NormalizationRecord(*scheme.normalization) if scheme.normalization else None
         if scheme.stride not in allowed:
             raise ConfigError(
                 f"model {name} was trained for stride {scheme.stride}, "
                 f"which is not in the configured strides {sorted(allowed)}"
             )
-        vset = build_supervised(validation, lag=scheme.lag, stride=scheme.stride,
-                                normalization=record if record else False)
-        _require_varying(vset.y, "validation_csv")
-        yhat = core.predict_batch(model, vset.x)
+        vset, metrics, yhat = _score(model, validation, "validation_csv")
+        record = vset.normalization
         label = _combo_label(scheme.algorithm, record is not None)
-        rows.append(_metric_row(label, scheme.stride, "validation",
-                                metric_set(vset.y, yhat)))
+        rows.append(_metric_row(label, scheme.stride, "validation", metrics))
         if include_train:
-            tset = build_supervised(train_series, lag=scheme.lag, stride=scheme.stride,
-                                    normalization=record if record else False)
-            _require_varying(tset.y, "train_csv")
             rows.append(_metric_row(label, scheme.stride, "train",
-                                    metric_set(tset.y, core.predict_batch(model, tset.x))))
+                                    _score(model, train_series, "train_csv")[1]))
 
         header, columns = ["index", "observed", "predicted"], [vset.y, yhat]
         if record is not None:
             # validation values outside the training min-max appear out of
             # [0, 1]; summarised per combination in extrapolation.csv
-            extrapolation.append(
-                [name, repr(outside_unit_fraction(
-                    np.concatenate([vset.x.ravel(), vset.y])))]
-            )
+            extrapolation.append([name, repr(outside_unit_fraction(
+                np.concatenate([vset.x.ravel(), vset.y])))])
             header += ["observed_mm", "predicted_mm"]
             columns += [record.denormalize_y(vset.y), record.denormalize_y(yhat)]
         write_csv(os.path.join(series_dir, f"series_{name}.csv"), header,
@@ -409,10 +404,9 @@ def cmd_compare(exp: Experiment) -> int:
         ranked = sorted((r for r in rows if int(r["scheme"]) == scheme),
                         key=lambda r: (float(r["rmse"]), r["algorithm"]))
         best = float(ranked[0]["rmse"])
-        lines.append(f"## Scheme: stride {scheme}")
-        lines.append("")
-        lines.append("| rank | algorithm | rmse | delta vs best |")
-        lines.append("|------|-----------|------|---------------|")
+        lines += [f"## Scheme: stride {scheme}", "",
+                  "| rank | algorithm | rmse | delta vs best |",
+                  "|------|-----------|------|---------------|"]
         for i, r in enumerate(ranked, start=1):
             rmse_v = float(r["rmse"])
             delta = rmse_v - best

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomicio import write_csv
-
 
 class NumericalError(RuntimeError):
     """Numerical failure inside a clustering or fitting stage."""
@@ -92,11 +90,6 @@ class IterationTrace:
     @property
     def n_iterations(self) -> int:
         return len(self.objective)
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["iteration", "objective", "delta_u", "converged"],
-                  ([i, repr(j), repr(d), int(self.converged)]
-                   for i, (j, d) in enumerate(zip(self.objective, self.delta_u))))
 
 
 def _as_data(data) -> np.ndarray:

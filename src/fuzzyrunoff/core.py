@@ -119,8 +119,7 @@ def rule_output_matrix(model: TsModel, X) -> np.ndarray:
     """(N, C) affine consequent outputs for every row of ``X``: x_k * theta_k
     summed over the input columns in order, then the intercept.  For n <= 7
     this is numpy's sum along a feature axis; for n >= 8 round-off can
-    differ.  A row alone and in a batch agree bit for bit, except a one-rule
-    model's single row with n >= 8, which numpy sums pairwise."""
+    differ.  A row alone and in a batch agree bit for bit."""
     cols = _columns(model, X)
     return np.ascontiguousarray(_rule_output_rows(model, cols, _scratch(model, cols)).T)
 
@@ -201,9 +200,11 @@ def _firing_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.nd
 def _rule_output_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """(C, N) rule outputs of the (n, N) columns: the products x_k * theta_k
     formed in ``scratch``, added over the inputs in order, then the
-    intercepts."""
+    intercepts.  A one-rule model's single row is one contiguous run, which
+    numpy sums pairwise from 8 inputs on; its cumulative sum keeps the order."""
     _, _, slopes, intercepts = model._rule_major
-    y = np.multiply(cols[:, None, :], slopes, out=scratch).sum(axis=0)
+    products = np.multiply(cols[:, None, :], slopes, out=scratch)
+    y = products.sum(axis=0) if products.size > len(cols) else np.cumsum(products, axis=0)[-1]
     y += intercepts
     return y
 

@@ -68,10 +68,6 @@ class EventSeries:
     def __len__(self) -> int:
         return self.timestamps.shape[0]
 
-    @property
-    def base_interval(self) -> float:
-        return float(self.timestamps[1] - self.timestamps[0])
-
 
 def load_event_csv(path, base_interval: float) -> EventSeries:
     """Parse an event CSV (header ``timestamp,rain1,rain2,rain3,head``).
@@ -285,6 +281,24 @@ def build_supervised(series: EventSeries, lag: int, stride: int,
         x = record.normalize_x(x)
         y = record.normalize_y(y)
     return SupervisedSet(x=x, y=y, stride=stride, lag=lag, normalization=record)
+
+
+def scheme_sets(lag: int, stride: int, normalization: bool, train: EventSeries,
+                *others: EventSeries) -> list[SupervisedSet]:
+    """The supervised sets of one prediction scheme: the ``train`` set first,
+    then one for each of ``others``, built and scaled the same way.
+
+    Rain acts on the outlet ``lag`` samples later, and a row carries the rain
+    of its forecast origin, ``stride`` samples before the target, so the rain
+    shifts by ``lag - stride``, floored at 0 (a far horizon cannot see future
+    rain); each set records the shift as its ``lag``.  With ``normalization``
+    every set is scaled with the training set's min-max record, so nothing of
+    the other events leaks into the scaling."""
+    shift = max(0, lag - stride)
+    tset = build_supervised(train, lag=shift, stride=stride, normalization=normalization)
+    record = tset.normalization if normalization else False
+    return [tset] + [build_supervised(series, lag=shift, stride=stride,
+                                      normalization=record) for series in others]
 
 
 # ---------------------------------------------------------------------------

@@ -184,21 +184,16 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
             values = dict.fromkeys(names, float("nan"))
         for name in names:
             table[name].append(values[name])
-            # as nanargmax/nanargmin: nan scores worst, the first optimum wins
+            # as nanargmax/nanargmin: a failed C never leads, the first optimum wins
             score = values[name] if INDEX_DIRECTIONS[name] == "max" else -values[name]
-            score = -np.inf if np.isnan(score) else score
-            if name not in leaders or score > leaders[name][0]:
+            if not np.isnan(score) and (name not in leaders or score > leaders[name][0]):
                 leaders[name] = (score, c)
         # only an index's optimum so far can end up in the consensus
         kept = {leader for _, leader in leaders.values()}
         partitions = {k: partition for k, partition in partitions.items() if k in kept}
     if len(failures) == len(c_values):
         raise NumericalError(f"clustering failed for every C in {c_values}")
-
-    per_index = {}
-    for name in names:  # the first optimum among the C values that did not fail
-        pick = np.nanargmax if INDEX_DIRECTIONS[name] == "max" else np.nanargmin
-        per_index[name] = c_values[pick(table[name])]
+    per_index = {name: leaders[name][1] for name in names}
     consensus = consensus_count(per_index.values())
     return ValidityReport(c_values=c_values, table=table, per_index_optimum=per_index,
                           consensus=consensus, failures=failures,

@@ -52,11 +52,8 @@ ALGORITHMS = ("gk", "fcm", "sc")
 
 @pytest.fixture(scope="module")
 def forecast_table():
-    """Validation RMSE per (event, algorithm, stride) on 10 seeded events.
-
-    Rainfall is re-aligned per scheme (lag minus stride, floored at zero) so
-    every scheme sees the most recent admissible rain sample.
-    """
+    """Validation RMSE per (event, algorithm, stride) on 10 seeded events,
+    on the per-scheme sets of ``dataio.scheme_sets`` that ``train`` fits."""
     t0 = time.time()
     table: dict[tuple[int, str, int], float] = {}
     for ev in range(10):
@@ -65,9 +62,7 @@ def forecast_table():
                                    STORM_REGIME)
         lag = dataio.estimate_lag(train, max_lag=20)
         for stride in STRIDES:
-            lag_eff = max(0, lag - stride)
-            tset = dataio.build_supervised(train, lag=lag_eff, stride=stride)
-            vset = dataio.build_supervised(valid, lag=lag_eff, stride=stride)
+            tset, vset = dataio.scheme_sets(lag, stride, False, train, valid)
             for algo in ALGORITHMS:
                 cfg = ClusterConfig(algorithm=algo, n_clusters=3, seed=42)
                 model, _ = fit_model(tset.joined(), cfg)

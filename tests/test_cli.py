@@ -12,7 +12,7 @@ import pytest
 from fuzzyrunoff import cli, core
 from fuzzyrunoff.atomicio import write_atomic
 from fuzzyrunoff.clustering import ClusterConfig
-from fuzzyrunoff.dataio import estimate_lag, load_event_csv
+from fuzzyrunoff.dataio import estimate_lag, load_event_csv, scheme_sets
 
 BASE_CONFIG = (
     "seed = 11\n"
@@ -344,8 +344,9 @@ class TestModelFile:
 
     def test_model_carries_its_scheme_and_no_sidecar(self, trained):
         model = core.load_model(trained / self.MODEL)
-        lag = int(estimate_lag(load_event_csv(trained / "train.csv", 30.0), max_lag=15))
-        assert model.scheme == core.Scheme("gk", 1, max(0, lag - 1))
+        train = load_event_csv(trained / "train.csv", 30.0)
+        tset, = scheme_sets(estimate_lag(train, max_lag=15), 1, False, train)
+        assert model.scheme == core.Scheme("gk", 1, tset.lag)
         assert sorted(os.listdir(trained / "models")) == ["gk_s1_dim.model.txt"]
 
     @pytest.mark.parametrize("pattern,replacement,message", [
@@ -406,6 +407,73 @@ class TestConstantObserved:
         assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
             f"data error: {key}: observed series is constant (5.0)")
+
+
+class TestZeroSumObserved:
+    """An observed head that varies but sums to exactly zero leaves the
+    volumetric error undefined: a data error naming the CSV key, not a
+    config error."""
+
+    @pytest.mark.parametrize("key,extra", [("validation_csv", ""),
+                                           ("train_csv", "include_train = on\n")],
+                             ids=["validation", "train"])
+    def test_zero_sum_head_is_data_error(self, trained, tmp_path, capsys, key, extra):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        scheme = core.load_model(out / TestModelFile.MODEL).scheme
+        start = scheme.lag + scheme.stride  # the first target row
+        csv_path = out / key.replace("_csv", ".csv")
+        header, *rows = csv_path.read_text().splitlines()
+        # the targets head[start:] alternate +1, -1 (and end on 0 if odd)
+        heads = [0.0] * start + [(-1.0) ** k for k in range(len(rows) - start)]
+        if (len(rows) - start) % 2:
+            heads[-1] = 0.0
+        csv_path.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + f",{h!r}"
+                                                  for r, h in zip(rows, heads)]) + "\n")
+        config = write_model_config(out)
+        with open(config, "a") as fh:
+            fh.write(extra)
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {key}: observed series sums to zero\n")
+
+
+class TestLibraryAgreement:
+    """evaluate scores the validation rows of ``dataio.scheme_sets``, so the
+    CLI and a study built on the library cannot drift apart."""
+
+    @pytest.mark.parametrize("normalization", ["off", "on"])
+    def test_evaluate_scores_the_scheme_sets(self, trained, tmp_path, normalization):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        config = write_model_config(out)
+        if normalization == "on":
+            with open(config, "a") as fh:
+                fh.write("normalization = on\n")
+            shutil.rmtree(out / "models")
+            assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 0
+        train = load_event_csv(out / "train.csv", 30.0)
+        valid = load_event_csv(out / "validation.csv", 30.0)
+        lag = estimate_lag(train, max_lag=15)
+        names = sorted(p.name for p in (out / "models").iterdir())
+        assert names == [f"gk_s1_{'norm' if normalization == 'on' else 'dim'}.model.txt"]
+        for name in names:
+            model = core.load_model(out / "models" / name)
+            scheme = model.scheme
+            tset, vset = scheme_sets(lag, scheme.stride, scheme.normalization is not None,
+                                     train, valid)
+            assert tset.lag == scheme.lag
+            if scheme.normalization is not None:
+                assert scheme.normalization == (tuple(tset.normalization.mins),
+                                                tuple(tset.normalization.maxs))
+            series = out / "series" / f"series_{name[:-len('.model.txt')]}.csv"
+            with open(series, newline="") as fh:
+                table = list(csv.DictReader(fh))
+            observed = np.array([float(r["observed"]) for r in table])
+            predicted = np.array([float(r["predicted"]) for r in table])
+            assert observed.tobytes() == vset.y.tobytes()
+            assert predicted.tobytes() == core.predict_batch(model, vset.x).tobytes()
 
 
 class TestAtomicWrites:
@@ -507,6 +575,23 @@ class TestSweep:
         capsys.readouterr()
         assert run(tmp_path, "sweep", config, monkeypatch) == 4
         assert "clustering failed for every C" in capsys.readouterr().err
+
+    def test_scores_the_rows_train_fits(self, tmp_path, monkeypatch):
+        # at this seed GK's consensus on the rows with the unshifted lag is
+        # 2, while the lag-minus-stride rows that train fits give 3
+        config = tmp_path / "exp.conf"
+        config.write_text("seed = 3\nbase_interval = 30\nsynth_duration = 9000\n"
+                          "storm_exponent = 1.5\nalgorithms = gk,fcm\n"
+                          "clusters = sweep\nc_max = 6\nstrides = 1\nlag = auto\n"
+                          "max_lag = 20\nout = out\ntrain_csv = out/train.csv\n"
+                          "validation_csv = out/validation.csv\n")
+        for command in ("synth", "sweep", "train"):
+            assert run(tmp_path, command, str(config), monkeypatch) == 0
+        for algorithm in ("gk", "fcm"):
+            optima = (tmp_path / f"out/optima_{algorithm}.txt").read_text()
+            fit = (tmp_path / f"out/reports/fit_{algorithm}_s1_dim.csv").read_text()
+            consensus = fit.strip().splitlines()[1].split(",")[-1]
+            assert optima.splitlines()[0] == f"consensus {consensus}", algorithm
 
     def test_deterministic_rerun(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nc_max = 4\n")

@@ -759,14 +759,3 @@ class TestInputCheck:
         with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
             ENTRY_POINTS[entry](z)
 
-
-class TestTraceExport:
-    def test_csv_columns(self, tmp_path):
-        z = two_blobs(seed=40)
-        cfg = ClusterConfig(algorithm="gk", n_clusters=2, seed=0)
-        _, _, trace = run_gk(z, cfg)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,objective,delta_u,converged"
-        assert len(lines) == trace.n_iterations + 1

@@ -203,6 +203,18 @@ class TestPredictBatch:
             for k in range(X.shape[0]):
                 assert batch[k] == predict(model, X[k])
 
+    @pytest.mark.parametrize("n", [8, 9, 12, 17])
+    def test_one_rule_row_alone_matches_the_batch(self, n):
+        # a one-rule model's single row is one contiguous run of products,
+        # which numpy sums pairwise from 8 inputs on unless told otherwise
+        rng = np.random.default_rng(n)
+        model = random_model(rng, 1, n, width_scale=10.0)
+        X = rng.normal(size=(200, n)) * 10.0 ** rng.integers(-3, 4, size=(200, n))
+        batch, outputs = predict_batch(model, X), rule_output_matrix(model, X)
+        for k in range(X.shape[0]):
+            assert rule_output_matrix(model, X[k:k + 1])[0, 0] == outputs[k, 0], k
+            assert predict(model, X[k]) == batch[k], k
+
     def test_rule_sum_is_numpys_row_sum_of_the_transpose(self):
         # C = 1..40: the in-order sum, blocks of 8 rules and their remainders;
         # C = 129..136: more than 128 rules, which numpy splits in two

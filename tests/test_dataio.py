@@ -11,6 +11,7 @@ from fuzzyrunoff.dataio import (
     estimate_lag,
     load_event_csv,
     outside_unit_fraction,
+    scheme_sets,
     synth_storm,
     write_event_csv,
 )
@@ -56,7 +57,6 @@ class TestEventSeries:
     def test_channel_accessors(self):
         s = simple_series(5)
         assert len(s) == 5
-        assert s.base_interval == 30.0
 
 
 class TestLoadEventCsv:
@@ -205,6 +205,33 @@ class TestBuildSupervised:
         z = sset.joined()
         assert z.shape == (29, 5)
         assert np.array_equal(z[:, 4], sset.y)
+
+
+class TestSchemeSets:
+    @pytest.mark.parametrize("lag,stride,shift", [(5, 1, 4), (5, 5, 0), (3, 10, 0),
+                                                  (0, 2, 0)])
+    def test_rain_shifts_by_lag_minus_stride_floored_at_zero(self, lag, stride, shift):
+        train, valid = simple_series(60), simple_series(50, head=np.linspace(3, 9, 50))
+        sets = scheme_sets(lag, stride, False, train, valid)
+        assert [s.lag for s in sets] == [shift, shift]
+        for sset, series in zip(sets, (train, valid)):
+            want = build_supervised(series, lag=shift, stride=stride)
+            assert sset.stride == stride and sset.normalization is None
+            assert np.array_equal(sset.x, want.x) and np.array_equal(sset.y, want.y)
+
+    def test_every_set_is_scaled_with_the_training_record(self):
+        train = simple_series(50)
+        others = [simple_series(50, head=50.0 + np.arange(50.0)), simple_series(40)]
+        tset, *rest = scheme_sets(4, 2, True, train, *others)
+        assert tset.x.min() == 0.0 and tset.x.max() == 1.0
+        for sset, series in zip(rest, others):
+            assert sset.normalization is tset.normalization
+            want = build_supervised(series, lag=2, stride=2, normalization=tset.normalization)
+            assert np.array_equal(sset.x, want.x) and np.array_equal(sset.y, want.y)
+
+    def test_training_set_alone(self):
+        sets = scheme_sets(1, 1, True, simple_series(30))
+        assert len(sets) == 1 and sets[0].lag == 0 and sets[0].normalization is not None
 
 
 class TestNormalization:
