@@ -36,7 +36,7 @@ from .dataio import (
     synth_storm,
     write_event_csv,
 )
-from .evalmetrics import MetricSet, ce, metric_set, r, rmse, ve
+from .evalmetrics import MetricSet, metric_set, rmse
 from .identify import FitReport, fit_model
 from .validity import ValidityReport, sweep_clusters
 
@@ -56,7 +56,6 @@ __all__ = [
     "TsModel",
     "ValidityReport",
     "build_supervised",
-    "ce",
     "estimate_lag",
     "fit_model",
     "load_event_csv",
@@ -64,7 +63,6 @@ __all__ = [
     "metric_set",
     "predict",
     "predict_batch",
-    "r",
     "rmse",
     "run_clustering",
     "run_fcm",
@@ -75,6 +73,5 @@ __all__ = [
     "scheme_sets",
     "sweep_clusters",
     "synth_storm",
-    "ve",
     "write_event_csv",
 ]

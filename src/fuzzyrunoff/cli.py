@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -76,6 +77,12 @@ def _config_int(raw: dict[str, str], key, default) -> int:
         raise ConfigError(f"config key '{key}' must be an integer") from None
 
 
+def _finite(key, value):
+    if not math.isfinite(value):
+        raise ConfigError(f"config key '{key}' must be a finite number")
+    return value
+
+
 @dataclass
 class Experiment:
     """Typed view of the config with defaults."""
@@ -89,9 +96,10 @@ class Experiment:
 
     def get_float(self, key, default):
         try:
-            return float(self.raw.get(key, default))
+            value = float(self.raw.get(key, default))
         except ValueError:
             raise ConfigError(f"config key '{key}' must be a number") from None
+        return _finite(key, value)
 
     def get_int(self, key, default):
         return _config_int(self.raw, key, default)
@@ -150,10 +158,11 @@ class Experiment:
         if len(parts) != count:
             raise ConfigError(f"config key '{key}' needs {count} comma-separated values")
         try:
-            return tuple(kind(p) for p in parts)
+            values = tuple(kind(p) for p in parts)
         except ValueError:
             what = "integers" if kind is int else "numeric"
             raise ConfigError(f"config key '{key}' must be {what}") from None
+        return tuple(_finite(key, v) for v in values)
 
     def storm_params(self) -> StormParams:
         return StormParams(

@@ -65,10 +65,10 @@ class ClusterConfig:
     def validate(self) -> None:
         if self.algorithm not in ("gk", "fcm", "sc"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.m <= 1:
-            raise ValueError(f"fuzziness m must be > 1, got {self.m}")
-        if self.xi <= 0:
-            raise ValueError(f"termination constant xi must be > 0, got {self.xi}")
+        if not 1 < self.m < np.inf:
+            raise ValueError(f"fuzziness m must be > 1 and finite, got {self.m}")
+        if not 0 < self.xi < np.inf:
+            raise ValueError(f"termination constant xi must be > 0 and finite, got {self.xi}")
         if self.algorithm != "sc" and self.n_clusters < 2:
             raise ValueError(f"need at least 2 clusters, got {self.n_clusters}")
         if self.max_iter < 1:
@@ -77,6 +77,11 @@ class ClusterConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0 < self.sc_radius <= 1:
             raise ValueError(f"sc_radius must be in (0, 1], got {self.sc_radius}")
+        if not 0 < self.sc_squash < np.inf:
+            raise ValueError(f"sc_squash must be > 0 and finite, got {self.sc_squash}")
+        if not 0 < self.sc_reject <= self.sc_accept <= 1:
+            raise ValueError("need 0 < sc_reject <= sc_accept <= 1, got "
+                             f"sc_reject={self.sc_reject}, sc_accept={self.sc_accept}")
 
 
 @dataclass

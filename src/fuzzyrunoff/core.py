@@ -176,6 +176,21 @@ def predict_batch(model: TsModel, X) -> np.ndarray:
     return yhat
 
 
+def normalized_truth(model: TsModel, X) -> np.ndarray:
+    """(N, C) firing strengths normalised to sum 1 per row.
+
+    Rows whose total firing underflows get a one-hot row at the nearest
+    rule, matching the prediction-time fallback.
+    """
+    cols = _columns(model, X)
+    scratch = _scratch(model, cols)
+    w, wsum, degenerate, nearest = _firing_with_fallback(model, cols, scratch)
+    truth = np.ascontiguousarray((w / wsum).T)
+    if nearest is not None:
+        truth[degenerate] = np.eye(model.rule_count)[nearest]
+    return truth
+
+
 def _columns(model: TsModel, X) -> np.ndarray:
     """The rows of ``X``, checked against the model, as one contiguous
     (n, N) array."""

@@ -32,64 +32,36 @@ def _pair(y, yhat):
 
 
 def rmse(y, yhat) -> float:
-    """sqrt(mean squared error); lower is better."""
+    """sqrt(mean squared error); lower is better.  Public on its own for
+    callers that need only the error, such as the benchmark workloads and
+    the acceptance tests; the other criteria come from :func:`metric_set`."""
     y, yhat = _pair(y, yhat)
     return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
 
-def ce(y, yhat) -> float:
-    """Coefficient of efficiency 1 - F/F0.
-
-    F is the residual sum of squares, F0 the sum of squares of the observed
-    series about its own mean.
-    """
-    y, yhat = _pair(y, yhat)
-    f0 = _f0(y - y.mean())
-    return 1.0 - float(np.sum((y - yhat) ** 2)) / f0
-
-
-def ve(y, yhat) -> float:
-    """Signed volumetric error in percent: (sum(y) - sum(yhat)) / sum(y) * 100."""
-    return _ve(*_pair(y, yhat))
-
-
-def r(y, yhat) -> float:
-    """Pearson correlation between the two series."""
-    y, yhat = _pair(y, yhat)
-    dy = y - y.mean()
-    return _r(dy, float(np.sum(dy**2)), yhat)
-
-
 def metric_set(y, yhat) -> MetricSet:
     """All four criteria for one observed/predicted pair, from one check of
-    the pair and one residual; equal bit for bit to rmse, ce, ve and r, whose
-    errors it raises in that order."""
+    the pair and one residual.
+
+    CE is 1 - F/F0, with F the residual sum of squares and F0 the sum of
+    squares of the observed series about its own mean; VE is
+    (sum(y) - sum(yhat)) / sum(y) * 100; r is the Pearson correlation.
+    Raises ValueError for an empty or mismatched pair, then for a constant
+    observed series (F0 = 0), then for one that sums to zero, then for a
+    constant prediction.
+    """
     y, yhat = _pair(y, yhat)
     f, dy = float(np.sum((y - yhat) ** 2)), y - y.mean()
-    f0 = _f0(dy)
-    return MetricSet(rmse=float(np.sqrt(f / y.size)), ce=1.0 - f / f0,
-                     ve=_ve(y, yhat), r=_r(dy, f0, yhat))
-
-
-def _f0(dy) -> float:
     f0 = float(np.sum(dy**2))
     if f0 == 0.0:
         raise ValueError("observed series is constant (F0 = 0)")
-    return f0
-
-
-def _ve(y, yhat) -> float:
     total = float(np.sum(y))
     if total == 0.0:
         raise ValueError("observed series sums to zero")
-    return (total - float(np.sum(yhat))) / total * 100.0
-
-
-def _r(dy, f0, yhat) -> float:
-    """r from the observed deviations ``dy`` and their sum of squares ``f0``."""
     dp = yhat - yhat.mean()
-    sy = float(np.sqrt(f0))
     sp = float(np.sqrt(np.sum(dp**2)))
-    if sy == 0.0 or sp == 0.0:
+    if sp == 0.0:
         raise ValueError("zero variance in one of the series")
-    return float(np.sum(dy * dp)) / (sy * sp)
+    return MetricSet(rmse=float(np.sqrt(f / y.size)), ce=1.0 - f / f0,
+                     ve=(total - float(np.sum(yhat))) / total * 100.0,
+                     r=float(np.sum(dy * dp)) / (float(np.sqrt(f0)) * sp))

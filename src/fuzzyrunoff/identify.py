@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from . import core
 from .atomicio import write_csv
 from .clustering import NumericalError, ClusterConfig, _as_data, _membership_mass, run_clustering
+from .core import TsModel, normalized_truth, predict_batch
 from .dataio import DataValidationError
 from .evalmetrics import MetricSet, metric_set
 from .validity import sweep_clusters
@@ -49,21 +49,6 @@ def premise_widths(z: np.ndarray, u: np.ndarray, m: float, means: np.ndarray) ->
     col_range = x.max(axis=0) - x.min(axis=0)
     floor = np.where(col_range > 0, 1e-6 * col_range, 1e-6)
     return np.maximum(sigma, floor)
-
-
-def normalized_truth(model: core.TsModel, X) -> np.ndarray:
-    """(N, C) firing strengths normalised to sum 1 per row.
-
-    Rows whose total firing underflows get a one-hot row at the nearest
-    rule, matching the prediction-time fallback.
-    """
-    cols = core._columns(model, X)
-    scratch = core._scratch(model, cols)
-    w, wsum, degenerate, nearest = core._firing_with_fallback(model, cols, scratch)
-    truth = np.ascontiguousarray((w / wsum).T)
-    if nearest is not None:
-        truth[degenerate] = np.eye(model.rule_count)[nearest]
-    return truth
 
 
 def build_regressors(X, truth) -> np.ndarray:
@@ -204,13 +189,13 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
         means = premise_means(z, u, cfg.m)
         widths = premise_widths(z, u, cfg.m, means)
     c = means.shape[0]
-    shell = core.TsModel(means, widths, np.zeros((c, n + 1)))
+    shell = TsModel(means, widths, np.zeros((c, n + 1)))
     with _stage("consequent estimation"):
         truth = normalized_truth(shell, X)
         pi = build_regressors(X, truth)
         zeta, residual_norm = _solve_stable(pi, y)
     model = replace(shell, consequents=zeta.reshape(c, n + 1))
-    yhat = core.predict_batch(model, X)
+    yhat = predict_batch(model, X)
     report = FitReport(
         algorithm=cfg.algorithm,
         n_rules=c,

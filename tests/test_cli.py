@@ -124,6 +124,29 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out" / "train.csv").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "synth_duration = inf", "storm_width = 600,inf", "storm_amplitude = 6,inf",
+        "storm_gain = inf", "storm_gain = nan", "storm_noise = nan",
+    ])
+    def test_non_finite_float_names_its_key(self, tmp_path, monkeypatch, capsys, setting):
+        # unchecked, these end in an OverflowError traceback or in a data
+        # error on the synthetic head
+        config = write_config(tmp_path, f"{setting}\n")
+        assert run(tmp_path, "synth", config, monkeypatch) == 2
+        key = setting.split(" =")[0]
+        assert capsys.readouterr().err == \
+            f"config error: config key '{key}' must be a finite number\n"
+        assert not (tmp_path / "out" / "train.csv").exists()
+
+    def test_zero_sc_squash_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # unchecked, run_sc divides by zero
+        config = write_config(tmp_path, "algorithms = sc\nsc_squash = 0\n")
+        run(tmp_path, "synth", config, monkeypatch)
+        capsys.readouterr()
+        assert run(tmp_path, "train", config, monkeypatch) == 2
+        assert capsys.readouterr().err == \
+            "config error: clustering: sc_squash must be > 0 and finite, got 0.0\n"
+
     @pytest.mark.parametrize("command", ["sweep", "train"])
     def test_bad_setting_in_a_sweep_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                     command):

@@ -725,6 +725,30 @@ class TestDispatch:
             run_clustering(two_blobs(seed=51), cfg)
 
 
+class TestValidate:
+    @pytest.mark.parametrize("field, value, message", [
+        ("m", math.nan, "fuzziness m"),
+        ("m", math.inf, "fuzziness m"),
+        ("xi", math.nan, "termination constant xi"),
+        ("xi", math.inf, "termination constant xi"),
+        ("sc_squash", 0.0, "sc_squash"),
+        ("sc_squash", -1.0, "sc_squash"),
+        ("sc_squash", math.nan, "sc_squash"),
+        ("sc_squash", math.inf, "sc_squash"),
+        ("sc_reject", 0.0, "sc_reject"),
+        ("sc_reject", -0.5, "sc_reject"),
+        ("sc_reject", math.nan, "sc_reject"),
+        ("sc_reject", 0.6, "sc_reject"),  # above sc_accept = 0.5
+        ("sc_accept", math.nan, "sc_accept"),
+        ("sc_accept", 1.5, "sc_accept"),
+    ])
+    def test_refuses(self, field, value, message):
+        # unchecked, sc_reject <= 0 or nan lets run_sc pick a zeroed
+        # candidate forever, and sc_squash = 0 divides by zero
+        with pytest.raises(ValueError, match=message):
+            ClusterConfig(algorithm="sc", **{field: value}).validate()
+
+
 ENTRY_POINTS = {
     "run_gk": lambda z: run_gk(z, ClusterConfig(n_clusters=2)),
     "run_fcm": lambda z: run_fcm(z, ClusterConfig(algorithm="fcm", n_clusters=2)),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyrunoff.evalmetrics import MetricSet, ce, metric_set, r, rmse, ve
+from fuzzyrunoff.evalmetrics import MetricSet, metric_set, rmse
 
 
 class TestRmse:
@@ -40,19 +40,19 @@ class TestRmse:
 class TestCe:
     def test_perfect(self):
         y = np.array([1.0, 2.0, 4.0])
-        assert ce(y, y) == 1.0
+        assert metric_set(y, y).ce == 1.0
 
-    def test_mean_predictor_scores_zero(self):
+    def test_as_bad_as_the_mean_scores_zero(self):
+        # yhat - mean = 2 (y - mean) leaves a residual sum of squares of F0
         y = np.array([1.0, 2.0, 4.0])
-        yhat = np.full_like(y, y.mean())
-        assert ce(y, yhat) == pytest.approx(0.0, abs=1e-15)
+        assert metric_set(y, 2 * y - y.mean()).ce == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
-        assert ce([0.0, 2.0], [2.0, 0.0]) == pytest.approx(-3.0, rel=1e-12)
+        assert metric_set([0.0, 2.0], [2.0, 0.0]).ce == pytest.approx(-3.0, rel=1e-12)
 
     def test_constant_observed_rejected(self):
-        with pytest.raises(ValueError):
-            ce([2.0, 2.0], [1.0, 3.0])
+        with pytest.raises(ValueError, match="constant"):
+            metric_set([2.0, 2.0], [1.0, 3.0])
 
     def test_identity_with_rmse(self):
         # ce == 1 - N rmse^2 / F0
@@ -60,53 +60,52 @@ class TestCe:
         y = rng.normal(size=40)
         yhat = y + rng.normal(size=40) * 0.3
         f0 = float(np.sum((y - y.mean()) ** 2))
-        assert ce(y, yhat) == pytest.approx(1 - len(y) * rmse(y, yhat) ** 2 / f0,
-                                            rel=1e-12)
+        assert metric_set(y, yhat).ce == pytest.approx(
+            1 - len(y) * rmse(y, yhat) ** 2 / f0, rel=1e-12)
 
 
 class TestVe:
     def test_perfect(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert ve(y, y) == 0.0
+        assert metric_set(y, y).ve == 0.0
 
     def test_underprediction_positive(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert ve(y, 0.9 * y) == pytest.approx(10.0, rel=1e-12)
+        assert metric_set(y, 0.9 * y).ve == pytest.approx(10.0, rel=1e-12)
 
     def test_overprediction_negative(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert ve(y, 1.1 * y) == pytest.approx(-10.0, rel=1e-12)
+        assert metric_set(y, 1.1 * y).ve == pytest.approx(-10.0, rel=1e-12)
 
     def test_zero_volume_rejected(self):
-        with pytest.raises(ValueError):
-            ve([1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="sums to zero"):
+            metric_set([1.0, -1.0], [1.0, 2.0])
 
 
 class TestR:
     def test_positive_affine(self):
         y = np.array([1.0, 2.0, 5.0, 3.0])
-        assert r(y, 2 * y + 5) == pytest.approx(1.0, rel=1e-12)
+        assert metric_set(y, 2 * y + 5).r == pytest.approx(1.0, rel=1e-12)
 
     def test_negation(self):
         y = np.array([1.0, 2.0, 5.0, 3.0])
-        assert r(y, -y) == pytest.approx(-1.0, rel=1e-12)
+        assert metric_set(y, -y).r == pytest.approx(-1.0, rel=1e-12)
 
     def test_orthogonal_pair(self):
-        assert abs(r([1.0, -1.0, 0.0], [0.0, 0.0, 1.0])) <= 1e-12
+        # deviations (1, -1, 0) and (-1, -1, 2) / 3; the observed sum is 3
+        assert abs(metric_set([2.0, 0.0, 1.0], [0.0, 0.0, 1.0]).r) <= 1e-12
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=30)
         yhat = rng.normal(size=30)
-        base = r(y, yhat)
-        assert r(3 * y + 1, yhat) == pytest.approx(base, abs=1e-10)
-        assert r(y, 0.5 * yhat - 4) == pytest.approx(base, abs=1e-10)
+        base = metric_set(y, yhat).r
+        assert metric_set(3 * y + 1, yhat).r == pytest.approx(base, abs=1e-10)
+        assert metric_set(y, 0.5 * yhat - 4).r == pytest.approx(base, abs=1e-10)
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            r([1.0, 1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            r([1.0, 2.0], [5.0, 5.0])
+        with pytest.raises(ValueError, match="zero variance"):
+            metric_set([1.0, 2.0], [5.0, 5.0])
 
 
 def test_metric_set_bundles_all_four():
@@ -115,9 +114,7 @@ def test_metric_set_bundles_all_four():
     yhat = y + rng.normal(size=25) * 0.1
     ms = metric_set(y, yhat)
     assert ms.rmse == rmse(y, yhat)
-    assert ms.ce == ce(y, yhat)
-    assert ms.ve == ve(y, yhat)
-    assert ms.r == r(y, yhat)
+    assert np.isfinite([ms.rmse, ms.ce, ms.ve, ms.r]).all()
     assert ms.rmse >= 0
     assert -1 <= ms.r <= 1
 
