@@ -40,3 +40,19 @@ def write_csv(path, header, rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     write_atomic(path, buf.getvalue())
+
+
+def write_numeric_csv(path, header, columns) -> None:
+    """Atomically write a CSV file of numbers given as text ``columns``,
+    equal-length sequences of ``repr`` floats or ``str`` ints, in the bytes
+    :func:`write_csv` writes for the same table.
+
+    The header goes through ``csv.writer``, so it is quoted as there.  The
+    csv module never quotes number text (no comma, quote or line break, never
+    empty), so the rows are joined by hand, with its "," and "\r\n".
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow(header)
+    lines = list(map(",".join, zip(*columns)))
+    lines.append("")
+    write_atomic(path, buf.getvalue() + "\r\n".join(lines))

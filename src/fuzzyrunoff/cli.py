@@ -23,9 +23,10 @@ import numpy as np
 import scipy
 
 from . import __version__, core
-from .atomicio import write_atomic, write_csv
+from .atomicio import write_atomic, write_csv, write_numeric_csv
 from .clustering import ClusterConfig, NumericalError
 from .dataio import (
+    SUPERVISED_COLUMNS,
     DataValidationError,
     EventSeries,
     NormalizationRecord,
@@ -312,22 +313,89 @@ def _metric_row(label, stride, split, ms):
     return [label, stride, split, repr(ms.rmse), repr(ms.ve), repr(ms.ce), repr(ms.r)]
 
 
-def _score(model: core.TsModel, series: EventSeries, key: str):
-    """(rows, metrics, predictions) of ``model`` on ``series``, the rows built
-    from the model's scheme.  A split that cannot be scored is a data error
-    naming its CSV ``key``: a constant observed series, whose variance CE
-    divides by, or any other series that metric_set refuses."""
-    scheme = model.scheme
-    record = NormalizationRecord(*scheme.normalization) if scheme.normalization else False
-    sset = build_supervised(series, lag=scheme.lag, stride=scheme.stride, normalization=record)
+def _score(model: core.TsModel, sset, key: str):
+    """(metrics, predictions) of ``model`` on the supervised rows ``sset``.
+    A split that cannot be scored is a data error naming its CSV ``key``: a
+    constant observed series, whose variance CE divides by, or any other
+    series that metric_set refuses."""
     if np.all(sset.y == sset.y[0]):
         raise DataValidationError(f"{key}: observed series is constant "
                                   f"({float(sset.y[0])!r}); there is nothing to score")
     yhat = core.predict_batch(model, sset.x)
     try:
-        return sset, metric_set(sset.y, yhat), yhat
+        return metric_set(sset.y, yhat), yhat
     except ValueError as exc:
         raise DataValidationError(f"{key}: {exc}") from None
+
+
+def _evaluable_model(path: str, name: str, allowed):
+    """The model at ``path`` and its scheme's scaling record (None for a
+    dimensional model).  A file that cannot be read or parsed, that records
+    no scheme or a bad scaling record, or whose width is not that of a
+    supervised row, is a data error naming ``path``; a stride that is not
+    configured is a config error."""
+    try:
+        model = core.load_model(path)
+    except (OSError, ValueError) as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
+    scheme = model.scheme
+    if scheme is None:
+        raise DataValidationError(f"{path}: the model records no training scheme; "
+                                  "retrain it with train to evaluate it")
+    if scheme.stride not in allowed:
+        raise ConfigError(
+            f"model {name} was trained for stride {scheme.stride}, "
+            f"which is not in the configured strides {sorted(allowed)}"
+        )
+    try:
+        record = NormalizationRecord(*scheme.normalization) if scheme.normalization else None
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
+    if model.input_dim != len(SUPERVISED_COLUMNS) - 1:
+        raise DataValidationError(f"{path}: the model takes {model.input_dim} inputs, "
+                                  f"a supervised row has {len(SUPERVISED_COLUMNS) - 1}")
+    return model, record
+
+
+def _evaluate_scheme(models, record, validation, train, series_dir):
+    """Score and write the (name, model) pairs ``models`` of one scheme, in
+    name order, from one build of its supervised rows, scaled by ``record``
+    if not None, and one formatting of the columns its series files share.
+    Returns the report rows and the extrapolation fraction of each model by
+    name."""
+    scheme = models[0][1].scheme
+
+    def rows_of(series):
+        return build_supervised(series, lag=scheme.lag, stride=scheme.stride,
+                                normalization=record or False)
+
+    vset, tset = rows_of(validation), None
+    header = ["index", "observed", "predicted"]
+    # the text of the columns every model shares, and lazily that of each
+    # model's forecasts: the repr of a float is the text csv writes for it
+    shared = [list(map(str, range(vset.n_rows))), list(map(repr, vset.y.tolist()))]
+    if record is not None:
+        header += ["observed_mm", "predicted_mm"]
+        observed_mm = list(map(repr, record.denormalize_y(vset.y).tolist()))
+        # validation values outside the training min-max appear out of
+        # [0, 1]; summarised per combination in extrapolation.csv
+        fraction = repr(outside_unit_fraction(np.concatenate([vset.x.ravel(), vset.y])))
+    rows, fractions = {}, {}
+    for name, model in models:
+        metrics, yhat = _score(model, vset, "validation_csv")
+        label = _combo_label(model.scheme.algorithm, record is not None)
+        rows[name] = [_metric_row(label, scheme.stride, "validation", metrics)]
+        if train is not None:
+            if tset is None:  # after a validation score: a bad validation split goes first
+                tset = rows_of(train)
+            rows[name].append(_metric_row(label, scheme.stride, "train",
+                                          _score(model, tset, "train_csv")[0]))
+        columns = shared + [map(repr, yhat.tolist())]
+        if record is not None:
+            fractions[name] = fraction
+            columns += [observed_mm, map(repr, record.denormalize_y(yhat).tolist())]
+        write_numeric_csv(os.path.join(series_dir, f"series_{name}.csv"), header, columns)
+    return rows, fractions
 
 
 def cmd_evaluate(exp: Experiment) -> int:
@@ -345,48 +413,32 @@ def cmd_evaluate(exp: Experiment) -> int:
     if not names:
         raise DataValidationError(f"no models found in {models_dir}")
 
+    # every model is checked, in name order, before any is scored; then the
+    # models are scored and written one scheme at a time, the schemes in the
+    # order of their first model, so that only one scheme's rows and text
+    # are held at once
     allowed = set(exp.strides)
-    rows = []
-    extrapolation = []
+    schemes: dict[tuple, tuple] = {}
     for name in names:
         path = os.path.join(models_dir, f"{name}.model.txt")
-        try:
-            model = core.load_model(path)
-        except (OSError, ValueError) as exc:
-            raise DataValidationError(f"{path}: {exc}") from exc
-        scheme = model.scheme
-        if scheme is None:
-            raise DataValidationError(f"{path}: the model records no training scheme; "
-                                      "retrain it with train to evaluate it")
-        if scheme.stride not in allowed:
-            raise ConfigError(
-                f"model {name} was trained for stride {scheme.stride}, "
-                f"which is not in the configured strides {sorted(allowed)}"
-            )
-        vset, metrics, yhat = _score(model, validation, "validation_csv")
-        record = vset.normalization
-        label = _combo_label(scheme.algorithm, record is not None)
-        rows.append(_metric_row(label, scheme.stride, "validation", metrics))
-        if include_train:
-            rows.append(_metric_row(label, scheme.stride, "train",
-                                    _score(model, train_series, "train_csv")[1]))
-
-        header, columns = ["index", "observed", "predicted"], [vset.y, yhat]
-        if record is not None:
-            # validation values outside the training min-max appear out of
-            # [0, 1]; summarised per combination in extrapolation.csv
-            extrapolation.append([name, repr(outside_unit_fraction(
-                np.concatenate([vset.x.ravel(), vset.y])))])
-            header += ["observed_mm", "predicted_mm"]
-            columns += [record.denormalize_y(vset.y), record.denormalize_y(yhat)]
-        write_csv(os.path.join(series_dir, f"series_{name}.csv"), header,
-                  zip(range(vset.n_rows), *(map(repr, c.tolist()) for c in columns)))
+        model, record = _evaluable_model(path, name, allowed)
+        # repr tells the scaling records apart bit for bit (-0.0 from 0.0)
+        key = (model.scheme.stride, model.scheme.lag, repr(model.scheme.normalization))
+        schemes.setdefault(key, (record, []))[1].append((name, model))
+    report, extrapolation = {}, {}
+    for record, models in schemes.values():
+        rows, fractions = _evaluate_scheme(models, record, validation, train_series,
+                                           series_dir)
+        report.update(rows)
+        extrapolation.update(fractions)
 
     report_path = os.path.join(exp.out, "forecast_report.csv")
+    rows = [row for name in names for row in report[name]]
     write_csv(report_path, ["algorithm", "scheme", "split", "rmse", "ve", "ce", "r"], rows)
     if extrapolation:
         write_csv(os.path.join(exp.out, "extrapolation.csv"),
-                  ["combination", "outside_unit_fraction"], extrapolation)
+                  ["combination", "outside_unit_fraction"],
+                  [[name, extrapolation[name]] for name in names if name in extrapolation])
     _write_manifest(exp, "evaluate")
     print(f"wrote {report_path} ({len(rows)} rows)")
     return 0

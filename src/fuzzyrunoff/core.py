@@ -148,24 +148,25 @@ def predict(model: TsModel, x) -> float:
 
     Weighted average of the rule outputs with the firing strengths as
     weights.  When all firings underflow (input far outside every cluster)
-    the output of the nearest rule is returned instead.  This is
-    :func:`predict_batch` on a one-row matrix, so both agree bit for bit.
+    the output of the nearest rule is returned instead.  This is the kernel
+    of :func:`predict_batch` on one (n, 1) column, so both agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.input_dim,):
         raise ValueError(
             f"input length {x.shape} does not match model dimension {model.input_dim}"
         )
-    return float(predict_batch(model, x[None, :])[0])
+    return float(_predict_columns(model, x[:, None])[0])
 
 
 def predict_batch(model: TsModel, X) -> np.ndarray:
     """Vectorised :func:`predict` over the rows of an (N, n) matrix, in the
     rule-major layout and summation order of the module docstring."""
-    cols = _columns(model, X)
-    if not np.isfinite(cols).all():
-        bad = int(np.argwhere(~np.isfinite(cols).all(axis=0))[0, 0])
-        raise ValueError(f"non-finite input at row {bad}")
+    return _predict_columns(model, _columns(model, X))
+
+
+def _predict_columns(model: TsModel, cols: np.ndarray) -> np.ndarray:
+    """The forecasts of the (n, N) columns ``cols``, one per column."""
     scratch = _scratch(model, cols)
     w, wsum, degenerate, nearest = _firing_with_fallback(model, cols, scratch)
     outputs = _rule_output_rows(model, cols, scratch)
@@ -180,7 +181,8 @@ def normalized_truth(model: TsModel, X) -> np.ndarray:
     """(N, C) firing strengths normalised to sum 1 per row.
 
     Rows whose total firing underflows get a one-hot row at the nearest
-    rule, matching the prediction-time fallback.
+    rule, matching the prediction-time fallback.  A non-finite row is
+    refused as :func:`predict_batch` refuses it.
     """
     cols = _columns(model, X)
     scratch = _scratch(model, cols)
@@ -249,13 +251,21 @@ def _rule_sum(a: np.ndarray) -> np.ndarray:
 def _firing_with_fallback(model: TsModel, cols: np.ndarray, scratch: np.ndarray):
     """(w, wsum, degenerate, nearest) for the (n, N) columns ``cols``: the
     (C, N) firing, its sums over the rules with 1.0 where the total is below
-    DEGENERACY_FLOOR, the mask of those rows and their nearest rules (None
-    if there are none)."""
+    DEGENERACY_FLOOR, the mask of those rows and their nearest rules (both
+    None if there are none).
+
+    A non-finite input makes its total NaN or 0, so one minimum of the
+    totals clears a batch of finite inputs with no fallback rows; only when
+    it does not are the inputs checked, naming the first non-finite row in a
+    ValueError."""
     w = _firing_rows(model, cols, scratch)
     wsum = _rule_sum(w)
+    if wsum.min(initial=np.inf) >= DEGENERACY_FLOOR:
+        return w, wsum, None, None
+    finite = np.isfinite(cols).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"non-finite input at row {int(np.argmin(finite))}")
     degenerate = wsum < DEGENERACY_FLOOR
-    if not degenerate.any():
-        return w, wsum, degenerate, None
     wsum[degenerate] = 1.0
     return w, wsum, degenerate, nearest_rule_index(model, cols[:, degenerate].T.copy())
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomicio import write_csv
+from .atomicio import write_numeric_csv
 
 EVENT_HEADER = ("timestamp", "rain1", "rain2", "rain3", "head")
 SUPERVISED_COLUMNS = ("y_prev", "rain1", "rain2", "rain3", "head")
@@ -59,8 +59,8 @@ class EventSeries:
         if np.any(steps != steps[0]):
             k = int(np.argmax(steps != steps[0]))
             raise DataValidationError(
-                f"non-uniform spacing at row {k + 1}: step {steps[k]!r}, "
-                f"expected {steps[0]!r}"
+                f"non-uniform spacing at row {k + 1}: step {float(steps[k])!r}, "
+                f"expected {float(steps[0])!r}"
             )
         if steps[0] <= 0:
             raise DataValidationError("timestamps must be strictly increasing")
@@ -110,7 +110,7 @@ def load_event_csv(path, base_interval: float) -> EventSeries:
     if bad.size:
         k = int(bad[0])
         raise DataValidationError(
-            f"{path}: spacing {steps[k]!r} at row {k + 1} "
+            f"{path}: spacing {float(steps[k])!r} at row {k + 1} "
             f"(expected base interval {base_interval!r})"
         )
     return EventSeries(timestamps=arr[:, 0], rain=arr[:, 1:4], head=arr[:, 4])
@@ -118,12 +118,8 @@ def load_event_csv(path, base_interval: float) -> EventSeries:
 
 def write_event_csv(series: EventSeries, path) -> None:
     """Write an event CSV that round-trips through load_event_csv exactly."""
-    write_csv(path, EVENT_HEADER, (
-        [repr(float(series.timestamps[k]))]
-        + [repr(float(v)) for v in series.rain[k]]
-        + [repr(float(series.head[k]))]
-        for k in range(len(series))
-    ))
+    columns = [series.timestamps, *series.rain.T, series.head]
+    write_numeric_csv(path, EVENT_HEADER, [map(repr, c.tolist()) for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +183,13 @@ class NormalizationRecord:
         self.maxs = np.asarray(self.maxs, dtype=float)
         if self.mins.shape != (5,) or self.maxs.shape != (5,):
             raise DataValidationError("normalization record covers exactly 5 columns")
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
+            raise DataValidationError("normalization record must be finite")
         if np.any(self.maxs <= self.mins):
             j = int(np.argmax(self.maxs <= self.mins))
             raise DataValidationError(
                 f"constant column '{SUPERVISED_COLUMNS[j]}' cannot be normalised "
-                f"(min == max == {self.mins[j]!r})"
+                f"(min == max == {float(self.mins[j])!r})"
             )
 
     @classmethod

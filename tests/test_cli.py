@@ -1,5 +1,7 @@
 import csv
 import gc
+import io
+import itertools
 import os
 import re
 import shutil
@@ -12,7 +14,8 @@ import pytest
 from fuzzyrunoff import cli, core
 from fuzzyrunoff.atomicio import write_atomic
 from fuzzyrunoff.clustering import ClusterConfig
-from fuzzyrunoff.dataio import estimate_lag, load_event_csv, scheme_sets
+from fuzzyrunoff.dataio import estimate_lag, load_event_csv, outside_unit_fraction, scheme_sets
+from fuzzyrunoff.evalmetrics import metric_set
 
 BASE_CONFIG = (
     "seed = 11\n"
@@ -354,6 +357,20 @@ def write_model_config(out):
     return str(path)
 
 
+def narrowed(text):
+    """A model file whose model takes three inputs, not four."""
+    m = core.parse_model(text)
+    return core.dump_model(core.TsModel(m.premise_means[:, :3], m.premise_widths[:, :3],
+                                        m.consequents[:, :4], m.scheme))
+
+
+def scaled(mins, maxs):
+    """An edit adding the scaling record ``mins``, ``maxs`` to a model file."""
+    def edit(text):
+        return text.replace("\nrule 0\n", f"\nnorm_mins {mins}\nnorm_maxs {maxs}\nrule 0\n", 1)
+    return edit
+
+
 class TestModelFile:
     MODEL = "models/gk_s1_dim.model.txt"
 
@@ -408,6 +425,112 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and "no training scheme" in err
         assert "retrain" in err and "v1" not in err
+
+    def test_wrong_width_is_data_error(self, trained, tmp_path, capsys):
+        rc, path = self.evaluate_copy(trained, tmp_path, narrowed)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: the model takes 3 inputs, a supervised row has 4\n")
+
+    @pytest.mark.parametrize("mins,maxs,message", [
+        ("0 0 0 0 0", "0 1 1 1 1",
+         "constant column 'y_prev' cannot be normalised (min == max == 0.0)"),
+        ("0 0 0", "1 1 1", "normalization record covers exactly 5 columns"),
+        ("0 0 0 0 nan", "1 1 1 1 1", "normalization record must be finite"),
+        ("0 0 0 0 0", "1 1 inf 1 1", "normalization record must be finite"),
+    ])
+    def test_bad_scaling_record_names_the_model(self, trained, tmp_path, capsys,
+                                               mins, maxs, message):
+        rc, path = self.evaluate_copy(trained, tmp_path, scaled(mins, maxs))
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+class TestBadModelPrecedence:
+    """Of two bad models, evaluate reports the first in name order, whatever
+    the kinds of fault; every model is checked before any series is written."""
+
+    FAULTS = {
+        "corrupt": (lambda t: re.sub(r"means [^\n]*\n", "", t, count=1), 3,
+                    "rule 0: missing 'means' line"),
+        "unscheduled": (lambda t: re.sub(r"(algorithm|stride|lag) [^\n]*\n", "", t), 3,
+                        "records no training scheme"),
+        "stride": (lambda t: t.replace("\nstride 1\n", "\nstride 7\n"), 2,
+                   "was trained for stride 7"),
+        "width": (narrowed, 3, "the model takes 3 inputs"),
+        "scaling": (scaled("0 0 0 0 0", "0 1 1 1 1"), 3, "constant column 'y_prev'"),
+    }
+
+    @pytest.mark.parametrize("first,second", list(itertools.permutations(FAULTS, 2)))
+    def test_first_bad_model_in_name_order_is_reported(self, trained, tmp_path, capsys,
+                                                        first, second):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        good = (out / TestModelFile.MODEL).read_text()
+        (out / "models/a_good.model.txt").write_text(good)
+        for name, fault in (("b_first", first), ("c_second", second)):
+            (out / f"models/{name}.model.txt").write_text(self.FAULTS[fault][0](good))
+        config = write_model_config(out)
+        _, rc, message = self.FAULTS[first]
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert message in err and "b_first" in err and "c_second" not in err
+        assert not os.listdir(out / "series")
+
+
+def csv_module_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestSchemeGrouping:
+    """evaluate builds and formats what the models of one scheme share once;
+    every file it writes is still the csv module's rendering of the rows of
+    ``dataio.scheme_sets`` and their forecasts, the models in name order."""
+
+    def test_files_are_the_csv_rendering_of_the_scheme_sets(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_model_config(out)
+        with open(config, "a") as fh:
+            fh.write("algorithms = gk,fcm,sc\nstrides = 1,2\nnormalization = both\n"
+                     "include_train = on\n")
+        for command in ("synth", "train", "evaluate"):
+            assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+        train = load_event_csv(out / "train.csv", 30.0)
+        valid = load_event_csv(out / "validation.csv", 30.0)
+        lag = estimate_lag(train, max_lag=15)
+        names = sorted(p.name[:-len(".model.txt")] for p in (out / "models").iterdir())
+        assert len(names) == 12
+        report, extrapolation = [], []
+        for name in names:
+            model = core.load_model(out / "models" / f"{name}.model.txt")
+            scheme = model.scheme
+            normalized = scheme.normalization is not None
+            tset, vset = scheme_sets(lag, scheme.stride, normalized, train, valid)
+            yhat = core.predict_batch(model, vset.x)
+            columns = [range(vset.n_rows), vset.y.tolist(), yhat.tolist()]
+            header = ["index", "observed", "predicted"]
+            label = scheme.algorithm.upper()
+            if normalized:
+                record = tset.normalization
+                columns += [record.denormalize_y(vset.y).tolist(),
+                            record.denormalize_y(yhat).tolist()]
+                header += ["observed_mm", "predicted_mm"]
+                label += " (N)"
+                extrapolation.append([name, outside_unit_fraction(
+                    np.concatenate([vset.x.ravel(), vset.y]))])
+            series = (out / "series" / f"series_{name}.csv").read_bytes()
+            assert series == csv_module_text(header, zip(*columns)).encode(), name
+            for split, sset in (("validation", vset), ("train", tset)):
+                ms = metric_set(sset.y, core.predict_batch(model, sset.x))
+                report.append([label, scheme.stride, split, ms.rmse, ms.ve, ms.ce, ms.r])
+        assert (out / "forecast_report.csv").read_bytes() == csv_module_text(
+            ["algorithm", "scheme", "split", "rmse", "ve", "ce", "r"], report).encode()
+        assert (out / "extrapolation.csv").read_bytes() == csv_module_text(
+            ["combination", "outside_unit_fraction"], extrapolation).encode()
 
 
 class TestConstantObserved:

@@ -392,3 +392,37 @@ class TestSerialization:
                                                scheme=Scheme("gk", 2, 12)))
         with pytest.raises(ValueError, match=message):
             core.parse_model(edit(text))
+
+
+class TestNonFiniteInput:
+    """A non-finite entry is refused with the index of the first row holding
+    one, by the batch and the single-row path alike, also beside a row that
+    takes the nearest-rule fallback, and with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("far_row", [None, 0, 4, 6])
+    def test_first_non_finite_row_is_named(self, value, column, row, far_row):
+        rng = np.random.default_rng(5)
+        model = random_model(rng, 3, 3)
+        X = rng.normal(size=(7, 3))
+        if far_row is not None:
+            X[far_row] = 1e3
+            assert firing_matrix(model, X[far_row:far_row + 1]).sum() < DEGENERACY_FLOOR
+        X[row, column] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^non-finite input at row {row}$"):
+                predict_batch(model, X)
+            with pytest.raises(ValueError, match=r"^non-finite input at row 0$"):
+                predict(model, X[row])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_normalized_truth_refuses_non_finite_rows(self, value):
+        model = random_model(np.random.default_rng(6), 2, 2)
+        X = np.array([[0.0, 0.0], [1e3, 1e3], [0.5, value]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^non-finite input at row 2$"):
+                core.normalized_truth(model, X)

@@ -40,7 +40,8 @@ def delayed_series(delay, n=80, base=30.0, seed=0):
 class TestEventSeries:
     def test_uniform_spacing_required(self):
         t = np.array([0.0, 30.0, 61.0])
-        with pytest.raises(DataValidationError, match="row 2"):
+        with pytest.raises(DataValidationError,
+                           match=r"^non-uniform spacing at row 2: step 31\.0, expected 30\.0$"):
             EventSeries(t, np.zeros((3, 3)), np.zeros(3))
 
     def test_negative_rainfall_named(self):
@@ -75,7 +76,7 @@ class TestLoadEventCsv:
     def test_spacing_error_names_row(self, tmp_path):
         path = self.write(tmp_path, "timestamp,rain1,rain2,rain3,head\n"
                                     "0,0,0,0,1\n31,0,0,0,2\n61,0,0,0,3\n")
-        with pytest.raises(DataValidationError, match="row 1"):
+        with pytest.raises(DataValidationError, match=r"spacing 31\.0 at row 1 \(expected"):
             load_event_csv(path, base_interval=30.0)
 
     def test_negative_rainfall_names_column(self, tmp_path):
