@@ -8,7 +8,7 @@ two lines with the rule firing strengths.
 import numpy as np
 
 from fuzzyrunoff import TsModel, predict, predict_batch
-from fuzzyrunoff.core import dump_model, firing_matrix, parse_model, rule_output_matrix
+from fuzzyrunoff.core import dump_model, firing_matrix, parse_model
 
 # one row per rule (low, high): Gaussian premise mean and width per input,
 # then the affine consequent, intercept first
@@ -17,7 +17,8 @@ model = TsModel(premise_means=[[0.0], [10.0]], premise_widths=[[1.5], [1.5]],
 
 # one row per input sample, one column per rule (low, high)
 firing = firing_matrix(model, [[1.0]])[0]
-lines = rule_output_matrix(model, [[1.0]])[0]
+# each rule's line at x = 1: intercept plus slope times x
+lines = model.consequents @ [1.0, 1.0]
 print("membership of x=1 in the low rule:", firing[0])
 print("low-rule line at x=1: ", lines[0])
 print("high-rule line at x=1:", lines[1])

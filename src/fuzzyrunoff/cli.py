@@ -71,13 +71,6 @@ def parse_config(path) -> dict[str, str]:
     return values
 
 
-def _config_int(raw: dict[str, str], key, default) -> int:
-    try:
-        return int(raw.get(key, default))
-    except ValueError:
-        raise ConfigError(f"config key '{key}' must be an integer") from None
-
-
 def _finite(key, value):
     if not math.isfinite(value):
         raise ConfigError(f"config key '{key}' must be a finite number")
@@ -103,7 +96,10 @@ class Experiment:
         return _finite(key, value)
 
     def get_int(self, key, default):
-        return _config_int(self.raw, key, default)
+        try:
+            return int(self.raw.get(key, default))
+        except ValueError:
+            raise ConfigError(f"config key '{key}' must be an integer") from None
 
     @property
     def algorithms(self) -> list[str]:
@@ -231,11 +227,10 @@ def _combo_label(algorithm: str, normalized: bool) -> str:
 
 
 def cmd_synth(exp: Experiment) -> int:
+    """Write synthetic train and validation storm events."""
     params = exp.storm_params()
     duration = exp.get_float("synth_duration", 9000.0)
-    train_seed = exp.get_int("synth_train_seed", exp.seed)
-    valid_seed = exp.get_int("synth_validation_seed", exp.seed + 1)
-    for name, seed in (("train.csv", train_seed), ("validation.csv", valid_seed)):
+    for name, seed in (("train.csv", exp.seed), ("validation.csv", exp.seed + 1)):
         series = synth_storm(seed, duration, exp.base_interval, params)
         path = os.path.join(exp.out, name)
         write_event_csv(series, path)
@@ -250,6 +245,7 @@ def _require_rows(key: str, c: int, n_rows: int) -> None:
 
 
 def cmd_sweep(exp: Experiment) -> int:
+    """Score the six validity indices over C for gk and fcm."""
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
     stride = exp.get_int("sweep_stride", 1)
@@ -275,6 +271,7 @@ def cmd_sweep(exp: Experiment) -> int:
 
 
 def cmd_train(exp: Experiment) -> int:
+    """Fit one model per algorithm, stride and scaling."""
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
     models_dir = os.path.join(exp.out, "models")
@@ -399,9 +396,12 @@ def _evaluate_scheme(models, record, validation, train, series_dir):
 
 
 def cmd_evaluate(exp: Experiment) -> int:
+    """Score every model into the forecast report and series."""
     validation = exp.load_series("validation_csv")
-    include_train = exp.get("include_train", "off") == "on"
-    train_series = exp.load_series("train_csv") if include_train else None
+    include_train = exp.get("include_train", "off")
+    if include_train not in ("on", "off"):
+        raise ConfigError("config key 'include_train' must be on or off")
+    train_series = exp.load_series("train_csv") if include_train == "on" else None
     models_dir = exp.get("models_dir", os.path.join(exp.out, "models"))
     series_dir = os.path.join(exp.out, "series")
     os.makedirs(series_dir, exist_ok=True)
@@ -445,33 +445,39 @@ def cmd_evaluate(exp: Experiment) -> int:
 
 
 def cmd_compare(exp: Experiment) -> int:
+    """Rank the algorithms of each scheme by validation RMSE."""
     paths = [p.strip() for p in
              exp.get("reports", os.path.join(exp.out, "forecast_report.csv")).split(",")
              if p.strip()]
-    rows = []
+    rows = []  # (scheme, rmse, algorithm) of each validation row
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 reader = csv.DictReader(fh)
-                rows.extend(r for r in reader if r.get("split") == "validation")
+                for r in (r for r in reader if r.get("split") == "validation"):
+                    try:
+                        rows.append((int(r["scheme"]), float(r["rmse"]), r["algorithm"]))
+                    except KeyError as exc:
+                        raise DataValidationError(
+                            f"{path}: the report has no {exc} column") from None
+                    except (TypeError, ValueError):  # a short row reads None
+                        raise DataValidationError(
+                            f"{path}: line {reader.line_num}: scheme {r['scheme']!r} or "
+                            f"rmse {r['rmse']!r} is not a number") from None
         except OSError as exc:
             raise DataValidationError(f"cannot read report {path}: {exc}") from exc
     if not rows:
         raise DataValidationError("no validation rows found in the given reports")
 
-    schemes = sorted({int(r["scheme"]) for r in rows})
     lines = ["# Algorithm ranking by validation RMSE", ""]
-    for scheme in schemes:
-        ranked = sorted((r for r in rows if int(r["scheme"]) == scheme),
-                        key=lambda r: (float(r["rmse"]), r["algorithm"]))
-        best = float(ranked[0]["rmse"])
+    for scheme in sorted({scheme for scheme, _, _ in rows}):
+        ranked = sorted((rmse, algorithm) for s, rmse, algorithm in rows if s == scheme)
+        best = ranked[0][0]
         lines += [f"## Scheme: stride {scheme}", "",
                   "| rank | algorithm | rmse | delta vs best |",
                   "|------|-----------|------|---------------|"]
-        for i, r in enumerate(ranked, start=1):
-            rmse_v = float(r["rmse"])
-            delta = rmse_v - best
-            lines.append(f"| {i} | {r['algorithm']} | {rmse_v:.6g} | {delta:+.6g} |")
+        for i, (rmse, algorithm) in enumerate(ranked, start=1):
+            lines.append(f"| {i} | {algorithm} | {rmse:.6g} | {rmse - best:+.6g} |")
         lines.append("")
     path = os.path.join(exp.out, "compare.md")
     write_atomic(path, "\n".join(lines) + "\n")
@@ -508,12 +514,12 @@ def main(argv=None) -> int:
     try:
         raw = parse_config(args.config)
         out = args.out if args.out is not None else raw.get("out", "out")
-        seed = args.seed if args.seed is not None else _config_int(raw, "seed", 0)
+        exp = Experiment(raw=raw, out=out, seed=0)
+        exp.seed = args.seed if args.seed is not None else exp.get_int("seed", 0)
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
-        exp = Experiment(raw=raw, out=out, seed=seed)
         return COMMANDS[args.command](exp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -115,15 +115,6 @@ def firing_matrix(model: TsModel, X) -> np.ndarray:
     return np.ascontiguousarray(_firing_rows(model, cols, _scratch(model, cols)).T)
 
 
-def rule_output_matrix(model: TsModel, X) -> np.ndarray:
-    """(N, C) affine consequent outputs for every row of ``X``: x_k * theta_k
-    summed over the input columns in order, then the intercept.  For n <= 7
-    this is numpy's sum along a feature axis; for n >= 8 round-off can
-    differ.  A row alone and in a batch agree bit for bit."""
-    cols = _columns(model, X)
-    return np.ascontiguousarray(_rule_output_rows(model, cols, _scratch(model, cols)).T)
-
-
 def nearest_rule_index(model: TsModel, X) -> np.ndarray:
     """Index of the rule whose premise mean vector is closest to each row.
 

@@ -175,7 +175,6 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     leaders = {}  # index name -> (score, C) of its optimum so far
     for c in c_values:
         cfg = replace(cfg_template, n_clusters=c)
-        cfg.validate()  # a bad setting is no clustering failure
         try:
             partitions[c] = runner(z, cfg)
             values = all_indices(partitions[c][0], z, partitions[c][1])

@@ -161,6 +161,47 @@ class TestConfigParsing:
         assert "fuzziness m must be > 1" in capsys.readouterr().err
 
 
+# (command, setting or a key left out, exit code, message)
+REFUSALS = [
+    ("synth", "storm_gain = abc", 2, "config key 'storm_gain' must be a number"),
+    ("train", "algorithms = ,", 2, "config key 'algorithms' must list at least one algorithm"),
+    ("train", "algorithms = gk,xx", 2, "unknown algorithm 'xx' in config"),
+    ("train", "strides = 1,a", 2, "config key 'strides' must be integers"),
+    ("train", "strides = 2,0", 2, "config key 'strides' must list positive integers"),
+    ("train", "normalization = maybe", 2,
+     "config key 'normalization' must be on, off, or both"),
+    ("train", "train_csv", 2, "missing config key 'train_csv'"),
+    ("evaluate", "validation_csv", 2, "missing config key 'validation_csv'"),
+    ("train", "lag = x", 2, "config key 'lag' must be 'auto' or an integer"),
+    ("train", "lag = -1", 2, "config key 'lag' must be >= 0"),
+    ("evaluate", "include_train = yes", 2, "config key 'include_train' must be on or off"),
+    ("evaluate", "models_dir = nothere", 3,
+     "cannot list models in nothere: [Errno 2] No such file or directory: 'nothere'"),
+    ("evaluate", "models_dir = out", 3, "no models found in out"),
+    ("compare", "reports = nothere.csv", 3,
+     "cannot read report nothere.csv: [Errno 2] No such file or directory: 'nothere.csv'"),
+]
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("command, setting, code, message", REFUSALS,
+                             ids=[f"{command}: {setting}" for command, setting, _, _ in REFUSALS])
+    def test_refusal_names_its_cause(self, tmp_path, monkeypatch, capsys, command, setting,
+                                     code, message):
+        config = write_config(tmp_path)
+        run(tmp_path, "synth", config, monkeypatch)
+        capsys.readouterr()
+        if "=" in setting:
+            text = BASE_CONFIG + f"{setting}\n"
+        else:  # a bare key is left out of the config
+            text = "".join(line for line in BASE_CONFIG.splitlines(keepends=True)
+                           if not line.startswith(setting))
+        (tmp_path / "exp.conf").write_text(text)
+        assert run(tmp_path, command, config, monkeypatch) == code
+        kind = "config error" if code == 2 else "data error"
+        assert capsys.readouterr().err == f"{kind}: {message}\n"
+
+
 class TestSynth:
     def test_writes_loadable_events(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
@@ -674,6 +715,49 @@ class TestCompare:
         lines = [l for l in (out / "compare.md").read_text().splitlines()
                  if l.startswith("| ") and l[2].isdigit()]
         assert "| 1 | GK |" in lines[0]
+
+    def test_markdown_text(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "forecast_report.csv").write_text(
+            "algorithm,scheme,split,rmse,ve,ce,r\n"
+            "GK,2,validation,0.25,0,0.9,0.9\n"
+            "GK,2,train,0.125,0,0.9,0.9\n"
+            "FCM (N),1,validation,1e-07,0,0.8,0.9\n"
+            "SC,2,validation,0.5,0,0.85,0.9\n"
+        )
+        assert run(tmp_path, "compare", write_config(tmp_path), monkeypatch) == 0
+        assert (out / "compare.md").read_text() == (
+            "# Algorithm ranking by validation RMSE\n\n"
+            "## Scheme: stride 1\n\n"
+            "| rank | algorithm | rmse | delta vs best |\n"
+            "|------|-----------|------|---------------|\n"
+            "| 1 | FCM (N) | 1e-07 | +0 |\n\n"
+            "## Scheme: stride 2\n\n"
+            "| rank | algorithm | rmse | delta vs best |\n"
+            "|------|-----------|------|---------------|\n"
+            "| 1 | GK | 0.25 | +0 |\n"
+            "| 2 | SC | 0.5 | +0.25 |\n\n"
+        )
+
+    @pytest.mark.parametrize("report, message", [
+        ("algorithm,split,rmse\nGK,validation,1.0\n", "the report has no 'scheme' column"),
+        ("scheme,split,rmse\n1,validation,1.0\n", "the report has no 'algorithm' column"),
+        ("algorithm,scheme,split,rmse\nGK,1,validation,abc\n",
+         "line 2: scheme '1' or rmse 'abc' is not a number"),
+        ("algorithm,scheme,split,rmse\nGK,x,validation,1.0\n",
+         "line 2: scheme 'x' or rmse '1.0' is not a number"),
+        ("algorithm,scheme,split,rmse\nGK,1,train,1.0\nGK,1,validation\n",
+         "line 3: scheme '1' or rmse None is not a number"),
+    ], ids=["no-scheme", "no-algorithm", "bad-rmse", "bad-scheme", "short-row"])
+    def test_malformed_report_is_data_error(self, tmp_path, monkeypatch, capsys, report,
+                                            message):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "forecast_report.csv").write_text(report)
+        assert run(tmp_path, "compare", write_config(tmp_path), monkeypatch) == 3
+        assert capsys.readouterr().err == f"data error: out/forecast_report.csv: {message}\n"
+        assert not (out / "compare.md").exists()
 
     def test_empty_report_is_data_error(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -12,7 +12,6 @@ from fuzzyrunoff.core import (
     firing_matrix,
     predict,
     predict_batch,
-    rule_output_matrix,
 )
 
 
@@ -40,9 +39,16 @@ def membership(mean: float, width: float, x: float) -> float:
     return float(firing_matrix(model, [[x]])[0, 0])
 
 
+def rule_output_rows(model: TsModel, X) -> np.ndarray:
+    """(N, C) affine consequent values of the rows of ``X``, from the
+    rule-major kernel that predict and predict_batch run."""
+    cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    return core._rule_output_rows(model, cols, core._scratch(model, cols)).T
+
+
 def rule_outputs(model: TsModel, x) -> np.ndarray:
     """Affine consequent value of each rule at the single input ``x``."""
-    return rule_output_matrix(model, [x])[0]
+    return rule_output_rows(model, [x])[0]
 
 
 class TestGaussianMf:
@@ -174,9 +180,8 @@ class TestPredictBatch:
         out = predict_batch(model, np.zeros((0, 1)))
         assert out.shape == (0,)
         assert firing_matrix(model, np.zeros((0, 1))).shape == (0, 1)
-        assert rule_output_matrix(model, np.zeros((0, 1))).shape == (0, 1)
 
-    @pytest.mark.parametrize("fn", [predict_batch, firing_matrix, rule_output_matrix])
+    @pytest.mark.parametrize("fn", [predict_batch, firing_matrix])
     def test_empty_matrix_of_the_wrong_width_is_refused(self, fn):
         model = TsModel(np.zeros((2, 4)), np.ones((2, 4)), np.zeros((2, 5)))
         with pytest.raises(ValueError, match=r"expected \(N, 4\) input matrix, got shape \(0, 7\)"):
@@ -210,9 +215,9 @@ class TestPredictBatch:
         rng = np.random.default_rng(n)
         model = random_model(rng, 1, n, width_scale=10.0)
         X = rng.normal(size=(200, n)) * 10.0 ** rng.integers(-3, 4, size=(200, n))
-        batch, outputs = predict_batch(model, X), rule_output_matrix(model, X)
+        batch, outputs = predict_batch(model, X), rule_output_rows(model, X)
         for k in range(X.shape[0]):
-            assert rule_output_matrix(model, X[k:k + 1])[0, 0] == outputs[k, 0], k
+            assert rule_output_rows(model, X[k:k + 1])[0, 0] == outputs[k, 0], k
             assert predict(model, X[k]) == batch[k], k
 
     def test_rule_sum_is_numpys_row_sum_of_the_transpose(self):

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fuzzyrunoff import clustering, core
+from test_acceptance import STORM_REGIME
+
+from fuzzyrunoff import clustering, core, dataio, identify
 from fuzzyrunoff.clustering import ClusterConfig, NumericalError
 from fuzzyrunoff.identify import (
     build_regressors,
@@ -314,3 +316,43 @@ class TestFitModel:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("algorithm,n_rules")
+
+
+class TestCoarseCutoffRefit:
+    """A short storm event, 87 supervised rows, on which FCM with 8 rules
+    gives an exact consequent solve of cancelling blow-ups (largest
+    coefficient about 7.6e6), so the fit refits at CONSEQUENT_COND."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        event = dataio.synth_storm(5, 3000.0, 30.0, STORM_REGIME)
+        lag = dataio.estimate_lag(event, max_lag=20)
+        sset, = dataio.scheme_sets(lag, 1, True, event)
+        assert (lag, sset.n_rows) == (14, 87)
+        return sset.joined()
+
+    def fit_recording_solves(self, rows, c, monkeypatch):
+        """The model of an FCM fit with ``c`` rules, and the (cond, largest
+        coefficient) of each consequent solve; cond is None for the exact
+        solve."""
+        solves, solve = [], identify.solve_consequents
+
+        def recording(pi, y, **kwargs):
+            zeta, residual_norm = solve(pi, y, **kwargs)
+            solves.append((kwargs.get("cond"), float(np.abs(zeta).max())))
+            return zeta, residual_norm
+
+        monkeypatch.setattr(identify, "solve_consequents", recording)
+        model, _ = fit_model(rows, ClusterConfig(algorithm="fcm", n_clusters=c, seed=42))
+        return model, solves
+
+    def test_blow_up_refits_at_the_coarse_cutoff(self, rows, monkeypatch):
+        model, solves = self.fit_recording_solves(rows, 8, monkeypatch)
+        assert [cond for cond, _ in solves] == [None, identify.CONSEQUENT_COND]
+        assert solves[0][1] > 1e6
+        assert np.abs(model.consequents).max() == solves[1][1] < 10.0
+
+    def test_well_posed_fit_solves_once(self, rows, monkeypatch):
+        model, solves = self.fit_recording_solves(rows, 3, monkeypatch)
+        assert [cond for cond, _ in solves] == [None]
+        assert np.abs(model.consequents).max() == solves[0][1] < 10.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 from test_clustering import full_matrix_sc
+from test_core import rule_output_rows
 
 from fuzzyrunoff import clustering
 from fuzzyrunoff.clustering import (
@@ -29,7 +30,6 @@ from fuzzyrunoff.core import (
     parse_model,
     predict,
     predict_batch,
-    rule_output_matrix,
 )
 from fuzzyrunoff.dataio import NormalizationRecord
 from fuzzyrunoff.identify import solve_consequents
@@ -148,10 +148,10 @@ def wide_models_and_rows(draw):
 def test_rule_major_inference_equals_the_feature_axis_formulas(case):
     model, X = case
     c = model.rule_count
-    for fn, reference in ((firing_matrix, firing_nci), (rule_output_matrix, rule_outputs_nci)):
-        out = fn(model, X)
-        assert out.shape == (len(X), c) and out.flags.c_contiguous
-        assert bits(out) == bits(reference(model, X))
+    firing = firing_matrix(model, X)
+    assert firing.shape == (len(X), c) and firing.flags.c_contiguous
+    assert bits(firing) == bits(firing_nci(model, X))
+    assert bits(rule_output_rows(model, X)) == bits(rule_outputs_nci(model, X))
     assert bits(predict_batch(model, X)) == bits(predict_batch_nci(model, X))
 
 
