@@ -53,6 +53,6 @@ blobs = np.vstack([
     rng.normal(scale=0.05, size=(12, 2)) + [4.0, 1.0],
     rng.normal(scale=0.05, size=(12, 2)) + [2.0, 5.0],
 ])
-centers = run_sc(blobs, ClusterConfig(algorithm="sc", sc_radius=0.5))
+_, centers, _ = run_sc(blobs, ClusterConfig(algorithm="sc", sc_radius=0.5))
 print(f"subtractive clustering found {len(centers)} clusters at:")
 print(centers.round(3))

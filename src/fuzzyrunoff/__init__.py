@@ -14,7 +14,6 @@ from .clustering import (
     run_fcm,
     run_gk,
     run_sc,
-    sc_partition,
 )
 from .core import (
     TsModel,
@@ -69,7 +68,6 @@ __all__ = [
     "run_gk",
     "run_sc",
     "save_model",
-    "sc_partition",
     "scheme_sets",
     "sweep_clusters",
     "synth_storm",

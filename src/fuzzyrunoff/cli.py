@@ -58,7 +58,7 @@ def parse_config(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -290,11 +290,16 @@ def cmd_train(exp: Experiment) -> int:
                     c = c_range.stop - 1 if c_range else cfg.n_clusters
                     _require_rows("c_max" if c_range else "clusters", c, sset.n_rows)
                 model, fit = fit_model(sset.joined(), cfg, c_range=c_range)
+                name = _combo_name(algorithm, stride, normalized)
+                # SC's rule count, and so the parameter count, is known only now
+                if sset.n_rows < model.consequents.size:
+                    raise DataValidationError(
+                        f"{name}: {sset.n_rows} rows cannot determine "
+                        f"{model.consequents.size} consequent parameters")
                 record = sset.normalization
                 norm = None if record is None else (tuple(record.mins.tolist()),
                                                     tuple(record.maxs.tolist()))
                 scheme = core.Scheme(algorithm, stride, sset.lag, norm)
-                name = _combo_name(algorithm, stride, normalized)
                 core.save_model(replace(model, scheme=scheme),
                                 os.path.join(models_dir, f"{name}.model.txt"))
                 fit.to_csv(os.path.join(reports_dir, f"fit_{name}.csv"))
@@ -456,7 +461,7 @@ def cmd_compare(exp: Experiment) -> int:
                 reader = csv.DictReader(fh)
                 for r in (r for r in reader if r.get("split") == "validation"):
                     try:
-                        rows.append((int(r["scheme"]), float(r["rmse"]), r["algorithm"]))
+                        row = (int(r["scheme"]), float(r["rmse"]), r["algorithm"])
                     except KeyError as exc:
                         raise DataValidationError(
                             f"{path}: the report has no {exc} column") from None
@@ -464,7 +469,12 @@ def cmd_compare(exp: Experiment) -> int:
                         raise DataValidationError(
                             f"{path}: line {reader.line_num}: scheme {r['scheme']!r} or "
                             f"rmse {r['rmse']!r} is not a number") from None
-        except OSError as exc:
+                    if not 0 <= row[1] < math.inf:  # nan would sort anywhere
+                        raise DataValidationError(
+                            f"{path}: line {reader.line_num}: rmse {r['rmse']!r} is not "
+                            "a finite, non-negative number")
+                    rows.append(row)
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataValidationError(f"cannot read report {path}: {exc}") from exc
     if not rows:
         raise DataValidationError("no validation rows found in the given reports")

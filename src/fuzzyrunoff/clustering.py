@@ -10,12 +10,12 @@ whose rows are joined input-output samples:
 * ``run_fcm`` - fuzzy c-means: the same loop with the norm fixed to the
   identity (hyper-spherical clusters), covariance update skipped.
 * ``run_sc``  - subtractive clustering: density-peak selection on min-max
-  normalised data; returns the centers it found instead of taking C as an
-  input, and ``sc_partition`` derives their partition matrix.
+  normalised data; finds C itself instead of taking it as an input.
 
-Data, partition matrices and centers are plain arrays: the data (N, d), the
-memberships (C, N), the centers (C, d).  Each entry point checks its data
-once (2-d, finite).
+All three, and ``run_clustering``, which dispatches on the algorithm's
+name, return (u, centers, trace).  Data, partition matrices and centers are
+plain arrays: the data (N, d), the memberships (C, N), the centers (C, d).
+Each entry point checks its data once (2-d, finite).
 
 All three are deterministic for a fixed seed, and iteration traces
 reproduce bit for bit.  Distances, GK's induced ones included, work on the
@@ -331,7 +331,7 @@ def _minmax_normalise(z: np.ndarray):
     lo = z.min(axis=0)
     span = z.max(axis=0) - lo
     span = np.where(span > 0, span, 1.0)
-    return (z - lo) / span, lo, span
+    return (z - lo) / span
 
 
 # Byte budget of the two (rows, N) buffers run_sc computes potentials in.
@@ -346,8 +346,10 @@ def run_sc(data, cfg: ClusterConfig):
     squash-scaled potential is subtracted everywhere, and further candidates
     are accepted or rejected against the first peak (accept ratio, reject
     ratio, and the distance/potential trade-off rule in between).  Ties pick
-    the lowest row index.  Returns the (C, d) centers in original
-    coordinates; C is the number of accepted peaks.
+    the lowest row index.  Returns (u, centers, trace): the (C, N)
+    memberships of the normalised squared distances to the C accepted
+    peaks, the (C, d) centers in original coordinates and an empty,
+    converged IterationTrace.
 
     The potentials are computed over blocks of rows in two (rows, N)
     buffers, as many rows as keep both within ``_SC_BLOCK_BYTES`` (at least
@@ -363,7 +365,7 @@ def run_sc(data, cfg: ClusterConfig):
     n = z.shape[0]
     if n == 0:
         raise ValueError("empty data matrix")
-    zn, lo, span = _minmax_normalise(z)
+    zn = _minmax_normalise(z)
     cols = np.ascontiguousarray(zn.T)
     ra = cfg.sc_radius
     alpha = 4.0 / ra**2
@@ -405,34 +407,16 @@ def run_sc(data, cfg: ClusterConfig):
         if rejected_all:
             break
         accepted.append(idx)
-    return z[np.array(accepted)]
-
-
-def sc_partition(data, centers, m: float = 2.0):
-    """(C, N) partition matrix for given centers from Euclidean distances.
-
-    Distances are computed in the same min-max normalised space the centers
-    were selected in, so the memberships are scale-free.
-    """
-    z = _as_data(data)
-    centers = np.asarray(centers, dtype=float)
-    zn, lo, span = _minmax_normalise(z)
-    cn = (centers - lo) / span
-    return update_memberships(_squared_distances(zn, cn), m)
+    u = update_memberships(np.array(center_rows), cfg.m)
+    return u, z[np.array(accepted)], IterationTrace(converged=True)
 
 
 def run_clustering(data, cfg: ClusterConfig):
-    """Dispatch on cfg.algorithm; always returns (u, centers, trace).
-
-    For subtractive clustering the partition is derived from the selected
-    centers by ``sc_partition`` and the trace is empty (the algorithm is not
-    iterative in the alternating-optimisation sense).
-    """
+    """Dispatch on cfg.algorithm; returns the runner's (u, centers, trace)."""
     if cfg.algorithm == "gk":
         return run_gk(data, cfg)
     if cfg.algorithm == "fcm":
         return run_fcm(data, cfg)
     if cfg.algorithm == "sc":
-        centers = run_sc(data, cfg)
-        return sc_partition(data, centers, cfg.m), centers, IterationTrace(converged=True)
+        return run_sc(data, cfg)
     raise ValueError(f"unknown algorithm {cfg.algorithm!r}")

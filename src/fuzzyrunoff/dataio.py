@@ -77,31 +77,30 @@ def load_event_csv(path, base_interval: float) -> EventSeries:
     """
     rows = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataValidationError(f"cannot read event file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != EVENT_HEADER:
-            raise DataValidationError(
-                f"{path}: expected header {','.join(EVENT_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5 or any(cell.strip() == "" for cell in row):
-                raise DataValidationError(
-                    f"{path}: missing value at line {lineno} (no imputation)"
-                )
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
+                header = next(reader)
+            except StopIteration:
+                raise DataValidationError(f"{path}: empty file") from None
+            if tuple(h.strip() for h in header) != EVENT_HEADER:
                 raise DataValidationError(
-                    f"{path}: unparseable number at line {lineno}"
-                ) from None
+                    f"{path}: expected header {','.join(EVENT_HEADER)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 5 or any(cell.strip() == "" for cell in row):
+                    raise DataValidationError(
+                        f"{path}: missing value at line {lineno} (no imputation)"
+                    )
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError:
+                    raise DataValidationError(
+                        f"{path}: unparseable number at line {lineno}"
+                    ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataValidationError(f"cannot read event file {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataValidationError(f"{path}: need at least 2 data rows")
     arr = np.asarray(rows, dtype=float)

@@ -24,8 +24,7 @@ from .clustering import (
     NumericalError,
     _as_data,
     _squared_distances,
-    run_fcm,
-    run_gk,
+    run_clustering,
 )
 
 # index name -> optimisation direction over C
@@ -159,7 +158,6 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     """
     if cfg_template.algorithm not in ("gk", "fcm"):
         raise ValueError(f"sweep supports 'gk' and 'fcm', not {cfg_template.algorithm!r}")
-    runner = run_gk if cfg_template.algorithm == "gk" else run_fcm
     z = _as_data(data)
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values:
@@ -176,7 +174,7 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     for c in c_values:
         cfg = replace(cfg_template, n_clusters=c)
         try:
-            partitions[c] = runner(z, cfg)
+            partitions[c] = run_clustering(z, cfg)
             values = all_indices(partitions[c][0], z, partitions[c][1])
         except (NumericalError, np.linalg.LinAlgError) as exc:
             failures[c] = str(exc)

@@ -183,6 +183,29 @@ REFUSALS = [
 ]
 
 
+NOT_UTF8 = [  # (file, its text with a byte 0xE9, command, kind of error, message head)
+    ("out/train.csv", "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\xe9\n", "train",
+     "data error", "cannot read event file out/train.csv"),
+    ("out/forecast_report.csv", "algorithm,scheme,split,rmse\nGK\xe9,1,validation,1.0\n",
+     "compare", "data error", "cannot read report out/forecast_report.csv"),
+    ("exp.conf", "seed = 1\nout = out\xe9\n", "synth", "config error",
+     "cannot read config {config}"),
+]
+
+
+@pytest.mark.parametrize("name, text, command, kind, head", NOT_UTF8,
+                         ids=["event", "report", "config"])
+def test_text_that_is_not_utf8_is_refused_naming_its_file(tmp_path, monkeypatch, capsys,
+                                                          name, text, command, kind, head):
+    config = write_config(tmp_path, "algorithms = gk\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / name).write_bytes(text.encode("latin-1"))
+    assert run(tmp_path, command, config, monkeypatch) == (2 if kind == "config error" else 3)
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind}: {head.format(config=config)}: 'utf-8' codec can't "
+                          "decode byte 0xe9"), err
+
+
 class TestConfigRefusals:
     @pytest.mark.parametrize("command, setting, code, message", REFUSALS,
                              ids=[f"{command}: {setting}" for command, setting, _, _ in REFUSALS])
@@ -286,6 +309,21 @@ class TestTrain:
         assert run(tmp_path, "train", config, monkeypatch) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(rf"config error: {key}=8 must be < supervised rows N=\d+\n", err)
+
+    @pytest.mark.parametrize("algorithm, params", [("gk", 15), ("sc", 30)])
+    def test_under_determined_scheme_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                                   algorithm, params):
+        # 101 samples and lag 14 leave stride 95 six rows; SC finds 6 rules
+        config = tmp_path / "exp.conf"
+        config.write_text("out = out\nsynth_duration = 3000\nstrides = 1,95\n"
+                          f"lag = auto\nclusters = 3\nalgorithms = {algorithm}\n"
+                          "train_csv = out/train.csv\nvalidation_csv = out/validation.csv\n")
+        run(tmp_path, "synth", str(config), monkeypatch)
+        capsys.readouterr()
+        assert run(tmp_path, "train", str(config), monkeypatch) == 3
+        assert capsys.readouterr().err == (f"data error: {algorithm}_s95_dim: 6 rows cannot "
+                                           f"determine {params} consequent parameters\n")
+        assert not (tmp_path / f"out/models/{algorithm}_s95_dim.model.txt").exists()
 
     def test_sweep_selected_rule_count(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"
@@ -749,7 +787,14 @@ class TestCompare:
          "line 2: scheme 'x' or rmse '1.0' is not a number"),
         ("algorithm,scheme,split,rmse\nGK,1,train,1.0\nGK,1,validation\n",
          "line 3: scheme '1' or rmse None is not a number"),
-    ], ids=["no-scheme", "no-algorithm", "bad-rmse", "bad-scheme", "short-row"])
+        ("algorithm,scheme,split,rmse\nSC,1,validation,1.0\nGK,1,validation,nan\n",
+         "line 3: rmse 'nan' is not a finite, non-negative number"),
+        ("algorithm,scheme,split,rmse\nGK,1,validation,inf\n",
+         "line 2: rmse 'inf' is not a finite, non-negative number"),
+        ("algorithm,scheme,split,rmse\nGK,1,validation,-1.0\n",
+         "line 2: rmse '-1.0' is not a finite, non-negative number"),
+    ], ids=["no-scheme", "no-algorithm", "bad-rmse", "bad-scheme", "short-row", "nan-rmse",
+            "inf-rmse", "negative-rmse"])
     def test_malformed_report_is_data_error(self, tmp_path, monkeypatch, capsys, report,
                                             message):
         out = tmp_path / "out"
@@ -791,15 +836,15 @@ class TestSweep:
 
     def test_coincident_centers_at_every_c_are_numerical_failure(self, tmp_path,
                                                                  monkeypatch, capsys):
-        import fuzzyrunoff.validity as validity_mod
+        import fuzzyrunoff.clustering as clustering_mod
 
-        real = validity_mod.run_gk
+        real = clustering_mod.run_gk
 
         def collapsed(z, cfg):
             u, centers, trace = real(z, cfg)
             return u, np.zeros_like(centers), trace
 
-        monkeypatch.setattr(validity_mod, "run_gk", collapsed)
+        monkeypatch.setattr(clustering_mod, "run_gk", collapsed)
         config = write_config(tmp_path, "algorithms = gk\nc_max = 3\n")
         run(tmp_path, "synth", config, monkeypatch)
         capsys.readouterr()

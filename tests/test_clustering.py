@@ -19,7 +19,6 @@ from fuzzyrunoff.clustering import (
     run_fcm,
     run_gk,
     run_sc,
-    sc_partition,
     scatter_matrices,
     update_centers,
     update_covariances,
@@ -555,7 +554,7 @@ class TestRunSc:
         rng = np.random.default_rng(25)
         z = rng.normal(scale=0.05, size=(15, 2))
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers = run_sc(z, cfg)
+        _, centers, _ = run_sc(z, cfg)
         oracle_centers, oracle_count = self.chiu_oracle(z)
         assert len(centers) == oracle_count == 1
         assert np.allclose(centers, oracle_centers)
@@ -565,7 +564,7 @@ class TestRunSc:
             rng = np.random.default_rng(seed)
             z = rng.normal(size=(18, 3))
             cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-            centers = run_sc(z, cfg)
+            _, centers, _ = run_sc(z, cfg)
             oracle_centers, oracle_count = self.chiu_oracle(z)
             assert len(centers) == oracle_count
             assert np.allclose(np.sort(centers, axis=0),
@@ -578,7 +577,7 @@ class TestRunSc:
             rng.normal(scale=0.05, size=(10, 2)) + [5.0, 5.0],
         ])
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers = run_sc(z, cfg)
+        _, centers, _ = run_sc(z, cfg)
         oracle_centers, oracle_count = self.chiu_oracle(z)
         assert len(centers) == oracle_count == 2
         assert np.allclose(np.sort(centers, axis=0), np.sort(oracle_centers, axis=0))
@@ -590,29 +589,17 @@ class TestRunSc:
             rng.normal(scale=0.05, size=(8, 2)) + [4.0, 0.0],
         ])
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers_a = run_sc(z, cfg)
-        centers_b = run_sc(np.vstack([z, z]), cfg)
+        _, centers_a, _ = run_sc(z, cfg)
+        _, centers_b, _ = run_sc(np.vstack([z, z]), cfg)
         assert len(centers_a) == len(centers_b)
         assert np.allclose(np.sort(centers_a, axis=0), np.sort(centers_b, axis=0))
-
-    def test_partition_from_centers_is_valid(self):
-        rng = np.random.default_rng(33)
-        z = np.vstack([
-            rng.normal(scale=0.1, size=(12, 2)),
-            rng.normal(scale=0.1, size=(12, 2)) + [3.0, 3.0],
-        ])
-        cfg = ClusterConfig(algorithm="sc", sc_radius=0.5)
-        centers = run_sc(z, cfg)
-        u = sc_partition(z, centers)
-        assert u.shape == (len(centers), z.shape[0])
-        assert np.allclose(u.sum(axis=0), 1.0, atol=1e-9)
 
 
 def full_matrix_sc(z, cfg, gray=None):
     """Subtractive clustering over the whole (N, N) distance matrix, as
     run_sc computed it before blocking.  Appends each gray-zone decision
     (True = accepted) to ``gray``."""
-    zn, _, _ = _minmax_normalise(np.asarray(z, dtype=float))
+    zn = _minmax_normalise(np.asarray(z, dtype=float))
     ra = cfg.sc_radius
     alpha = 4.0 / ra**2
     beta = 4.0 / (cfg.sc_squash * ra) ** 2
@@ -665,11 +652,29 @@ class TestBlockedSc:
                 monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", rows * 2 * 8 * len(z))
             cfg = ClusterConfig(algorithm="sc", sc_radius=ra)
             expected, expected_count = full_matrix_sc(z, cfg, gray.setdefault(z.shape[1], []))
-            centers = run_sc(z, cfg)
+            _, centers, _ = run_sc(z, cfg)
             assert len(centers) == expected_count
             assert centers.tobytes() == expected.tobytes()
         for d in (2, 3, 5, 7):
             assert True in gray[d] and False in gray[d]
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_memberships_are_those_of_the_returned_centers(self, monkeypatch, rows):
+        # recomputed from the centers alone: normalise the data and the
+        # centers afresh and take the Euclidean distances between them
+        for z, ra in sc_inputs():
+            if rows is not None:
+                monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", rows * 2 * 8 * len(z))
+            cfg = ClusterConfig(algorithm="sc", sc_radius=ra)
+            u, centers, trace = run_sc(z, cfg)
+            lo = z.min(axis=0)
+            span = z.max(axis=0) - lo
+            span = np.where(span > 0, span, 1.0)
+            expected = update_memberships(
+                _squared_distances((z - lo) / span, (centers - lo) / span), cfg.m)
+            assert u.shape == (len(centers), len(z))
+            assert u.tobytes() == expected.tobytes()
+            assert trace.converged and trace.n_iterations == 0
 
     def test_distances_sum_the_coordinates_in_column_order(self):
         # from d = 8 on numpy sums a short axis pairwise, so the documented
@@ -689,7 +694,7 @@ class TestBlockedSc:
         z = np.array([[0.0], [1.0], [7.0], [8.0]])
         cfg = ClusterConfig(algorithm="sc", sc_radius=0.1)
         monkeypatch.setattr(clustering, "_SC_BLOCK_BYTES", 1)
-        centers = run_sc(z, cfg)
+        _, centers, _ = run_sc(z, cfg)
         assert len(centers) == 4
         assert centers.ravel().tolist() == [0.0, 7.0, 1.0, 8.0]
 
@@ -753,7 +758,6 @@ ENTRY_POINTS = {
     "run_gk": lambda z: run_gk(z, ClusterConfig(n_clusters=2)),
     "run_fcm": lambda z: run_fcm(z, ClusterConfig(algorithm="fcm", n_clusters=2)),
     "run_sc": lambda z: run_sc(z, ClusterConfig(algorithm="sc")),
-    "sc_partition": lambda z: sc_partition(z, np.zeros((2, z.shape[-1]))),
     "sweep_clusters": lambda z: sweep_clusters(z, ClusterConfig(), range(2, 4)),
     "fit_model": lambda z: fit_model(z, ClusterConfig(n_clusters=2)),
 }

@@ -1,6 +1,8 @@
 """Every demo script, and the README's library quickstart, runs to completion
-against the current library."""
+against the current library, and every name the package exports or the
+README's module map names exists."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -8,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fuzzyrunoff
+from fuzzyrunoff import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -32,3 +37,29 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(script(demo, tmp_path))], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def module_map():
+    """(module, backticked identifiers) of each row of the README's module map."""
+    section = README.read_text(encoding="utf-8").split("## Module map\n", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` *\| (.*) \|$", section.split("\n## ", 1)[0], re.M)
+    return [(module, [name for name in re.findall(r"`([^`]*)`", cell)
+                      if re.fullmatch(r"[A-Za-z_]\w*", name)])
+            for module, cell in rows]
+
+
+def test_exported_names_resolve():
+    assert [name for name in fuzzyrunoff.__all__ if not hasattr(fuzzyrunoff, name)] == []
+
+
+def test_module_map_names_exist():
+    rows = module_map()
+    assert [module for module, _ in rows] == [
+        "core", "clustering", "validity", "identify", "evalmetrics", "dataio", "atomicio",
+        "cli"]
+    for module, names in rows:
+        found = importlib.import_module(f"fuzzyrunoff.{module}")
+        # a name that is no attribute of its module may be a subcommand
+        unknown = [name for name in names
+                   if not hasattr(found, name) and name not in cli.COMMANDS]
+        assert unknown == [], module

@@ -18,7 +18,6 @@ from fuzzyrunoff.clustering import (
     run_fcm,
     run_gk,
     run_sc,
-    sc_partition,
 )
 from fuzzyrunoff.core import (
     DEGENERACY_FLOOR,
@@ -193,7 +192,7 @@ def grid_clouds(draw, dims=st.integers(1, 7)):
 @given(grid_clouds(dims=st.integers(1, 3)), st.integers(2, 4), seeds)
 def test_partition_columns_sum_to_one(z, c, seed):
     cfg = ClusterConfig(n_clusters=c, seed=seed, max_iter=50)
-    parts = [sc_partition(z, run_sc(z, ClusterConfig(algorithm="sc")))]
+    parts = [run_sc(z, ClusterConfig(algorithm="sc"))[0]]
     for run in (run_fcm, run_gk) if c < len(z) else ():
         try:
             parts.append(run(z, cfg)[0])
@@ -312,7 +311,7 @@ def test_sc_equals_the_full_matrix(z, ra, data):
     budget = clustering._SC_BLOCK_BYTES
     clustering._SC_BLOCK_BYTES = rows * 2 * 8 * len(z)
     try:
-        centers = run_sc(z, cfg)
+        _, centers, _ = run_sc(z, cfg)
     finally:
         clustering._SC_BLOCK_BYTES = budget
     expected, expected_count = full_matrix_sc(z, cfg)

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from fuzzyrunoff import clustering
 from fuzzyrunoff.clustering import ClusterConfig, NumericalError, init_partition
 from fuzzyrunoff.validity import (
     INDEX_DIRECTIONS,
@@ -300,7 +301,7 @@ class TestSweep:
                 raise NumericalError("staged failure")
             return run_gk(data, cfg)
 
-        monkeypatch.setattr(validity_mod, "run_gk", flaky)
+        monkeypatch.setattr(clustering, "run_gk", flaky)
         z = three_blobs(seed=21)
         report = validity_mod.sweep_clusters(
             z, ClusterConfig(algorithm="gk", seed=0), range(2, 6))
@@ -313,7 +314,7 @@ class TestSweep:
     def test_holds_only_the_partitions_of_running_optima(self, monkeypatch, algorithm):
         import fuzzyrunoff.validity as validity_mod
 
-        runner = getattr(validity_mod, f"run_{algorithm}")
+        runner = getattr(clustering, f"run_{algorithm}")
         returned, alive = [], []
 
         def tracked(data, cfg):
@@ -325,7 +326,7 @@ class TestSweep:
             returned.append(weakref.ref(partition[0]))
             return partition
 
-        monkeypatch.setattr(validity_mod, f"run_{algorithm}", tracked)
+        monkeypatch.setattr(clustering, f"run_{algorithm}", tracked)
         report = validity_mod.sweep_clusters(
             three_blobs(seed=24), ClusterConfig(algorithm=algorithm, seed=0), range(2, 9))
         for k in range(1, len(report.c_values)):  # the k-th call follows k scored C
@@ -344,7 +345,7 @@ class TestSweep:
         def always_fail(data, cfg):
             raise NumericalError("staged failure")
 
-        monkeypatch.setattr(validity_mod, "run_gk", always_fail)
+        monkeypatch.setattr(clustering, "run_gk", always_fail)
         z = three_blobs(seed=22)
         with pytest.raises(NumericalError, match="every C"):
             validity_mod.sweep_clusters(
