@@ -11,7 +11,7 @@ import uuid
 
 
 def write_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8, newlines written as given).
+    """Replace ``path``, making its directory, with ``text`` (UTF-8, newlines as given).
 
     The rename makes the replacement atomic for readers and safe against a
     crash of this process, but there is no fsync: after a crash of the
@@ -22,6 +22,7 @@ def write_atomic(path, text: str) -> None:
     to each of the many small files a run writes (81 for the benchmark's
     synth-train-evaluate-compare pipeline).
     """
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:

@@ -71,6 +71,19 @@ def parse_config(path) -> dict[str, str]:
     return values
 
 
+# ClusterConfig's fields that a config key of the same name sets
+_TUNED = tuple(f for f in fields(ClusterConfig)
+               if f.name not in ("algorithm", "n_clusters", "seed"))
+# every key the subcommands read; main refuses any other
+CONFIG_KEYS = frozenset([
+    "out", "seed", "base_interval", "train_csv", "validation_csv", "algorithms", "clusters",
+    "c_max", *(f.name for f in _TUNED), "strides", "normalization", "lag", "max_lag",
+    "sweep_stride", "include_train", "models_dir", "reports", "synth_duration",
+    "storm_pulses", "storm_amplitude", "storm_width", "storm_station_gains",
+    "storm_station_delays", "storm_routing_lag", "storm_storage", "storm_gain",
+    "storm_exponent", "storm_noise", "storm_initial_head", "storm_rain_resolution"])
+
+
 def _finite(key, value):
     if not math.isfinite(value):
         raise ConfigError(f"config key '{key}' must be a finite number")
@@ -137,10 +150,9 @@ class Experiment:
         """Keys named after ClusterConfig's numeric fields, with its defaults;
         ``clusters`` is 3 by default, and ``sweep`` starts the template at 2."""
         tuned = {}
-        for f in fields(ClusterConfig):
-            if f.name not in ("algorithm", "n_clusters", "seed"):
-                read = self.get_int if isinstance(f.default, int) else self.get_float
-                tuned[f.name] = read(f.name, f.default)
+        for f in _TUNED:
+            read = self.get_int if isinstance(f.default, int) else self.get_float
+            tuned[f.name] = read(f.name, f.default)
         n_clusters = 2 if self.get("clusters") == "sweep" else self.get_int("clusters", 3)
         return ClusterConfig(algorithm=algorithm, n_clusters=n_clusters, seed=self.seed,
                              **tuned)
@@ -226,7 +238,7 @@ def _combo_label(algorithm: str, normalized: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(exp: Experiment) -> int:
+def cmd_synth(exp: Experiment) -> None:
     """Write synthetic train and validation storm events."""
     params = exp.storm_params()
     duration = exp.get_float("synth_duration", 9000.0)
@@ -235,8 +247,6 @@ def cmd_synth(exp: Experiment) -> int:
         path = os.path.join(exp.out, name)
         write_event_csv(series, path)
         print(f"wrote {path} ({len(series)} samples)")
-    _write_manifest(exp, "synth")
-    return 0
 
 
 def _require_rows(key: str, c: int, n_rows: int) -> None:
@@ -244,7 +254,7 @@ def _require_rows(key: str, c: int, n_rows: int) -> None:
         raise ConfigError(f"{key}={c} must be < supervised rows N={n_rows}")
 
 
-def cmd_sweep(exp: Experiment) -> int:
+def cmd_sweep(exp: Experiment) -> None:
     """Score the six validity indices over C for gk and fcm."""
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
@@ -266,20 +276,15 @@ def cmd_sweep(exp: Experiment) -> int:
                      "\n".join(lines) + "\n")
         print(f"{algorithm}: consensus C = {report.consensus} "
               f"(per-index {report.per_index_optimum})")
-    _write_manifest(exp, "sweep")
-    return 0
 
 
-def cmd_train(exp: Experiment) -> int:
+def cmd_train(exp: Experiment) -> None:
     """Fit one model per algorithm, stride and scaling."""
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
     models_dir = os.path.join(exp.out, "models")
-    reports_dir = os.path.join(exp.out, "reports")
-    os.makedirs(models_dir, exist_ok=True)
-    os.makedirs(reports_dir, exist_ok=True)
     sweep_requested = exp.get("clusters", "3") == "sweep"
-    count = 0
+    fitted = []  # (name, model, fit); nothing is written until every one is fitted
     for algorithm in exp.algorithms:
         for stride in exp.strides:
             for normalized in exp.normalization_modes:
@@ -300,15 +305,13 @@ def cmd_train(exp: Experiment) -> int:
                 norm = None if record is None else (tuple(record.mins.tolist()),
                                                     tuple(record.maxs.tolist()))
                 scheme = core.Scheme(algorithm, stride, sset.lag, norm)
-                core.save_model(replace(model, scheme=scheme),
-                                os.path.join(models_dir, f"{name}.model.txt"))
-                fit.to_csv(os.path.join(reports_dir, f"fit_{name}.csv"))
+                fitted.append((name, replace(model, scheme=scheme), fit))
                 print(f"trained {name}: rules={fit.n_rules} "
                       f"train_rmse={fit.train.rmse:.6g}")
-                count += 1
-    _write_manifest(exp, "train")
-    print(f"{count} model(s) in {models_dir}")
-    return 0
+    for name, model, fit in fitted:
+        core.save_model(model, os.path.join(models_dir, f"{name}.model.txt"))
+        fit.to_csv(os.path.join(exp.out, "reports", f"fit_{name}.csv"))
+    print(f"{len(fitted)} model(s) in {models_dir}")
 
 
 def _metric_row(label, stride, split, ms):
@@ -359,19 +362,26 @@ def _evaluable_model(path: str, name: str, allowed):
     return model, record
 
 
-def _evaluate_scheme(models, record, validation, train, series_dir):
+def _evaluate_scheme(models, record, validation, train, models_dir, series_dir):
     """Score and write the (name, model) pairs ``models`` of one scheme, in
     name order, from one build of its supervised rows, scaled by ``record``
     if not None, and one formatting of the columns its series files share.
     Returns the report rows and the extrapolation fraction of each model by
-    name."""
+    name.  A record that scales a row beyond the largest float (a valid but
+    tiny range) is a data error naming the scheme's first model file."""
     scheme = models[0][1].scheme
 
-    def rows_of(series):
-        return build_supervised(series, lag=scheme.lag, stride=scheme.stride,
-                                normalization=record or False)
+    def rows_of(series, key):
+        try:
+            with np.errstate(over="raise"):
+                return build_supervised(series, lag=scheme.lag, stride=scheme.stride,
+                                        normalization=record or False)
+        except FloatingPointError:
+            path = os.path.join(models_dir, f"{models[0][0]}.model.txt")
+            raise DataValidationError(f"{path}: scaling the {key} rows by its "
+                                      "normalization record overflows") from None
 
-    vset, tset = rows_of(validation), None
+    vset, tset = rows_of(validation, "validation_csv"), None
     header = ["index", "observed", "predicted"]
     # the text of the columns every model shares, and lazily that of each
     # model's forecasts: the repr of a float is the text csv writes for it
@@ -389,7 +399,7 @@ def _evaluate_scheme(models, record, validation, train, series_dir):
         rows[name] = [_metric_row(label, scheme.stride, "validation", metrics)]
         if train is not None:
             if tset is None:  # after a validation score: a bad validation split goes first
-                tset = rows_of(train)
+                tset = rows_of(train, "train_csv")
             rows[name].append(_metric_row(label, scheme.stride, "train",
                                           _score(model, tset, "train_csv")[0]))
         columns = shared + [map(repr, yhat.tolist())]
@@ -400,7 +410,7 @@ def _evaluate_scheme(models, record, validation, train, series_dir):
     return rows, fractions
 
 
-def cmd_evaluate(exp: Experiment) -> int:
+def cmd_evaluate(exp: Experiment) -> None:
     """Score every model into the forecast report and series."""
     validation = exp.load_series("validation_csv")
     include_train = exp.get("include_train", "off")
@@ -409,7 +419,6 @@ def cmd_evaluate(exp: Experiment) -> int:
     train_series = exp.load_series("train_csv") if include_train == "on" else None
     models_dir = exp.get("models_dir", os.path.join(exp.out, "models"))
     series_dir = os.path.join(exp.out, "series")
-    os.makedirs(series_dir, exist_ok=True)
     try:
         names = sorted(f[: -len(".model.txt")] for f in os.listdir(models_dir)
                        if f.endswith(".model.txt"))
@@ -433,7 +442,7 @@ def cmd_evaluate(exp: Experiment) -> int:
     report, extrapolation = {}, {}
     for record, models in schemes.values():
         rows, fractions = _evaluate_scheme(models, record, validation, train_series,
-                                           series_dir)
+                                           models_dir, series_dir)
         report.update(rows)
         extrapolation.update(fractions)
 
@@ -444,12 +453,10 @@ def cmd_evaluate(exp: Experiment) -> int:
         write_csv(os.path.join(exp.out, "extrapolation.csv"),
                   ["combination", "outside_unit_fraction"],
                   [[name, extrapolation[name]] for name in names if name in extrapolation])
-    _write_manifest(exp, "evaluate")
     print(f"wrote {report_path} ({len(rows)} rows)")
-    return 0
 
 
-def cmd_compare(exp: Experiment) -> int:
+def cmd_compare(exp: Experiment) -> None:
     """Rank the algorithms of each scheme by validation RMSE."""
     paths = [p.strip() for p in
              exp.get("reports", os.path.join(exp.out, "forecast_report.csv")).split(",")
@@ -491,9 +498,7 @@ def cmd_compare(exp: Experiment) -> int:
         lines.append("")
     path = os.path.join(exp.out, "compare.md")
     write_atomic(path, "\n".join(lines) + "\n")
-    _write_manifest(exp, "compare")
     print(f"wrote {path}")
-    return 0
 
 
 COMMANDS = {
@@ -523,14 +528,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = parse_config(args.config)
+        unknown = [key for key in raw if key not in CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config key '{unknown[0]}'")
         out = args.out if args.out is not None else raw.get("out", "out")
         exp = Experiment(raw=raw, out=out, seed=0)
         exp.seed = args.seed if args.seed is not None else exp.get_int("seed", 0)
-        try:
-            os.makedirs(out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
-        return COMMANDS[args.command](exp)
+        COMMANDS[args.command](exp)
+        _write_manifest(exp, args.command)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -542,6 +548,10 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every input is read where it is named: this is an output
+        print(f"config error: cannot write {exc.filename or 'output'}: {exc.strerror}",
+              file=sys.stderr)
         return 2
 
 

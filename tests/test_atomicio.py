@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from fuzzyrunoff.atomicio import write_csv, write_numeric_csv
+from fuzzyrunoff.atomicio import write_atomic, write_csv, write_numeric_csv
 
 
 def csv_module_text(header, rows) -> str:
@@ -53,3 +53,11 @@ class TestNumericCsv:
     def test_header_only(self, tmp_path):
         write_numeric_csv(tmp_path / "t.csv", ["a,b", "c"], [])
         assert (tmp_path / "t.csv").read_bytes() == b'"a,b",c\r\n'
+
+
+@pytest.mark.parametrize("target", ["a/b/report.txt", "report.txt"])
+def test_write_atomic_makes_the_directory(tmp_path, monkeypatch, target):
+    # a bare file name is written to the working directory
+    monkeypatch.chdir(tmp_path)
+    write_atomic(target, "text\n")
+    assert (tmp_path / target).read_text() == "text\n"

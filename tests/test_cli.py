@@ -95,6 +95,14 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "taken" in err
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_unknown_key_is_refused_before_any_output(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        config = write_config(tmp_path, "clsuters = 5\n")
+        assert run(tmp_path, command, config, monkeypatch) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'clsuters'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_cluster_config_reads_the_dataclass_defaults(self):
         exp = cli.Experiment(raw={"max_iter": "7", "sc_radius": "0.25"}, out="out", seed=5)
         assert exp.cluster_config("fcm") == ClusterConfig(
@@ -284,6 +292,15 @@ class TestTrain:
                                         "lag = 0\n")
         assert run(tmp_path, "train", config, monkeypatch) == 4
 
+    def test_numerical_failure_after_a_fit_writes_nothing(self, tmp_path, monkeypatch):
+        # fcm fits the event of the test above; gk then fails on it
+        write_degenerate_event(tmp_path, 40, dead_gauge=True)
+        config = write_config(tmp_path, "algorithms = fcm,gk\nstrides = 1\n"
+                                        "normalization = off\ngamma = 0\n"
+                                        "lag = 0\n")
+        assert run(tmp_path, "train", config, monkeypatch) == 4
+        assert not list((tmp_path / "out").rglob("*.model.txt"))
+
     def test_fcm_ignores_the_singular_covariance_it_never_inverts(self, tmp_path,
                                                                   monkeypatch):
         write_degenerate_event(tmp_path, 80, dead_gauge=True)
@@ -323,7 +340,8 @@ class TestTrain:
         assert run(tmp_path, "train", str(config), monkeypatch) == 3
         assert capsys.readouterr().err == (f"data error: {algorithm}_s95_dim: 6 rows cannot "
                                            f"determine {params} consequent parameters\n")
-        assert not (tmp_path / f"out/models/{algorithm}_s95_dim.model.txt").exists()
+        # the s1 combination was fitted first, but nothing is written before all are
+        assert not list((tmp_path / "out").rglob("*.model.txt"))
 
     def test_sweep_selected_rule_count(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"
@@ -517,6 +535,9 @@ class TestModelFile:
         ("0 0 0", "1 1 1", "normalization record covers exactly 5 columns"),
         ("0 0 0 0 nan", "1 1 1 1 1", "normalization record must be finite"),
         ("0 0 0 0 0", "1 1 inf 1 1", "normalization record must be finite"),
+        # finite with max > min, but rain1 / 5e-324 is beyond the largest float
+        ("0 0 0 0 0", "100 5e-324 100 100 100",
+         "scaling the validation_csv rows by its normalization record overflows"),
     ])
     def test_bad_scaling_record_names_the_model(self, trained, tmp_path, capsys,
                                                mins, maxs, message):
@@ -554,7 +575,7 @@ class TestBadModelPrecedence:
         assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == rc
         err = capsys.readouterr().err
         assert message in err and "b_first" in err and "c_second" not in err
-        assert not os.listdir(out / "series")
+        assert not list(out.rglob("series_*.csv"))
 
 
 def csv_module_text(header, rows) -> str:
@@ -718,6 +739,25 @@ class TestAtomicWrites:
             write_atomic(target, b"not text")
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["report.csv"]
+
+
+class TestUnwritableOutput:
+    """An output path that a plain file blocks is a config error naming it."""
+
+    @pytest.mark.parametrize("command, blocked, out", [
+        ("train", "out/models", "out"), ("train", "out/reports", "out"),
+        ("evaluate", "out/series", "out"), ("train", "taken", "taken")])
+    def test_blocked_path_is_config_error(self, trained, tmp_path, capsys, command,
+                                          blocked, out):
+        shutil.copytree(trained, tmp_path / "out")
+        path = tmp_path / blocked
+        if path.is_dir():
+            shutil.rmtree(path)
+        path.write_text("")
+        config = write_model_config(tmp_path / "out")
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {path}") and "Traceback" not in err
 
 
 class TestCompare:

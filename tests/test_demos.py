@@ -1,6 +1,6 @@
 """Every demo script, and the README's library quickstart, runs to completion
-against the current library, and every name the package exports or the
-README's module map names exists."""
+against the current library, every name the package exports or the README's
+module map names exists, and the README's config block lists the CLI's keys."""
 
 import importlib
 import os
@@ -63,3 +63,16 @@ def test_module_map_names_exist():
         unknown = [name for name in names
                    if not hasattr(found, name) and name not in cli.COMMANDS]
         assert unknown == [], module
+
+
+def test_config_block_lists_the_keys_the_cli_reads():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("A config file is plain `key = value` text:\n\n```\n", 1)[1]
+    keys = re.findall(r"^(\w+) = ", block.split("```", 1)[0], re.M)
+    assert len(keys) == len(set(keys)) and set(keys) == cli.CONFIG_KEYS
+    # the keys main accepts are those the subcommands read, by name or as
+    # ClusterConfig's fields
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    read = re.findall(r"(?:self|exp|raw)\.(?:get|get_int|get_float|_values|load_series)"
+                      r"\(\"(\w+)\"", source)
+    assert set(read) | {f.name for f in cli._TUNED} == cli.CONFIG_KEYS
