@@ -78,7 +78,7 @@ _TUNED = tuple(f for f in fields(ClusterConfig)
 CONFIG_KEYS = frozenset([
     "out", "seed", "base_interval", "train_csv", "validation_csv", "algorithms", "clusters",
     "c_max", *(f.name for f in _TUNED), "strides", "normalization", "lag", "max_lag",
-    "sweep_stride", "include_train", "models_dir", "reports", "synth_duration",
+    "include_train", "models_dir", "reports", "synth_duration",
     "storm_pulses", "storm_amplitude", "storm_width", "storm_station_gains",
     "storm_station_delays", "storm_routing_lag", "storm_storage", "storm_gain",
     "storm_exponent", "storm_noise", "storm_initial_head", "storm_rain_resolution"])
@@ -258,8 +258,7 @@ def cmd_sweep(exp: Experiment) -> None:
     """Score the six validity indices over C for gk and fcm."""
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
-    stride = exp.get_int("sweep_stride", 1)
-    sset, = scheme_sets(lag, stride, True in exp.normalization_modes, series)
+    sset, = scheme_sets(lag, exp.strides[0], True in exp.normalization_modes, series)
     c_range = exp.sweep_range
     _require_rows("c_max", c_range.stop - 1, sset.n_rows)
     algorithms = [a for a in exp.algorithms if a in ("gk", "fcm")]
@@ -308,9 +307,19 @@ def cmd_train(exp: Experiment) -> None:
                 fitted.append((name, replace(model, scheme=scheme), fit))
                 print(f"trained {name}: rules={fit.n_rules} "
                       f"train_rmse={fit.train.rmse:.6g}")
-    for name, model, fit in fitted:
-        core.save_model(model, os.path.join(models_dir, f"{name}.model.txt"))
-        fit.to_csv(os.path.join(exp.out, "reports", f"fit_{name}.csv"))
+    written = []  # removed again if a later write fails
+    try:
+        for name, model, fit in fitted:
+            path = os.path.join(models_dir, f"{name}.model.txt")
+            core.save_model(model, path)
+            written.append(path)
+            path = os.path.join(exp.out, "reports", f"fit_{name}.csv")
+            fit.to_csv(path)
+            written.append(path)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
     print(f"{len(fitted)} model(s) in {models_dir}")
 
 
@@ -320,12 +329,8 @@ def _metric_row(label, stride, split, ms):
 
 def _score(model: core.TsModel, sset, key: str):
     """(metrics, predictions) of ``model`` on the supervised rows ``sset``.
-    A split that cannot be scored is a data error naming its CSV ``key``: a
-    constant observed series, whose variance CE divides by, or any other
-    series that metric_set refuses."""
-    if np.all(sset.y == sset.y[0]):
-        raise DataValidationError(f"{key}: observed series is constant "
-                                  f"({float(sset.y[0])!r}); there is nothing to score")
+    A split that metric_set refuses, such as a constant observed series, is
+    a data error naming its CSV ``key``."""
     yhat = core.predict_batch(model, sset.x)
     try:
         return metric_set(sset.y, yhat), yhat
@@ -537,9 +542,6 @@ def main(argv=None) -> int:
         COMMANDS[args.command](exp)
         _write_manifest(exp, args.command)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DataValidationError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

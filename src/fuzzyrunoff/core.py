@@ -10,11 +10,9 @@ Inference is rule-major from input to output.  The (N, n) input rows are
 taken once as a contiguous (n, N) array; the firing and then the rule
 outputs are formed in one (n, C, N) scratch buffer and reduced over the
 inputs to (C, N) arrays; the firing total and the weighted sum are sums of
-(C, N) arrays over the rules.  Those sums keep numpy's order for the row sum
-of an (N, C) array, so the result is bit for bit the rows-layout formula:
-in order for C < 8; for C >= 8 pairwise, with eight accumulators started
-from +0.0 over blocks of 8 rules, combined as ((r0 + r1) + (r2 + r3)) +
-((r4 + r5) + (r6 + r7)), then the remaining rules in order.
+(C, N) arrays over the rules.  Every one of these sums, over the inputs and
+over the rules, adds its terms in index order starting from +0.0, whatever
+the number of rows, so a single row is bit for bit its row in a batch.
 
 Note on the membership function: the Gaussian used here is
 
@@ -161,7 +159,7 @@ def _predict_columns(model: TsModel, cols: np.ndarray) -> np.ndarray:
     scratch = _scratch(model, cols)
     w, wsum, degenerate, nearest = _firing_with_fallback(model, cols, scratch)
     outputs = _rule_output_rows(model, cols, scratch)
-    yhat = _rule_sum(np.multiply(w, outputs, out=w))
+    yhat = _ordered_sum(np.multiply(w, outputs, out=w))
     yhat /= wsum
     if nearest is not None:
         yhat[degenerate] = outputs[nearest, np.flatnonzero(degenerate)]
@@ -208,35 +206,20 @@ def _firing_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.nd
 def _rule_output_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """(C, N) rule outputs of the (n, N) columns: the products x_k * theta_k
     formed in ``scratch``, added over the inputs in order, then the
-    intercepts.  A one-rule model's single row is one contiguous run, which
-    numpy sums pairwise from 8 inputs on; its cumulative sum keeps the order."""
+    intercepts."""
     _, _, slopes, intercepts = model._rule_major
-    products = np.multiply(cols[:, None, :], slopes, out=scratch)
-    y = products.sum(axis=0) if products.size > len(cols) else np.cumsum(products, axis=0)[-1]
+    y = _ordered_sum(np.multiply(cols[:, None, :], slopes, out=scratch))
     y += intercepts
     return y
 
 
-def _rule_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the rules of the (C, N) array ``a`` in numpy's order for the
-    row sum of its (N, C) transpose (module docstring); above 128 rules numpy
-    splits the rules in two, the first part a multiple of 8.  Starting the
-    accumulators from +0.0 sums a column of -0.0 to +0.0, as numpy does."""
-    c = a.shape[0]
-    if c < 8:
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of ``a`` in index order from +0.0.  numpy adds the
+    slices of an outer axis in that order, but sums one contiguous run of 8
+    or more terms pairwise; its cumulative sum keeps the order there."""
+    if len(a) < 8 or a.size > len(a):
         return a.sum(axis=0)
-    if c > 128:
-        half = c // 2 - c // 2 % 8
-        return _rule_sum(a[:half]) + _rule_sum(a[half:])
-    blocks = c - c % 8
-    r = a[:8] + 0.0
-    for i in range(8, blocks, 8):
-        r += a[i:i + 8]
-    total = (r[0] + r[1]) + (r[2] + r[3])
-    total += (r[4] + r[5]) + (r[6] + r[7])
-    for row in a[blocks:]:
-        total += row
-    return total
+    return np.cumsum(a, axis=0)[-1] + 0.0
 
 
 def _firing_with_fallback(model: TsModel, cols: np.ndarray, scratch: np.ndarray):
@@ -250,7 +233,7 @@ def _firing_with_fallback(model: TsModel, cols: np.ndarray, scratch: np.ndarray)
     it does not are the inputs checked, naming the first non-finite row in a
     ValueError."""
     w = _firing_rows(model, cols, scratch)
-    wsum = _rule_sum(w)
+    wsum = _ordered_sum(w)
     if wsum.min(initial=np.inf) >= DEGENERACY_FLOOR:
         return w, wsum, None, None
     finite = np.isfinite(cols).all(axis=0)

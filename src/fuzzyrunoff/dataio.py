@@ -225,7 +225,6 @@ class SupervisedSet:
 
     x: np.ndarray
     y: np.ndarray
-    stride: int
     lag: int
     normalization: NormalizationRecord | None = None
 
@@ -277,7 +276,7 @@ def build_supervised(series: EventSeries, lag: int, stride: int,
     if record is not None:
         x = record.normalize_x(x)
         y = record.normalize_y(y)
-    return SupervisedSet(x=x, y=y, stride=stride, lag=lag, normalization=record)
+    return SupervisedSet(x=x, y=y, lag=lag, normalization=record)
 
 
 def scheme_sets(lag: int, stride: int, normalization: bool, train: EventSeries,

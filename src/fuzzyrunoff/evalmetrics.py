@@ -47,20 +47,25 @@ def metric_set(y, yhat) -> MetricSet:
     squares of the observed series about its own mean; VE is
     (sum(y) - sum(yhat)) / sum(y) * 100; r is the Pearson correlation.
     Raises ValueError for an empty or mismatched pair, then for a constant
-    observed series (F0 = 0), then for one that sums to zero, then for a
-    constant prediction.
+    observed series or one whose spread F0 underflows to 0, then for one
+    that sums to zero, then for a constant prediction or one whose spread
+    is 0.  Equal values are refused as constant even where their mean
+    rounds to a nonzero spread.
     """
     y, yhat = _pair(y, yhat)
     f, dy = float(np.sum((y - yhat) ** 2)), y - y.mean()
     f0 = float(np.sum(dy**2))
+    if np.all(y == y[0]):
+        raise ValueError(f"observed series is constant ({float(y[0])!r}); "
+                         "there is nothing to score")
     if f0 == 0.0:
-        raise ValueError("observed series is constant (F0 = 0)")
+        raise ValueError("observed series has zero variance (F0 = 0)")
     total = float(np.sum(y))
     if total == 0.0:
         raise ValueError("observed series sums to zero")
     dp = yhat - yhat.mean()
     sp = float(np.sqrt(np.sum(dp**2)))
-    if sp == 0.0:
+    if sp == 0.0 or np.all(yhat == yhat[0]):
         raise ValueError("zero variance in one of the series")
     return MetricSet(rmse=float(np.sqrt(f / y.size)), ce=1.0 - f / f0,
                      ve=(total - float(np.sum(yhat))) / total * 100.0,

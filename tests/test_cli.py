@@ -758,6 +758,8 @@ class TestUnwritableOutput:
         assert cli.main([command, "--config", config, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {path}") and "Traceback" not in err
+        if blocked == "out/reports":  # the model written before the failed write is removed
+            assert not list((tmp_path / out).rglob("*.model.txt"))
 
 
 class TestCompare:
@@ -893,20 +895,24 @@ class TestSweep:
 
     def test_scores_the_rows_train_fits(self, tmp_path, monkeypatch):
         # at this seed GK's consensus on the rows with the unshifted lag is
-        # 2, while the lag-minus-stride rows that train fits give 3
-        config = tmp_path / "exp.conf"
-        config.write_text("seed = 3\nbase_interval = 30\nsynth_duration = 9000\n"
-                          "storm_exponent = 1.5\nalgorithms = gk,fcm\n"
-                          "clusters = sweep\nc_max = 6\nstrides = 1\nlag = auto\n"
-                          "max_lag = 20\nout = out\ntrain_csv = out/train.csv\n"
-                          "validation_csv = out/validation.csv\n")
-        for command in ("synth", "sweep", "train"):
-            assert run(tmp_path, command, str(config), monkeypatch) == 0
-        for algorithm in ("gk", "fcm"):
-            optima = (tmp_path / f"out/optima_{algorithm}.txt").read_text()
-            fit = (tmp_path / f"out/reports/fit_{algorithm}_s1_dim.csv").read_text()
-            consensus = fit.strip().splitlines()[1].split(",")[-1]
-            assert optima.splitlines()[0] == f"consensus {consensus}", algorithm
+        # 2, while the lag-minus-stride rows that train fits give 3; sweep
+        # scores the first configured stride, and at stride 15 GK's is 2
+        for first, strides in ((1, "1"), (15, "15,1")):
+            config = tmp_path / f"exp{first}.conf"
+            config.write_text("seed = 3\nbase_interval = 30\nsynth_duration = 9000\n"
+                              "storm_exponent = 1.5\nalgorithms = gk,fcm\n"
+                              f"clusters = sweep\nc_max = 6\nstrides = {strides}\n"
+                              f"lag = auto\nmax_lag = 20\nout = out{first}\n"
+                              f"train_csv = out{first}/train.csv\n"
+                              f"validation_csv = out{first}/validation.csv\n")
+            for command in ("synth", "sweep", "train"):
+                assert run(tmp_path, command, str(config), monkeypatch) == 0
+            for algorithm in ("gk", "fcm"):
+                out = tmp_path / f"out{first}"
+                optima = (out / f"optima_{algorithm}.txt").read_text()
+                fit = (out / f"reports/fit_{algorithm}_s{first}_dim.csv").read_text()
+                consensus = fit.strip().splitlines()[1].split(",")[-1]
+                assert optima.splitlines()[0] == f"consensus {consensus}", (first, algorithm)
 
     def test_deterministic_rerun(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nc_max = 4\n")

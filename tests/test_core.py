@@ -220,16 +220,33 @@ class TestPredictBatch:
             assert rule_output_rows(model, X[k:k + 1])[0, 0] == outputs[k, 0], k
             assert predict(model, X[k]) == batch[k], k
 
-    def test_rule_sum_is_numpys_row_sum_of_the_transpose(self):
-        # C = 1..40: the in-order sum, blocks of 8 rules and their remainders;
-        # C = 129..136: more than 128 rules, which numpy splits in two
+    @pytest.mark.parametrize("c", [8, 9, 20, 129])
+    def test_many_rule_row_alone_matches_the_batch(self, c):
+        # a single row's rule sums are one contiguous run of C terms, which
+        # numpy sums pairwise from 8 rules on unless told otherwise
+        rng = np.random.default_rng(c)
+        model = random_model(rng, c, 3, mean_scale=0.5, width_scale=5.0)
+        X = rng.normal(size=(50, 3))
+        batch = predict_batch(model, X)
+        for k in range(X.shape[0]):
+            assert predict(model, X[k]) == batch[k], k
+
+    def test_ordered_sum_adds_in_index_order_from_plus_zero(self):
+        # C = 1..40: fewer than 8 terms, then runs that numpy would sum
+        # pairwise; C = 129..136: more than 128 terms, which numpy's pairwise
+        # sum splits in two.  N = 1 is one contiguous run, N = 40 slices.
         rng = np.random.default_rng(7)
         for c in [*range(1, 41), *range(129, 137)]:
-            a = rng.normal(size=(c, 40)) * 10.0 ** rng.integers(-8, 9, size=(c, 40))
-            a[:, :4] = -0.0  # numpy sums these columns to +0.0
-            a[:, 4:8] = rng.choice([0.0, -0.0], size=(c, 4))
-            want = np.ascontiguousarray(a.T).sum(axis=1)
-            assert core._rule_sum(a).tobytes() == want.tobytes(), c
+            for n in (1, 40):
+                a = rng.normal(size=(c, n)) * 10.0 ** rng.integers(-8, 9, size=(c, n))
+                if n > 1:
+                    a[:, :4] = -0.0  # summed from +0.0, these columns are +0.0
+                    a[:, 4:8] = rng.choice([0.0, -0.0], size=(c, 4))
+                want = np.zeros(n)
+                for row in a:
+                    want = want + row
+                assert core._ordered_sum(a).tobytes() == want.tobytes(), (c, n)
+        assert core._ordered_sum(np.full((9, 1), -0.0)).tobytes() == np.zeros(1).tobytes()
 
     def test_row_index_in_error(self):
         model = one_input_model((0, 1, [0, 1]))

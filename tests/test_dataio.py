@@ -174,7 +174,6 @@ class TestBuildSupervised:
         s = simple_series(302)
         sset = build_supervised(s, lag=0, stride=stride)
         assert sset.n_rows == rows
-        assert sset.stride == stride
 
     def test_normalization_roundtrip(self):
         s = simple_series(50)
@@ -217,7 +216,7 @@ class TestSchemeSets:
         assert [s.lag for s in sets] == [shift, shift]
         for sset, series in zip(sets, (train, valid)):
             want = build_supervised(series, lag=shift, stride=stride)
-            assert sset.stride == stride and sset.normalization is None
+            assert sset.normalization is None
             assert np.array_equal(sset.x, want.x) and np.array_equal(sset.y, want.y)
 
     def test_every_set_is_scaled_with_the_training_record(self):

@@ -150,6 +150,11 @@ def test_metric_set_equals_separate_passes_bit_for_bit():
     ([2.0, 2.0], [1.0, 1.0], "constant"),  # ce's error before ve's and r's
     ([1.0, -1.0], [3.0, 3.0], "sums to zero"),  # ve's error before r's
     ([1.0, 2.0], [5.0, 5.0], "zero variance"),
+    # equal values whose mean rounds off them: CE would read -8.65e31, r -1.2e-16
+    ([0.1] * 3, [0.2, 0.1, 0.3],
+     r"^observed series is constant \(0\.1\); there is nothing to score$"),
+    ([1.0, 2.0, 4.0], [0.7] * 3, "zero variance"),
+    ([1e-200, 2e-200], [1.0, 2.0], r"zero variance \(F0 = 0\)"),  # the spread underflows
 ])
 def test_metric_set_raises_the_first_error_of_rmse_ce_ve_r(y, yhat, message):
     with pytest.raises(ValueError, match=message):

@@ -42,7 +42,7 @@ any_float = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def models(draw, values=finite):
     n = draw(st.integers(1, 4))
-    c = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 20))
 
     def matrix(elements, cols):
         return [[draw(elements) for _ in range(cols)] for _ in range(c)]
@@ -97,14 +97,22 @@ def rule_outputs_nci(model: TsModel, X) -> np.ndarray:
     return theta[None, :, 0] + (X[:, None, :] * theta[None, :, 1:]).sum(axis=2)
 
 
+def rule_sum_in_order(a) -> np.ndarray:
+    """The (N, C) rows of ``a`` summed over the rules in index order from +0.0."""
+    total = np.zeros(len(a))
+    for column in a.T:
+        total = total + column
+    return total
+
+
 def predict_batch_nci(model: TsModel, X) -> np.ndarray:
-    """Weighted average of ``rule_outputs_nci`` by ``firing_nci``, with the
-    nearest-rule fallback below DEGENERACY_FLOOR."""
+    """Weighted average of ``rule_outputs_nci`` by ``firing_nci``, the rules
+    added in order, with the nearest-rule fallback below DEGENERACY_FLOOR."""
     w, outputs = firing_nci(model, X), rule_outputs_nci(model, X)
-    wsum = w.sum(axis=1)
+    wsum = rule_sum_in_order(w)
     degenerate = wsum < DEGENERACY_FLOOR
     wsum[degenerate] = 1.0
-    yhat = (w * outputs).sum(axis=1) / wsum
+    yhat = rule_sum_in_order(w * outputs) / wsum
     if degenerate.any():
         yhat[degenerate] = outputs[degenerate, nearest_rule_index(model, X[degenerate])]
     return yhat
@@ -112,11 +120,11 @@ def predict_batch_nci(model: TsModel, X) -> np.ndarray:
 
 @st.composite
 def wide_models_and_rows(draw):
-    """A model with n = 1..7 inputs and C = 1..20 rules (a second block of 8
-    rules and a remainder in the rule sums), and 0..6 finite rows, 0..3 rows
-    one width from some rule's means (firing exp(-1) there) and 0..2 rows
-    far outside every rule (they take the fallback).  The premise means are
-    either anywhere or within one unit, so that many rules fire together.
+    """A model with n = 1..7 inputs and C = 1..20 rules (rule sums of 8 and
+    more terms), and 0..6 finite rows, 0..3 rows one width from some rule's
+    means (firing exp(-1) there) and 0..2 rows far outside every rule (they
+    take the fallback).  The premise means are either anywhere or within
+    one unit, so that many rules fire together.
     Half of the models have every rule output equal to -5e-324, which a
     firing below 0.5 weights to exactly -0.0: a row where every rule fires
     below 0.5 but the total is above the degeneracy floor then sums a column
@@ -151,7 +159,10 @@ def test_rule_major_inference_equals_the_feature_axis_formulas(case):
     assert firing.shape == (len(X), c) and firing.flags.c_contiguous
     assert bits(firing) == bits(firing_nci(model, X))
     assert bits(rule_output_rows(model, X)) == bits(rule_outputs_nci(model, X))
-    assert bits(predict_batch(model, X)) == bits(predict_batch_nci(model, X))
+    want = predict_batch_nci(model, X)
+    assert bits(predict_batch(model, X)) == bits(want)
+    for k in range(len(X)):  # a row alone sums each rule axis as one run
+        assert bits(predict_batch(model, X[k:k + 1])) == bits(want[k])
 
 
 @settings(max_examples=200, deadline=None)
