@@ -20,8 +20,12 @@ Each entry point checks its data once (2-d, finite).
 All three are deterministic for a fixed seed, and iteration traces
 reproduce bit for bit.  Distances, GK's induced ones included, work on the
 samples as contiguous (d, N) columns and sum the squared terms over the
-coordinates one at a time, in order (see ``_sq_euclidean``); every other
-reduction uses numpy's fixed summation order.
+coordinates one at a time, in order (see ``_sq_euclidean``).  GK's scatter
+works on the same columns: one GEMM per cluster adds the samples' terms in
+the order OpenBLAS uses for those operand layouts, so moving an operand to
+another layout changes the round-off, and the bit-for-bit tests run with
+one BLAS thread (``OPENBLAS_NUM_THREADS=1``), whose order is fixed.  Every
+other reduction uses numpy's fixed summation order.
 
 The alternating-optimisation loop takes u**m once per iteration (the
 objective's weights are the next iteration's), the GK blend scale and the
@@ -135,18 +139,26 @@ def update_centers(z: np.ndarray, um: np.ndarray) -> np.ndarray:
 
 def scatter_matrices(z: np.ndarray, um: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Raw fuzzy covariance per cluster from the weights ``um`` = u**m,
-    before any regularisation."""
+    before any regularisation.
+
+    Works on the samples as contiguous (d, N) columns; ``z`` given as the
+    transpose of such columns, as ``_run_alternating`` passes it, is not
+    copied.  Per cluster the center is subtracted into one (d, N) buffer,
+    weighted by ``um[i]`` into a second, and one GEMM ``weighted @ diff.T``
+    sums over the samples in the order OpenBLAS uses for those operand
+    layouts.  Another layout of the same operands gives another order, so
+    it moves the result by round-off.
+    """
     mass = _membership_mass(um)
+    cols = np.ascontiguousarray(z.T)
     c, d = centers.shape
     out = np.empty((c, d, d))
-    diff = np.empty_like(z, dtype=float)
-    # diff.T * um[i] in the layout numpy gives that product, so that the
-    # matmul below makes the same BLAS call on the same operand layouts
-    weighted = np.empty_like(diff.T)
+    diff = np.empty(cols.shape)
+    weighted = np.empty(cols.shape)
     for i in range(c):
-        np.subtract(z, centers[i], out=diff)
-        np.multiply(diff.T, um[i], out=weighted)
-        np.matmul(weighted, diff, out=out[i])
+        np.subtract(cols, centers[i][:, None], out=diff)
+        np.multiply(diff, um[i], out=weighted)
+        np.matmul(weighted, diff.T, out=out[i])
         out[i] /= mass[i]
     return out
 
@@ -171,11 +183,15 @@ def update_covariances(scatter: np.ndarray, gamma: float,
 
     F_i <- (1-gamma) F_i + gamma * scale * I for the raw ``scatter`` F_i,
     with ``scale`` = ``blend_scale(z)``, which does not change between
-    iterations (unused when gamma is 0).  Raises if a blended matrix is
-    still numerically singular (smallest eigenvalue <= 1e-12 * trace).
+    iterations (unused when gamma is 0, a ValueError when missing for a
+    blend).  Raises if a blended matrix is still numerically singular
+    (smallest eigenvalue <= 1e-12 * trace).
     """
     covs = scatter
     if gamma > 0:
+        if scale is None:
+            raise ValueError(f"a blend with gamma = {gamma} needs scale = blend_scale(z), "
+                             "got None")
         d = scatter.shape[-1]
         covs = (1.0 - gamma) * scatter
         covs[:, range(d), range(d)] += gamma * scale
@@ -306,7 +322,8 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
     for _ in range(cfg.max_iter):
         centers = update_centers(z, um)
         if adaptive_norm:
-            covs = update_covariances(scatter_matrices(z, um, centers), cfg.gamma, scale)
+            scatter = scatter_matrices(cols.T, um, centers)  # takes cols, no copy
+            covs = update_covariances(scatter, cfg.gamma, scale)
             norms = norm_matrices(covs)
         d2 = _squared_distances(cols.T, centers, norms)  # takes cols, no copy
         u_new = update_memberships(d2, cfg.m)

@@ -128,7 +128,9 @@ class ValidityReport:
     reuses.  It is the only partition kept: a report may outlive its sweep,
     and every C's partition would cost memory in proportion to the range.
     During the sweep only the partitions of the indices' optima so far are
-    held, since no other C can become the consensus.
+    held, since no other C can become the consensus.  ``iterations`` maps
+    each C that clustered and scored to its trace's (n_iterations,
+    converged); a failed C has no entry.
     """
 
     c_values: list[int]
@@ -136,6 +138,7 @@ class ValidityReport:
     per_index_optimum: dict[str, int]
     consensus: int
     failures: dict[int, str] = field(default_factory=dict)
+    iterations: dict[int, tuple[int, bool]] = field(default_factory=dict)
     partition: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_csv(self, path) -> None:
@@ -169,6 +172,7 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     names = list(INDEX_DIRECTIONS)
     table = {name: [] for name in names}
     failures: dict[int, str] = {}
+    iterations: dict[int, tuple[int, bool]] = {}
     partitions = {}
     leaders = {}  # index name -> (score, C) of its optimum so far
     for c in c_values:
@@ -176,6 +180,8 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
         try:
             partitions[c] = run_clustering(z, cfg)
             values = all_indices(partitions[c][0], z, partitions[c][1])
+            trace = partitions[c][2]
+            iterations[c] = (trace.n_iterations, trace.converged)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             failures[c] = str(exc)
             values = dict.fromkeys(names, float("nan"))
@@ -193,5 +199,5 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     per_index = {name: leaders[name][1] for name in names}
     consensus = consensus_count(per_index.values())
     return ValidityReport(c_values=c_values, table=table, per_index_optimum=per_index,
-                          consensus=consensus, failures=failures,
+                          consensus=consensus, failures=failures, iterations=iterations,
                           partition=partitions[consensus])

@@ -150,6 +150,10 @@ class TestCovariances:
         assert covs.tobytes() == ((1.0 - gamma) * raw + gamma * 1.0 * np.eye(3)).tobytes()
         assert_partition(run_gk(z, ClusterConfig(n_clusters=2, seed=0, max_iter=50))[0])
 
+    def test_blend_without_scale_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"needs scale = blend_scale\(z\)"):
+            update_covariances(np.eye(2)[None], 1e-3, None)
+
     def test_singular_after_regularisation_rejected(self):
         # gamma = 0 keeps the raw collinear scatter, which is singular
         z = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -230,6 +234,31 @@ class TestKernels:
                                  for w, v in zip(um, centers)])
             np.testing.assert_allclose(scatter_matrices(z, u**m, centers), expected,
                                        rtol=1e-12)
+
+    def test_scatter_is_the_rows_formula_up_to_round_off(self):
+        # the (d, N) layout's GEMM adds the samples in another order than
+        # the rows layout's, so the two may differ by round-off only
+        rng = np.random.default_rng(43)
+        for d in range(1, 8):
+            for c in range(1, 9):
+                n = int(rng.integers(c + 1, 300))
+                points = np.round(rng.normal(size=(int(rng.integers(2, 6)), d)), 1)
+                clouds = {
+                    "random": rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+                              + rng.normal(size=d),
+                    "grid": np.round(rng.normal(size=(n, d)), 1),
+                    "clumped": points[rng.integers(0, len(points), size=n)],
+                }
+                for kind, z in clouds.items():
+                    u = rng.random((c, n)) + 1e-3
+                    um = (u / u.sum(axis=0)) ** float(rng.uniform(1.2, 3.0))
+                    centers = update_centers(z, um)
+                    got = scatter_matrices(z, um, centers)
+                    mass = um.sum(axis=1)
+                    for i, v in enumerate(centers):
+                        rows = ((z - v).T * um[i]) @ (z - v) / mass[i]
+                        err = np.abs(got[i] - rows).max()
+                        assert err <= 1e-13 * np.abs(rows).max(), (d, c, kind, i, err)
 
     def test_distances_match_einsum(self):
         rng = np.random.default_rng(42)
@@ -457,6 +486,18 @@ class TestRunGk:
         _, centers, _ = run_gk(z, cfg)
         assert np.all(centers >= z.min(axis=0) - 1e-12)
         assert np.all(centers <= z.max(axis=0) + 1e-12)
+
+    def test_memory_stays_bounded(self):
+        # the run holds a few (C, N) arrays (0.77 MB each here) and the
+        # scatter's two (d, N) buffers; one more (C, d, N) copy would add 3.8 MB
+        z = np.random.default_rng(46).normal(size=(12_000, 5))
+        tracemalloc.start()
+        try:
+            run_gk(z, ClusterConfig(n_clusters=8, seed=0, max_iter=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestRunFcm:

@@ -216,7 +216,9 @@ def test_partition_columns_sum_to_one(z, c, seed):
 def unhoisted_run_alternating(z, cfg: ClusterConfig, adaptive_norm: bool):
     """The alternating-optimisation loop in its earlier form: each step takes
     u**m again, the blend scale is recomputed every iteration and each
-    squared distance is a short-axis ``sum(axis=1)`` over fresh temporaries."""
+    squared distance is a short-axis ``sum(axis=1)`` over fresh temporaries.
+    The scatter is the one product of the (d, N) column layout, whose GEMM
+    sums in another order than the rows layout's ``(diff.T * w) @ diff``."""
     m, mass_of = cfg.m, clustering._membership_mass
 
     def update_centers(u):
@@ -229,8 +231,8 @@ def unhoisted_run_alternating(z, cfg: ClusterConfig, adaptive_norm: bool):
         c, d = centers.shape
         covs = np.empty((c, d, d))
         for i in range(c):
-            diff = z - centers[i]
-            covs[i] = ((diff.T * um[i]) @ diff) / mass[i]
+            diff = np.ascontiguousarray(z.T) - centers[i][:, None]
+            covs[i] = ((diff * um[i]) @ diff.T) / mass[i]
         if cfg.gamma > 0:
             diff = z - z.mean(axis=0)
             det = float(np.linalg.det((diff.T @ diff) / z.shape[0]))

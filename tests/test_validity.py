@@ -310,6 +310,22 @@ class TestSweep:
         assert all(opt != 4 for opt in report.per_index_optimum.values())
         assert report.consensus == 3
 
+    def test_records_each_cs_iterations(self, monkeypatch):
+        import fuzzyrunoff.validity as validity_mod
+        from fuzzyrunoff.clustering import NumericalError, run_gk
+
+        def flaky(data, cfg):
+            if cfg.n_clusters == 4:
+                raise NumericalError("staged failure")
+            return run_gk(data, cfg)
+
+        monkeypatch.setattr(clustering, "run_gk", flaky)
+        report = validity_mod.sweep_clusters(
+            three_blobs(seed=21), ClusterConfig(algorithm="gk", seed=0, max_iter=30),
+            range(2, 6))
+        # C = 4 failed and has no entry; C = 5 stopped at max_iter
+        assert report.iterations == {2: (29, True), 3: (9, True), 5: (30, False)}
+
     @pytest.mark.parametrize("algorithm", ["gk", "fcm"])
     def test_holds_only_the_partitions_of_running_optima(self, monkeypatch, algorithm):
         import fuzzyrunoff.validity as validity_mod
