@@ -74,20 +74,24 @@ def parse_config(path) -> dict[str, str]:
 # ClusterConfig's fields that a config key of the same name sets
 _TUNED = tuple(f for f in fields(ClusterConfig)
                if f.name not in ("algorithm", "n_clusters", "seed"))
-# every key the subcommands read; main refuses any other
-CONFIG_KEYS = frozenset([
-    "out", "seed", "base_interval", "train_csv", "validation_csv", "algorithms", "clusters",
-    "c_max", *(f.name for f in _TUNED), "strides", "normalization", "lag", "max_lag",
-    "include_train", "models_dir", "reports", "synth_duration",
-    "storm_pulses", "storm_amplitude", "storm_width", "storm_station_gains",
-    "storm_station_delays", "storm_routing_lag", "storm_storage", "storm_gain",
-    "storm_exponent", "storm_noise", "storm_initial_head", "storm_rain_resolution"])
-
-
-def _finite(key, value):
-    if not math.isfinite(value):
-        raise ConfigError(f"config key '{key}' must be a finite number")
-    return value
+# the storm regime of synth; its other fields keep StormParams' defaults
+_STORM = StormParams(pulses=(3, 6), amplitude_range=(6.0, 14.0), width_range=(600.0, 1500.0),
+                     station_gains=(1.3, 0.8, 1.1), station_delays=(0.0, 30.0, 60.0),
+                     exponent=1.5, noise=0.05, rain_resolution=0.2)
+# StormParams' field that each storm_<field> key sets, any _range suffix dropped
+_STORM_KEYS = {f"storm_{f.name.removesuffix('_range')}": f.name for f in fields(StormParams)}
+# every key the subcommands read and its default, whose type is the type
+# Experiment.get reads; None where a key has no default or one derived where
+# it is read
+CONFIG_DEFAULTS = {
+    "out": "out", "seed": 0, "base_interval": 30.0, "train_csv": None, "validation_csv": None,
+    "algorithms": "gk,fcm,sc", "clusters": 3, "c_max": 8,
+    **{f.name: f.default for f in _TUNED},
+    "strides": "1", "normalization": "off", "lag": "auto", "max_lag": None,
+    "include_train": "off", "models_dir": None, "reports": None, "synth_duration": 9000.0,
+    **{key: getattr(_STORM, name) for key, name in _STORM_KEYS.items()}}
+# main refuses any other key
+CONFIG_KEYS = frozenset(CONFIG_DEFAULTS)
 
 
 @dataclass
@@ -98,106 +102,90 @@ class Experiment:
     out: str
     seed: int
 
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
-
-    def get_float(self, key, default):
+    def get(self, key, derived=None):
+        """The value of ``key``, or its default in CONFIG_DEFAULTS, or else
+        ``derived``.  A default that is an int, a float or a tuple of them
+        reads the value as an integer, a finite number or as many
+        comma-separated values; any other default reads it as text."""
+        default = derived if CONFIG_DEFAULTS[key] is None else CONFIG_DEFAULTS[key]
+        if key not in self.raw or not isinstance(default, (int, float, tuple)):
+            return self.raw.get(key, default)
+        if isinstance(default, tuple):
+            parts = [p.strip() for p in self.raw[key].split(",")]
+            if len(parts) != len(default):
+                raise ConfigError(f"config key '{key}' needs {len(default)} "
+                                  "comma-separated values")
+            kind = type(default[0])
+            what = "integers" if kind is int else "numeric"
+        else:
+            parts, kind = [self.raw[key]], type(default)
+            what = "an integer" if kind is int else "a number"
         try:
-            value = float(self.raw.get(key, default))
+            values = tuple(kind(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"config key '{key}' must be a number") from None
-        return _finite(key, value)
-
-    def get_int(self, key, default):
-        try:
-            return int(self.raw.get(key, default))
-        except ValueError:
-            raise ConfigError(f"config key '{key}' must be an integer") from None
+            raise ConfigError(f"config key '{key}' must be {what}") from None
+        if kind is float and not all(map(math.isfinite, values)):
+            raise ConfigError(f"config key '{key}' must be a finite number")
+        if key == "base_interval" and values[0] <= 0:
+            raise ConfigError("config key 'base_interval' must be > 0")
+        return values if isinstance(default, tuple) else values[0]
 
     @property
     def algorithms(self) -> list[str]:
-        names = [a.strip() for a in self.get("algorithms", "gk,fcm,sc").split(",") if a.strip()]
+        names = [a.strip() for a in self.get("algorithms").split(",") if a.strip()]
         if not names:
             raise ConfigError("config key 'algorithms' must list at least one algorithm")
         for a in names:
             if a not in ("gk", "fcm", "sc"):
                 raise ConfigError(f"unknown algorithm '{a}' in config")
+        if len(set(names)) < len(names):
+            raise ConfigError("config key 'algorithms' repeats an algorithm")
         return names
 
     @property
     def strides(self) -> list[int]:
         try:
-            strides = [int(s) for s in self.get("strides", "1").split(",") if s.strip()]
+            strides = [int(s) for s in self.get("strides").split(",") if s.strip()]
         except ValueError:
             raise ConfigError("config key 'strides' must be integers") from None
         if not strides or any(s < 1 for s in strides):
             raise ConfigError("config key 'strides' must list positive integers")
+        if len(set(strides)) < len(strides):
+            raise ConfigError("config key 'strides' repeats a stride")
         return strides
 
     @property
     def normalization_modes(self) -> list[bool]:
         modes = {"off": [False], "on": [True], "both": [False, True]}
-        mode = self.get("normalization", "off")
+        mode = self.get("normalization")
         if mode not in modes:
             raise ConfigError("config key 'normalization' must be on, off, or both")
         return modes[mode]
 
-    @property
-    def base_interval(self) -> float:
-        return self.get_float("base_interval", 30.0)
-
     def cluster_config(self, algorithm: str) -> ClusterConfig:
         """Keys named after ClusterConfig's numeric fields, with its defaults;
         ``clusters`` is 3 by default, and ``sweep`` starts the template at 2."""
-        tuned = {}
-        for f in _TUNED:
-            read = self.get_int if isinstance(f.default, int) else self.get_float
-            tuned[f.name] = read(f.name, f.default)
-        n_clusters = 2 if self.get("clusters") == "sweep" else self.get_int("clusters", 3)
+        tuned = {f.name: self.get(f.name) for f in _TUNED}
+        n_clusters = 2 if self.raw.get("clusters") == "sweep" else self.get("clusters")
         return ClusterConfig(algorithm=algorithm, n_clusters=n_clusters, seed=self.seed,
                              **tuned)
 
     @property
     def sweep_range(self):
-        return range(2, self.get_int("c_max", 8) + 1)
-
-    def _values(self, key, default, count, kind=float):
-        """``count`` comma-separated values of type ``kind`` (float or int)."""
-        parts = [p.strip() for p in self.get(key, default).split(",")]
-        if len(parts) != count:
-            raise ConfigError(f"config key '{key}' needs {count} comma-separated values")
-        try:
-            values = tuple(kind(p) for p in parts)
-        except ValueError:
-            what = "integers" if kind is int else "numeric"
-            raise ConfigError(f"config key '{key}' must be {what}") from None
-        return tuple(_finite(key, v) for v in values)
+        return range(2, self.get("c_max") + 1)
 
     def storm_params(self) -> StormParams:
-        return StormParams(
-            pulses=self._values("storm_pulses", "3,6", 2, int),
-            amplitude_range=self._values("storm_amplitude", "6,14", 2),
-            width_range=self._values("storm_width", "600,1500", 2),
-            station_gains=self._values("storm_station_gains", "1.3,0.8,1.1", 3),
-            station_delays=self._values("storm_station_delays", "0,30,60", 3),
-            routing_lag=self.get_int("storm_routing_lag", 5),
-            storage=self.get_float("storm_storage", 0.9),
-            gain=self.get_float("storm_gain", 0.08),
-            exponent=self.get_float("storm_exponent", 1.5),
-            noise=self.get_float("storm_noise", 0.05),
-            initial_head=self.get_float("storm_initial_head", 5.0),
-            rain_resolution=self.get_float("storm_rain_resolution", 0.2),
-        )
+        return StormParams(**{name: self.get(key) for key, name in _STORM_KEYS.items()})
 
     def load_series(self, key) -> EventSeries:
         if key not in self.raw:
             raise ConfigError(f"missing config key '{key}'")
-        return load_event_csv(self.raw[key], self.base_interval)
+        return load_event_csv(self.raw[key], self.get("base_interval"))
 
     def resolve_lag(self, series: EventSeries) -> int:
-        lag = self.get("lag", "auto")
+        lag = self.get("lag")
         if lag == "auto":
-            return int(estimate_lag(series, max_lag=self.get_int("max_lag", len(series) // 4)))
+            return int(estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4)))
         try:
             value = int(lag)
         except ValueError:
@@ -241,9 +229,9 @@ def _combo_label(algorithm: str, normalized: bool) -> str:
 def cmd_synth(exp: Experiment) -> None:
     """Write synthetic train and validation storm events."""
     params = exp.storm_params()
-    duration = exp.get_float("synth_duration", 9000.0)
+    duration = exp.get("synth_duration")
     for name, seed in (("train.csv", exp.seed), ("validation.csv", exp.seed + 1)):
-        series = synth_storm(seed, duration, exp.base_interval, params)
+        series = synth_storm(seed, duration, exp.get("base_interval"), params)
         path = os.path.join(exp.out, name)
         write_event_csv(series, path)
         print(f"wrote {path} ({len(series)} samples)")
@@ -282,7 +270,7 @@ def cmd_train(exp: Experiment) -> None:
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series)
     models_dir = os.path.join(exp.out, "models")
-    sweep_requested = exp.get("clusters", "3") == "sweep"
+    sweep_requested = exp.raw.get("clusters") == "sweep"
     fitted = []  # (name, model, fit); nothing is written until every one is fitted
     for algorithm in exp.algorithms:
         for stride in exp.strides:
@@ -418,7 +406,7 @@ def _evaluate_scheme(models, record, validation, train, models_dir, series_dir):
 def cmd_evaluate(exp: Experiment) -> None:
     """Score every model into the forecast report and series."""
     validation = exp.load_series("validation_csv")
-    include_train = exp.get("include_train", "off")
+    include_train = exp.get("include_train")
     if include_train not in ("on", "off"):
         raise ConfigError("config key 'include_train' must be on or off")
     train_series = exp.load_series("train_csv") if include_train == "on" else None
@@ -536,9 +524,9 @@ def main(argv=None) -> int:
         unknown = [key for key in raw if key not in CONFIG_KEYS]
         if unknown:
             raise ConfigError(f"unknown config key '{unknown[0]}'")
-        out = args.out if args.out is not None else raw.get("out", "out")
-        exp = Experiment(raw=raw, out=out, seed=0)
-        exp.seed = args.seed if args.seed is not None else exp.get_int("seed", 0)
+        exp = Experiment(raw=raw, out=args.out, seed=args.seed)
+        exp.out = args.out if args.out is not None else exp.get("out")
+        exp.seed = args.seed if args.seed is not None else exp.get("seed")
         COMMANDS[args.command](exp)
         _write_manifest(exp, args.command)
         return 0

@@ -152,6 +152,8 @@ def estimate_lag(series: EventSeries, max_lag: int | None = None) -> int:
     n = len(series)
     if max_lag is None:
         max_lag = max(1, n // 4)
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     if n <= 2 * max_lag:
         raise DataValidationError(
             f"series length {n} must exceed twice the lag window {max_lag}"

@@ -176,6 +176,13 @@ REFUSALS = [
     ("train", "algorithms = gk,xx", 2, "unknown algorithm 'xx' in config"),
     ("train", "strides = 1,a", 2, "config key 'strides' must be integers"),
     ("train", "strides = 2,0", 2, "config key 'strides' must list positive integers"),
+    ("train", "algorithms = gk,gk", 2, "config key 'algorithms' repeats an algorithm"),
+    ("sweep", "algorithms = fcm,gk,fcm", 2, "config key 'algorithms' repeats an algorithm"),
+    ("train", "strides = 1,2,1", 2, "config key 'strides' repeats a stride"),
+    ("train", "max_lag = -1", 2, "max_lag must be >= 0, got -1"),
+    ("synth", "base_interval = 0", 2, "config key 'base_interval' must be > 0"),
+    ("train", "base_interval = 0", 2, "config key 'base_interval' must be > 0"),
+    ("train", "base_interval = -30", 2, "config key 'base_interval' must be > 0"),
     ("train", "normalization = maybe", 2,
      "config key 'normalization' must be on, off, or both"),
     ("train", "train_csv", 2, "missing config key 'train_csv'"),

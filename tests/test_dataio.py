@@ -150,6 +150,12 @@ class TestEstimateLag:
         with pytest.raises(DataValidationError):
             estimate_lag(s, max_lag=10)
 
+    def test_negative_window_is_a_bad_argument(self):
+        # a ValueError, not a DataValidationError: the caller's setting is at fault
+        with pytest.raises(ValueError, match="max_lag must be >= 0, got -1") as info:
+            estimate_lag(delayed_series(2), max_lag=-1)
+        assert not isinstance(info.value, DataValidationError)
+
 
 class TestBuildSupervised:
     def test_row_count_stride_one(self):

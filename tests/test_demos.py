@@ -1,6 +1,7 @@
 """Every demo script, and the README's library quickstart, runs to completion
 against the current library, every name the package exports or the README's
-module map names exists, and the README's config block lists the CLI's keys."""
+module map names exists, and the README's config block lists the CLI's keys
+and their defaults."""
 
 import importlib
 import os
@@ -68,11 +69,20 @@ def test_module_map_names_exist():
 def test_config_block_lists_the_keys_the_cli_reads():
     text = README.read_text(encoding="utf-8")
     block = text.split("A config file is plain `key = value` text:\n\n```\n", 1)[1]
-    keys = re.findall(r"^(\w+) = ", block.split("```", 1)[0], re.M)
+    settings = re.findall(r"^(\w+) = (\S+)", block.split("```", 1)[0], re.M)
+    keys = [key for key, _ in settings]
     assert len(keys) == len(set(keys)) and set(keys) == cli.CONFIG_KEYS
-    # the keys main accepts are those the subcommands read, by name or as
-    # ClusterConfig's fields
+    # the keys main accepts are those the subcommands read, by name, as
+    # ClusterConfig's fields or as StormParams' fields
     source = Path(cli.__file__).read_text(encoding="utf-8")
-    read = re.findall(r"(?:self|exp|raw)\.(?:get|get_int|get_float|_values|load_series)"
-                      r"\(\"(\w+)\"", source)
-    assert set(read) | {f.name for f in cli._TUNED} == cli.CONFIG_KEYS
+    read = re.findall(r"(?:self|exp|raw)\.(?:get|load_series)\(\"(\w+)\"", source)
+    derived = {f.name for f in cli._TUNED} | set(cli._STORM_KEYS)
+    assert set(read) | derived == cli.CONFIG_KEYS
+    # the values the README shows are the defaults, but for the keys it
+    # names as exceptions and those without a default of their own
+    exceptions = {"seed", "strides", "normalization", "max_lag", "synth_duration"}
+    shown = cli.Experiment(raw=dict(settings), out="out", seed=0)
+    checked = [key for key in keys
+               if key not in exceptions and cli.CONFIG_DEFAULTS[key] is not None]
+    assert {key: shown.get(key) for key in checked} == \
+        {key: cli.CONFIG_DEFAULTS[key] for key in checked}
