@@ -3,9 +3,9 @@ models, evaluate forecasts, and rank algorithms.
 
 Subcommands: ``synth``, ``sweep``, ``train``, ``evaluate``, ``compare``.
 Every subcommand takes ``--config`` (a key = value text file), plus
-``--seed`` and ``--out`` overrides.  Outputs are plain CSV/text written
-atomically; a manifest (config hash, seed, versions) accompanies every run
-so results can be reproduced from the manifest alone.  Exit codes: 0 ok,
+``--seed`` and ``--out`` overrides.  Outputs are plain CSV/text, put in
+place only once the subcommand succeeds, with a manifest (config hash,
+seed, versions) from which they can be reproduced.  Exit codes: 0 ok,
 2 config error, 3 data error, 4 numerical failure.
 """
 
@@ -17,7 +17,8 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+import uuid
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -96,11 +97,19 @@ CONFIG_KEYS = frozenset(CONFIG_DEFAULTS)
 
 @dataclass
 class Experiment:
-    """Typed view of the config with defaults."""
+    """Typed view of the config with defaults, and the outputs of its run."""
 
     raw: dict[str, str]
     out: str
     seed: int
+    pending: list = field(default_factory=list, init=False)  # (output, temporary) pairs
+
+    def output(self, *parts) -> str:
+        """A unique temporary name beside the output ``out/<parts>``, which
+        main renames into place if the run succeeds and removes otherwise."""
+        path = os.path.join(self.out, *parts)
+        self.pending.append((path, f"{path}.{uuid.uuid4().hex}.pending"))
+        return self.pending[-1][1]
 
     def get(self, key, derived=None):
         """The value of ``key``, or its default in CONFIG_DEFAULTS, or else
@@ -182,17 +191,26 @@ class Experiment:
             raise ConfigError(f"missing config key '{key}'")
         return load_event_csv(self.raw[key], self.get("base_interval"))
 
-    def resolve_lag(self, series: EventSeries) -> int:
+    def resolve_lag(self, series: EventSeries, strides) -> int:
+        """The configured lag, or the one estimated on the train_csv event
+        ``series``, which must be long enough for it at each of ``strides``
+        (scheme_sets shifts the rain by the lag less the stride, floored at 0)."""
         lag = self.get("lag")
         if lag == "auto":
-            return int(estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4)))
-        try:
-            value = int(lag)
-        except ValueError:
-            raise ConfigError("config key 'lag' must be 'auto' or an integer") from None
-        if value < 0:
-            raise ConfigError("config key 'lag' must be >= 0")
-        return value
+            lag = int(estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4)))
+        else:
+            try:
+                lag = int(lag)
+            except ValueError:
+                raise ConfigError("config key 'lag' must be 'auto' or an integer") from None
+            if lag < 0:
+                raise ConfigError("config key 'lag' must be >= 0")
+        for stride in strides:
+            if len(series) < max(lag, stride) + 2:
+                raise DataValidationError(
+                    f"train_csv: series of length {len(series)} too short for lag {lag} "
+                    f"and stride {stride}; need at least {max(lag, stride) + 2} samples")
+        return lag
 
 
 def _write_manifest(exp: Experiment, command: str) -> None:
@@ -209,7 +227,7 @@ def _write_manifest(exp: Experiment, command: str) -> None:
         canonical,
         "",
     ]
-    write_atomic(os.path.join(exp.out, f"manifest_{command}.txt"), "\n".join(lines))
+    write_atomic(exp.output(f"manifest_{command}.txt"), "\n".join(lines))
 
 
 def _combo_name(algorithm: str, stride: int, normalized: bool) -> str:
@@ -232,9 +250,8 @@ def cmd_synth(exp: Experiment) -> None:
     duration = exp.get("synth_duration")
     for name, seed in (("train.csv", exp.seed), ("validation.csv", exp.seed + 1)):
         series = synth_storm(seed, duration, exp.get("base_interval"), params)
-        path = os.path.join(exp.out, name)
-        write_event_csv(series, path)
-        print(f"wrote {path} ({len(series)} samples)")
+        write_event_csv(series, exp.output(name))
+        print(f"wrote {os.path.join(exp.out, name)} ({len(series)} samples)")
 
 
 def _require_rows(key: str, c: int, n_rows: int) -> None:
@@ -245,7 +262,7 @@ def _require_rows(key: str, c: int, n_rows: int) -> None:
 def cmd_sweep(exp: Experiment) -> None:
     """Score the six validity indices over C for gk and fcm."""
     series = exp.load_series("train_csv")
-    lag = exp.resolve_lag(series)
+    lag = exp.resolve_lag(series, exp.strides[:1])
     sset, = scheme_sets(lag, exp.strides[0], True in exp.normalization_modes, series)
     c_range = exp.sweep_range
     _require_rows("c_max", c_range.stop - 1, sset.n_rows)
@@ -256,11 +273,10 @@ def cmd_sweep(exp: Experiment) -> None:
     for algorithm in algorithms:
         cfg = exp.cluster_config(algorithm)
         report = sweep_clusters(sset.joined(), cfg, c_range)
-        report.to_csv(os.path.join(exp.out, f"validity_{algorithm}.csv"))
+        report.to_csv(exp.output(f"validity_{algorithm}.csv"))
         lines = [f"consensus {report.consensus}"]
         lines += [f"{name} {c}" for name, c in sorted(report.per_index_optimum.items())]
-        write_atomic(os.path.join(exp.out, f"optima_{algorithm}.txt"),
-                     "\n".join(lines) + "\n")
+        write_atomic(exp.output(f"optima_{algorithm}.txt"), "\n".join(lines) + "\n")
         print(f"{algorithm}: consensus C = {report.consensus} "
               f"(per-index {report.per_index_optimum})")
 
@@ -268,10 +284,8 @@ def cmd_sweep(exp: Experiment) -> None:
 def cmd_train(exp: Experiment) -> None:
     """Fit one model per algorithm, stride and scaling."""
     series = exp.load_series("train_csv")
-    lag = exp.resolve_lag(series)
-    models_dir = os.path.join(exp.out, "models")
+    lag = exp.resolve_lag(series, exp.strides)
     sweep_requested = exp.raw.get("clusters") == "sweep"
-    fitted = []  # (name, model, fit); nothing is written until every one is fitted
     for algorithm in exp.algorithms:
         for stride in exp.strides:
             for normalized in exp.normalization_modes:
@@ -292,23 +306,13 @@ def cmd_train(exp: Experiment) -> None:
                 norm = None if record is None else (tuple(record.mins.tolist()),
                                                     tuple(record.maxs.tolist()))
                 scheme = core.Scheme(algorithm, stride, sset.lag, norm)
-                fitted.append((name, replace(model, scheme=scheme), fit))
+                core.save_model(replace(model, scheme=scheme),
+                                exp.output("models", f"{name}.model.txt"))
+                fit.to_csv(exp.output("reports", f"fit_{name}.csv"))
                 print(f"trained {name}: rules={fit.n_rules} "
                       f"train_rmse={fit.train.rmse:.6g}")
-    written = []  # removed again if a later write fails
-    try:
-        for name, model, fit in fitted:
-            path = os.path.join(models_dir, f"{name}.model.txt")
-            core.save_model(model, path)
-            written.append(path)
-            path = os.path.join(exp.out, "reports", f"fit_{name}.csv")
-            fit.to_csv(path)
-            written.append(path)
-    except OSError:
-        for path in written:
-            os.remove(path)
-        raise
-    print(f"{len(fitted)} model(s) in {models_dir}")
+    n_models = len(exp.algorithms) * len(exp.strides) * len(exp.normalization_modes)
+    print(f"{n_models} model(s) in {os.path.join(exp.out, 'models')}")
 
 
 def _metric_row(label, stride, split, ms):
@@ -355,22 +359,26 @@ def _evaluable_model(path: str, name: str, allowed):
     return model, record
 
 
-def _evaluate_scheme(models, record, validation, train, models_dir, series_dir):
-    """Score and write the (name, model) pairs ``models`` of one scheme, in
+def _evaluate_scheme(models, record, validation, train, models_dir, output):
+    """Score the (name, model) pairs ``models`` of one scheme, writing each
+    series file to the name ``output("series", file)`` gives, in
     name order, from one build of its supervised rows, scaled by ``record``
     if not None, and one formatting of the columns its series files share.
     Returns the report rows and the extrapolation fraction of each model by
-    name.  A record that scales a row beyond the largest float (a valid but
-    tiny range) is a data error naming the scheme's first model file."""
+    name.  An event too short for the scheme's lag and stride, or a record
+    that scales a row beyond the largest float (a valid but tiny range), is
+    a data error naming the scheme's first model file and the event's key."""
     scheme = models[0][1].scheme
+    path = os.path.join(models_dir, f"{models[0][0]}.model.txt")
 
     def rows_of(series, key):
         try:
             with np.errstate(over="raise"):
                 return build_supervised(series, lag=scheme.lag, stride=scheme.stride,
                                         normalization=record or False)
+        except DataValidationError as exc:
+            raise DataValidationError(f"{path}: {key}: {exc}") from None
         except FloatingPointError:
-            path = os.path.join(models_dir, f"{models[0][0]}.model.txt")
             raise DataValidationError(f"{path}: scaling the {key} rows by its "
                                       "normalization record overflows") from None
 
@@ -399,7 +407,7 @@ def _evaluate_scheme(models, record, validation, train, models_dir, series_dir):
         if record is not None:
             fractions[name] = fraction
             columns += [observed_mm, map(repr, record.denormalize_y(yhat).tolist())]
-        write_numeric_csv(os.path.join(series_dir, f"series_{name}.csv"), header, columns)
+        write_numeric_csv(output("series", f"series_{name}.csv"), header, columns)
     return rows, fractions
 
 
@@ -411,7 +419,6 @@ def cmd_evaluate(exp: Experiment) -> None:
         raise ConfigError("config key 'include_train' must be on or off")
     train_series = exp.load_series("train_csv") if include_train == "on" else None
     models_dir = exp.get("models_dir", os.path.join(exp.out, "models"))
-    series_dir = os.path.join(exp.out, "series")
     try:
         names = sorted(f[: -len(".model.txt")] for f in os.listdir(models_dir)
                        if f.endswith(".model.txt"))
@@ -435,15 +442,16 @@ def cmd_evaluate(exp: Experiment) -> None:
     report, extrapolation = {}, {}
     for record, models in schemes.values():
         rows, fractions = _evaluate_scheme(models, record, validation, train_series,
-                                           models_dir, series_dir)
+                                           models_dir, exp.output)
         report.update(rows)
         extrapolation.update(fractions)
 
     report_path = os.path.join(exp.out, "forecast_report.csv")
     rows = [row for name in names for row in report[name]]
-    write_csv(report_path, ["algorithm", "scheme", "split", "rmse", "ve", "ce", "r"], rows)
+    write_csv(exp.output("forecast_report.csv"),
+              ["algorithm", "scheme", "split", "rmse", "ve", "ce", "r"], rows)
     if extrapolation:
-        write_csv(os.path.join(exp.out, "extrapolation.csv"),
+        write_csv(exp.output("extrapolation.csv"),
                   ["combination", "outside_unit_fraction"],
                   [[name, extrapolation[name]] for name in names if name in extrapolation])
     print(f"wrote {report_path} ({len(rows)} rows)")
@@ -489,9 +497,8 @@ def cmd_compare(exp: Experiment) -> None:
         for i, (rmse, algorithm) in enumerate(ranked, start=1):
             lines.append(f"| {i} | {algorithm} | {rmse:.6g} | {rmse - best:+.6g} |")
         lines.append("")
-    path = os.path.join(exp.out, "compare.md")
-    write_atomic(path, "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    write_atomic(exp.output("compare.md"), "\n".join(lines) + "\n")
+    print(f"wrote {os.path.join(exp.out, 'compare.md')}")
 
 
 COMMANDS = {
@@ -519,16 +526,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    exp = Experiment(raw={}, out=args.out, seed=args.seed)
     try:
-        raw = parse_config(args.config)
-        unknown = [key for key in raw if key not in CONFIG_KEYS]
+        exp.raw = parse_config(args.config)
+        unknown = [key for key in exp.raw if key not in CONFIG_KEYS]
         if unknown:
             raise ConfigError(f"unknown config key '{unknown[0]}'")
-        exp = Experiment(raw=raw, out=args.out, seed=args.seed)
         exp.out = args.out if args.out is not None else exp.get("out")
         exp.seed = args.seed if args.seed is not None else exp.get("seed")
+        if exp.seed < 0:
+            name = "config key 'seed'" if args.seed is None else "option --seed"
+            raise ConfigError(f"{name} must be >= 0")
         COMMANDS[args.command](exp)
         _write_manifest(exp, args.command)
+        blocked = [path for path, _ in exp.pending if os.path.isdir(path)]
+        if blocked:  # refused before any output is put in place
+            raise ConfigError(f"cannot write {blocked[0]}: Is a directory")
+        for path, tmp in exp.pending:  # the manifest last
+            os.replace(tmp, path)
         return 0
     except DataValidationError as exc:
         print(f"data error: {exc}", file=sys.stderr)
@@ -543,6 +558,10 @@ def main(argv=None) -> int:
         print(f"config error: cannot write {exc.filename or 'output'}: {exc.strerror}",
               file=sys.stderr)
         return 2
+    finally:  # a failed run leaves every earlier output as it was
+        for _, tmp in exp.pending:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 if __name__ == "__main__":

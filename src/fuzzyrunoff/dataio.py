@@ -112,7 +112,10 @@ def load_event_csv(path, base_interval: float) -> EventSeries:
             f"{path}: spacing {float(steps[k])!r} at row {k + 1} "
             f"(expected base interval {base_interval!r})"
         )
-    return EventSeries(timestamps=arr[:, 0], rain=arr[:, 1:4], head=arr[:, 4])
+    try:
+        return EventSeries(timestamps=arr[:, 0], rain=arr[:, 1:4], head=arr[:, 4])
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
 
 
 def write_event_csv(series: EventSeries, path) -> None:

@@ -37,9 +37,14 @@ def write_config(tmp_path, extra=""):
     return str(path)
 
 
-def run(tmp_path, command, config, monkeypatch):
+def run(tmp_path, command, config, monkeypatch, *options):
     monkeypatch.chdir(tmp_path)
-    return cli.main([command, "--config", config])
+    return cli.main([command, "--config", config, *options])
+
+
+def snapshot(root):
+    """Every file under ``root``, by relative path, and its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def write_degenerate_event(tmp_path, n_rows, dead_gauge=False, constant_head=False):
@@ -169,9 +174,16 @@ class TestConfigParsing:
         assert "fuzziness m must be > 1" in capsys.readouterr().err
 
 
-# (command, setting or a key left out, exit code, message)
+# (command, setting, an option or a key left out, exit code, message)
 REFUSALS = [
     ("synth", "storm_gain = abc", 2, "config key 'storm_gain' must be a number"),
+    ("synth", "seed = -1", 2, "config key 'seed' must be >= 0"),
+    ("synth", "--seed -1", 2, "option --seed must be >= 0"),
+    ("train", "lag = 400", 3, "train_csv: series of length 201 too short for lag 400 and "
+                              "stride 1; need at least 402 samples"),
+    ("train", "train_csv = nan.csv", 3, "nan.csv: non-finite value in column 'rain'"),
+    ("evaluate", "validation_csv = negative.csv", 3,
+     "negative.csv: negative rainfall in column 'rain1' at row 1"),
     ("train", "algorithms = ,", 2, "config key 'algorithms' must list at least one algorithm"),
     ("train", "algorithms = gk,xx", 2, "unknown algorithm 'xx' in config"),
     ("train", "strides = 1,a", 2, "config key 'strides' must be integers"),
@@ -196,6 +208,9 @@ REFUSALS = [
     ("compare", "reports = nothere.csv", 3,
      "cannot read report nothere.csv: [Errno 2] No such file or directory: 'nothere.csv'"),
 ]
+# the event files that REFUSALS rows name
+BAD_EVENTS = {"nan.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n30,nan,0,0,5\n",
+              "negative.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n30,-1,0,0,5\n"}
 
 
 NOT_UTF8 = [  # (file, its text with a byte 0xE9, command, kind of error, message head)
@@ -229,13 +244,18 @@ class TestConfigRefusals:
         config = write_config(tmp_path)
         run(tmp_path, "synth", config, monkeypatch)
         capsys.readouterr()
-        if "=" in setting:
+        for name, text in BAD_EVENTS.items():
+            (tmp_path / name).write_text(text)
+        options = setting.split() if setting.startswith("--") else []
+        if options:
+            text = BASE_CONFIG
+        elif "=" in setting:
             text = BASE_CONFIG + f"{setting}\n"
         else:  # a bare key is left out of the config
             text = "".join(line for line in BASE_CONFIG.splitlines(keepends=True)
                            if not line.startswith(setting))
         (tmp_path / "exp.conf").write_text(text)
-        assert run(tmp_path, command, config, monkeypatch) == code
+        assert run(tmp_path, command, config, monkeypatch, *options) == code
         kind = "config error" if code == 2 else "data error"
         assert capsys.readouterr().err == f"{kind}: {message}\n"
 
@@ -347,7 +367,7 @@ class TestTrain:
         assert run(tmp_path, "train", str(config), monkeypatch) == 3
         assert capsys.readouterr().err == (f"data error: {algorithm}_s95_dim: 6 rows cannot "
                                            f"determine {params} consequent parameters\n")
-        # the s1 combination was fitted first, but nothing is written before all are
+        # the s1 combination was fitted first, but nothing is put in place
         assert not list((tmp_path / "out").rglob("*.model.txt"))
 
     def test_sweep_selected_rule_count(self, tmp_path, monkeypatch):
@@ -552,6 +572,20 @@ class TestModelFile:
         assert rc == 3
         assert capsys.readouterr().err == f"data error: {path}: {message}\n"
 
+    def test_event_too_short_for_the_scheme_names_the_model_and_key(self, trained, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        validation = out / "validation.csv"
+        validation.write_text("".join(validation.read_text().splitlines(keepends=True)[:3]))
+        config = write_model_config(out)
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
+        path = out / self.MODEL
+        lag = core.load_model(path).scheme.lag  # the model's, shifted by the stride
+        assert capsys.readouterr().err == (
+            f"data error: {path}: validation_csv: series of length 2 too short for lag {lag} "
+            f"and stride 1; need at least {lag + 3} samples\n")
+
 
 class TestBadModelPrecedence:
     """Of two bad models, evaluate reports the first in name order, whatever
@@ -749,7 +783,8 @@ class TestAtomicWrites:
 
 
 class TestUnwritableOutput:
-    """An output path that a plain file blocks is a config error naming it."""
+    """An output path that a plain file or a directory blocks is a config
+    error naming it, and leaves every earlier output as it was."""
 
     @pytest.mark.parametrize("command, blocked, out", [
         ("train", "out/models", "out"), ("train", "out/reports", "out"),
@@ -762,11 +797,67 @@ class TestUnwritableOutput:
             shutil.rmtree(path)
         path.write_text("")
         config = write_model_config(tmp_path / "out")
+        before = snapshot(tmp_path / "out")
         assert cli.main([command, "--config", config, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {path}") and "Traceback" not in err
-        if blocked == "out/reports":  # the model written before the failed write is removed
-            assert not list((tmp_path / out).rglob("*.model.txt"))
+        # the earlier run's gk_s1_dim.model.txt, which train overwrites, among them
+        assert snapshot(tmp_path / "out") == before
+        assert not list(tmp_path.rglob("*.pending"))
+
+    def test_directory_in_place_of_a_file_is_refused_before_any_output(
+            self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        (out / "validity_fcm.csv").mkdir()
+        config = write_model_config(out)
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write("algorithms = gk,fcm\nc_max = 3\n")
+        before = snapshot(out)
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out / 'validity_fcm.csv'}: Is a directory\n")
+        assert snapshot(out) == before
+        assert not list(tmp_path.rglob("*.pending"))
+
+
+class TestFailedRunChangesNothing:
+    """main puts a subcommand's outputs in place only once it and its
+    manifest have succeeded: a failure part-way leaves every earlier file in
+    out as it was, and no temporary file behind."""
+
+    def test_evaluate_failing_in_its_last_scheme(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        good = (out / TestModelFile.MODEL).read_text()
+        # a scaled scheme of its own, scored after gk_s1_dim's
+        last = out / "models/gk_s1_norm.model.txt"
+        last.write_text(scaled("0 0 0 0 0", " ".join(["5e-324"] * 5))(good))
+        config = write_model_config(out)
+        before = snapshot(out)
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"data error: {last}: scaling the validation_csv "
+                                           "rows by its normalization record overflows\n")
+        assert snapshot(out) == before
+        assert not list(tmp_path.rglob("*.pending"))
+
+    def test_train_failing_in_its_last_combination(self, tmp_path, monkeypatch, capsys):
+        # as in test_under_determined_scheme_is_data_error, stride 95 leaves
+        # six rows; the earlier run fitted two rules at stride 1, not three
+        config = tmp_path / "exp.conf"
+        text = ("out = out\nsynth_duration = 3000\nlag = auto\nalgorithms = gk\n"
+                "train_csv = out/train.csv\nvalidation_csv = out/validation.csv\n")
+        config.write_text(text + "clusters = 2\nstrides = 1\n")
+        assert run(tmp_path, "synth", str(config), monkeypatch) == 0
+        assert run(tmp_path, "train", str(config), monkeypatch) == 0
+        before = snapshot(tmp_path / "out")
+        config.write_text(text + "clusters = 3\nstrides = 1,95\n")
+        capsys.readouterr()
+        assert run(tmp_path, "train", str(config), monkeypatch) == 3
+        assert capsys.readouterr().err == ("data error: gk_s95_dim: 6 rows cannot determine "
+                                           "15 consequent parameters\n")
+        assert snapshot(tmp_path / "out") == before
+        assert not list(tmp_path.rglob("*.pending"))
 
 
 class TestCompare:
