@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -56,6 +57,7 @@ class ConfigError(ValueError):
 
 def parse_config(path) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -68,8 +70,22 @@ def parse_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' already set at line "
+                              f"{first_line[key]}")
+        values[key], first_line[key] = value.strip(), lineno
     return values
+
+
+@contextmanager
+def _naming(key):
+    """Prefix a data error raised inside with ``key``, the config key of the
+    event file it is about."""
+    try:
+        yield
+    except DataValidationError as exc:
+        raise DataValidationError(f"{key}: {exc}") from None
 
 
 # ClusterConfig's fields that a config key of the same name sets
@@ -171,17 +187,22 @@ class Experiment:
             raise ConfigError("config key 'normalization' must be on, off, or both")
         return modes[mode]
 
-    def cluster_config(self, algorithm: str) -> ClusterConfig:
-        """Keys named after ClusterConfig's numeric fields, with its defaults;
-        ``clusters`` is 3 by default, and ``sweep`` starts the template at 2."""
-        tuned = {f.name: self.get(f.name) for f in _TUNED}
-        n_clusters = 2 if self.raw.get("clusters") == "sweep" else self.get("clusters")
-        return ClusterConfig(algorithm=algorithm, n_clusters=n_clusters, seed=self.seed,
-                             **tuned)
-
-    @property
-    def sweep_range(self):
-        return range(2, self.get("c_max") + 1)
+    def rule_counts(self, algorithm: str, n_rows: int, sweep: bool):
+        """(cfg, c_range) of a fit of ``algorithm`` on ``n_rows`` rows, cfg from
+        the keys named after ClusterConfig's numeric fields, with its defaults.
+        sc finds its own rule count; a ``sweep`` starts cfg at 2 and sweeps
+        2..c_max; otherwise the count is ``clusters`` (3 by default)."""
+        cfg = ClusterConfig(algorithm=algorithm, n_clusters=2, seed=self.seed,
+                            **{f.name: self.get(f.name) for f in _TUNED})
+        if algorithm == "sc":
+            return cfg, None
+        key = "c_max" if sweep else "clusters"
+        c = self.get("c_max") if sweep else self.get("clusters")
+        if c < 2:
+            raise ConfigError(f"config key '{key}' must be >= 2")
+        if c >= n_rows:
+            raise ConfigError(f"{key}={c} must be < supervised rows N={n_rows}")
+        return (cfg, range(2, c + 1)) if sweep else (replace(cfg, n_clusters=c), None)
 
     def storm_params(self) -> StormParams:
         return StormParams(**{name: self.get(key) for key, name in _STORM_KEYS.items()})
@@ -197,7 +218,8 @@ class Experiment:
         (scheme_sets shifts the rain by the lag less the stride, floored at 0)."""
         lag = self.get("lag")
         if lag == "auto":
-            lag = int(estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4)))
+            with _naming("train_csv"):
+                lag = estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4))
         else:
             try:
                 lag = int(lag)
@@ -254,25 +276,18 @@ def cmd_synth(exp: Experiment) -> None:
         print(f"wrote {os.path.join(exp.out, name)} ({len(series)} samples)")
 
 
-def _require_rows(key: str, c: int, n_rows: int) -> None:
-    if c >= n_rows:
-        raise ConfigError(f"{key}={c} must be < supervised rows N={n_rows}")
-
-
 def cmd_sweep(exp: Experiment) -> None:
     """Score the six validity indices over C for gk and fcm."""
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series, exp.strides[:1])
-    sset, = scheme_sets(lag, exp.strides[0], True in exp.normalization_modes, series)
-    c_range = exp.sweep_range
-    _require_rows("c_max", c_range.stop - 1, sset.n_rows)
+    with _naming("train_csv"):
+        sset, = scheme_sets(lag, exp.strides[0], True in exp.normalization_modes, series)
     algorithms = [a for a in exp.algorithms if a in ("gk", "fcm")]
     if not algorithms:
         raise ConfigError("sweep needs gk or fcm in 'algorithms' "
                           "(subtractive clustering has no C parameter)")
     for algorithm in algorithms:
-        cfg = exp.cluster_config(algorithm)
-        report = sweep_clusters(sset.joined(), cfg, c_range)
+        report = sweep_clusters(sset.joined(), *exp.rule_counts(algorithm, sset.n_rows, True))
         report.to_csv(exp.output(f"validity_{algorithm}.csv"))
         lines = [f"consensus {report.consensus}"]
         lines += [f"{name} {c}" for name, c in sorted(report.per_index_optimum.items())]
@@ -285,16 +300,13 @@ def cmd_train(exp: Experiment) -> None:
     """Fit one model per algorithm, stride and scaling."""
     series = exp.load_series("train_csv")
     lag = exp.resolve_lag(series, exp.strides)
-    sweep_requested = exp.raw.get("clusters") == "sweep"
     for algorithm in exp.algorithms:
         for stride in exp.strides:
             for normalized in exp.normalization_modes:
-                sset, = scheme_sets(lag, stride, normalized, series)
-                cfg = exp.cluster_config(algorithm)
-                c_range = exp.sweep_range if sweep_requested and algorithm != "sc" else None
-                if algorithm != "sc":
-                    c = c_range.stop - 1 if c_range else cfg.n_clusters
-                    _require_rows("c_max" if c_range else "clusters", c, sset.n_rows)
+                with _naming("train_csv"):
+                    sset, = scheme_sets(lag, stride, normalized, series)
+                cfg, c_range = exp.rule_counts(algorithm, sset.n_rows,
+                                               exp.raw.get("clusters") == "sweep")
                 model, fit = fit_model(sset.joined(), cfg, c_range=c_range)
                 name = _combo_name(algorithm, stride, normalized)
                 # SC's rule count, and so the parameter count, is known only now

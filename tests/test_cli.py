@@ -31,9 +31,17 @@ BASE_CONFIG = (
 )
 
 
+def config_text(extra="", base=BASE_CONFIG):
+    """``base`` with the lines of ``extra`` in place of its lines for the
+    same keys, since a config sets each key once."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    return "".join(line for line in base.splitlines(keepends=True)
+                   if line.partition("=")[0].strip() not in keys) + extra
+
+
 def write_config(tmp_path, extra=""):
     path = tmp_path / "exp.conf"
-    path.write_text(BASE_CONFIG + extra)
+    path.write_text(config_text(extra))
     return str(path)
 
 
@@ -108,12 +116,32 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "config error: unknown config key 'clsuters'\n"
         assert not (tmp_path / "out").exists()
 
-    def test_cluster_config_reads_the_dataclass_defaults(self):
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_repeated_key_is_refused_before_any_output(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        (tmp_path / "exp.conf").write_text(BASE_CONFIG + "algorithms = gk\n\nclusters = 5\n")
+        assert run(tmp_path, command, "exp.conf", monkeypatch) == 2
+        assert capsys.readouterr().err == \
+            "config error: exp.conf:13: key 'clusters' already set at line 10\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_rule_counts_reads_the_dataclass_defaults(self):
         exp = cli.Experiment(raw={"max_iter": "7", "sc_radius": "0.25"}, out="out", seed=5)
-        assert exp.cluster_config("fcm") == ClusterConfig(
-            algorithm="fcm", n_clusters=3, seed=5, max_iter=7, sc_radius=0.25)
+        assert exp.rule_counts("fcm", 100, False) == (ClusterConfig(
+            algorithm="fcm", n_clusters=3, seed=5, max_iter=7, sc_radius=0.25), None)
         sweep = cli.Experiment(raw={"clusters": "sweep"}, out="out", seed=0)
-        assert sweep.cluster_config("gk").n_clusters == 2
+        cfg, c_range = sweep.rule_counts("gk", 100, True)
+        assert cfg.n_clusters == 2 and c_range == range(2, 9)
+
+    @pytest.mark.parametrize("command, settings", [
+        ("sweep", "algorithms = gk\nclusters = abc\nc_max = 3\n"),
+        ("train", "algorithms = sc\nclusters = abc\nc_max = abc\n"),
+    ], ids=["sweep", "sc-only train"])
+    def test_a_run_that_reads_no_cluster_count_ignores_it(self, tmp_path, monkeypatch,
+                                                          command, settings):
+        config = write_config(tmp_path, settings)
+        run(tmp_path, "synth", config, monkeypatch)
+        assert run(tmp_path, command, config, monkeypatch) == 0
 
     def test_bad_cluster_count_names_its_key(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, "algorithms = gk\nclusters = abc\n")
@@ -207,10 +235,25 @@ REFUSALS = [
     ("evaluate", "models_dir = out", 3, "no models found in out"),
     ("compare", "reports = nothere.csv", 3,
      "cannot read report nothere.csv: [Errno 2] No such file or directory: 'nothere.csv'"),
+    ("train", "clusters = 1", 2, "config key 'clusters' must be >= 2"),
+    ("sweep", "c_max = 1", 2, "config key 'c_max' must be >= 2"),
+    ("train", "clusters = sweep\nc_max = 1", 2, "config key 'c_max' must be >= 2"),
+    ("train", "max_lag = 1000", 3,
+     "train_csv: series length 201 must exceed twice the lag window 1000"),
+    ("train", "train_csv = dry.csv", 3, "train_csv: all rainfall channels are zero"),
+    ("sweep", "train_csv = dead_gauge.csv\nnormalization = on", 3,
+     "train_csv: constant column 'rain3' cannot be normalised (min == max == 0.0)"),
+    ("train", "train_csv = dead_gauge.csv\nnormalization = on", 3,
+     "train_csv: constant column 'rain3' cannot be normalised (min == max == 0.0)"),
 ]
-# the event files that REFUSALS rows name
+# the event files that REFUSALS rows name; the 40-sample ones are long enough
+# for BASE_CONFIG's max_lag of 15
 BAD_EVENTS = {"nan.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n30,nan,0,0,5\n",
-              "negative.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n30,-1,0,0,5\n"}
+              "negative.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n30,-1,0,0,5\n",
+              "dry.csv": "timestamp,rain1,rain2,rain3,head\n" + "".join(
+                  f"{30 * k},0,0,0,{5 + k % 7}\n" for k in range(40)),
+              "dead_gauge.csv": "timestamp,rain1,rain2,rain3,head\n" + "".join(
+                  f"{30 * k},{k % 5},{k % 3},0,{5 + k % 7}\n" for k in range(40))}
 
 
 NOT_UTF8 = [  # (file, its text with a byte 0xE9, command, kind of error, message head)
@@ -250,7 +293,7 @@ class TestConfigRefusals:
         if options:
             text = BASE_CONFIG
         elif "=" in setting:
-            text = BASE_CONFIG + f"{setting}\n"
+            text = config_text(f"{setting}\n")
         else:  # a bare key is left out of the config
             text = "".join(line for line in BASE_CONFIG.splitlines(keepends=True)
                            if not line.startswith(setting))
@@ -473,11 +516,12 @@ def trained(tmp_path_factory):
     return out
 
 
-def write_model_config(out):
+def write_model_config(out, extra=""):
     out.mkdir(parents=True, exist_ok=True)
     path = out.parent / "model.conf"
-    path.write_text(BASE_CONFIG.replace("out/", f"{out}/")
-                    + "algorithms = gk\nstrides = 1\nnormalization = off\n")
+    model = (BASE_CONFIG.replace("out/", f"{out}/")
+             + "algorithms = gk\nstrides = 1\nnormalization = off\n")
+    path.write_text(config_text(extra, model))
     return str(path)
 
 
@@ -634,10 +678,8 @@ class TestSchemeGrouping:
 
     def test_files_are_the_csv_rendering_of_the_scheme_sets(self, tmp_path):
         out = tmp_path / "out"
-        config = write_model_config(out)
-        with open(config, "a") as fh:
-            fh.write("algorithms = gk,fcm,sc\nstrides = 1,2\nnormalization = both\n"
-                     "include_train = on\n")
+        config = write_model_config(out, "algorithms = gk,fcm,sc\nstrides = 1,2\n"
+                                         "normalization = both\ninclude_train = on\n")
         for command in ("synth", "train", "evaluate"):
             assert cli.main([command, "--config", config, "--out", str(out)]) == 0
         train = load_event_csv(out / "train.csv", 30.0)
@@ -688,9 +730,7 @@ class TestConstantObserved:
         header, *rows = csv_path.read_text().splitlines()
         csv_path.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + ",5.0"
                                                   for r in rows]) + "\n")
-        config = write_model_config(out)
-        with open(config, "a") as fh:
-            fh.write(extra)
+        config = write_model_config(out, extra)
         assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
             f"data error: {key}: observed series is constant (5.0)")
@@ -717,9 +757,7 @@ class TestZeroSumObserved:
             heads[-1] = 0.0
         csv_path.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + f",{h!r}"
                                                   for r, h in zip(rows, heads)]) + "\n")
-        config = write_model_config(out)
-        with open(config, "a") as fh:
-            fh.write(extra)
+        config = write_model_config(out, extra)
         assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             f"data error: {key}: observed series sums to zero\n")
@@ -733,10 +771,8 @@ class TestLibraryAgreement:
     def test_evaluate_scores_the_scheme_sets(self, trained, tmp_path, normalization):
         out = tmp_path / "out"
         shutil.copytree(trained, out)
-        config = write_model_config(out)
+        config = write_model_config(out, f"normalization = {normalization}\n")
         if normalization == "on":
-            with open(config, "a") as fh:
-                fh.write("normalization = on\n")
             shutil.rmtree(out / "models")
             assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
         assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 0
@@ -810,9 +846,7 @@ class TestUnwritableOutput:
         out = tmp_path / "out"
         shutil.copytree(trained, out)
         (out / "validity_fcm.csv").mkdir()
-        config = write_model_config(out)
-        with open(config, "a", encoding="utf-8") as fh:
-            fh.write("algorithms = gk,fcm\nc_max = 3\n")
+        config = write_model_config(out, "algorithms = gk,fcm\nc_max = 3\n")
         before = snapshot(out)
         assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
