@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -70,22 +69,14 @@ def parse_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key in values:
             raise ConfigError(f"{path}:{lineno}: key '{key}' already set at line "
                               f"{first_line[key]}")
-        values[key], first_line[key] = value.strip(), lineno
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' has no value")
+        values[key], first_line[key] = value, lineno
     return values
-
-
-@contextmanager
-def _naming(key):
-    """Prefix a data error raised inside with ``key``, the config key of the
-    event file it is about."""
-    try:
-        yield
-    except DataValidationError as exc:
-        raise DataValidationError(f"{key}: {exc}") from None
 
 
 # ClusterConfig's fields that a config key of the same name sets
@@ -212,27 +203,28 @@ class Experiment:
             raise ConfigError(f"missing config key '{key}'")
         return load_event_csv(self.raw[key], self.get("base_interval"))
 
-    def resolve_lag(self, series: EventSeries, strides) -> int:
-        """The configured lag, or the one estimated on the train_csv event
-        ``series``, which must be long enough for it at each of ``strides``
-        (scheme_sets shifts the rain by the lag less the stride, floored at 0)."""
+    def training_sets(self, strides, modes) -> dict:
+        """The supervised set of the train_csv event for each (stride,
+        normalized) of ``strides`` and ``modes``, built once by scheme_sets
+        at the configured or estimated lag; a data error names train_csv.
+        The lag is read before the event, as callers read the other keys,
+        so that a config fault comes before a data fault."""
         lag = self.get("lag")
-        if lag == "auto":
-            with _naming("train_csv"):
-                lag = estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4))
-        else:
+        if lag != "auto":
             try:
                 lag = int(lag)
             except ValueError:
                 raise ConfigError("config key 'lag' must be 'auto' or an integer") from None
             if lag < 0:
                 raise ConfigError("config key 'lag' must be >= 0")
-        for stride in strides:
-            if len(series) < max(lag, stride) + 2:
-                raise DataValidationError(
-                    f"train_csv: series of length {len(series)} too short for lag {lag} "
-                    f"and stride {stride}; need at least {max(lag, stride) + 2} samples")
-        return lag
+        series = self.load_series("train_csv")
+        try:
+            if lag == "auto":
+                lag = estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4))
+            return {(stride, normalized): scheme_sets(lag, stride, normalized, series)[0]
+                    for stride in strides for normalized in modes}
+        except DataValidationError as exc:
+            raise DataValidationError(f"train_csv: {exc}") from None
 
 
 def _write_manifest(exp: Experiment, command: str) -> None:
@@ -278,14 +270,11 @@ def cmd_synth(exp: Experiment) -> None:
 
 def cmd_sweep(exp: Experiment) -> None:
     """Score the six validity indices over C for gk and fcm."""
-    series = exp.load_series("train_csv")
-    lag = exp.resolve_lag(series, exp.strides[:1])
-    with _naming("train_csv"):
-        sset, = scheme_sets(lag, exp.strides[0], True in exp.normalization_modes, series)
     algorithms = [a for a in exp.algorithms if a in ("gk", "fcm")]
     if not algorithms:
         raise ConfigError("sweep needs gk or fcm in 'algorithms' "
                           "(subtractive clustering has no C parameter)")
+    sset, = exp.training_sets(exp.strides[:1], [True in exp.normalization_modes]).values()
     for algorithm in algorithms:
         report = sweep_clusters(sset.joined(), *exp.rule_counts(algorithm, sset.n_rows, True))
         report.to_csv(exp.output(f"validity_{algorithm}.csv"))
@@ -298,33 +287,32 @@ def cmd_sweep(exp: Experiment) -> None:
 
 def cmd_train(exp: Experiment) -> None:
     """Fit one model per algorithm, stride and scaling."""
-    series = exp.load_series("train_csv")
-    lag = exp.resolve_lag(series, exp.strides)
-    for algorithm in exp.algorithms:
-        for stride in exp.strides:
-            for normalized in exp.normalization_modes:
-                with _naming("train_csv"):
-                    sset, = scheme_sets(lag, stride, normalized, series)
-                cfg, c_range = exp.rule_counts(algorithm, sset.n_rows,
-                                               exp.raw.get("clusters") == "sweep")
+    algorithms = exp.algorithms
+    sets = exp.training_sets(exp.strides, exp.normalization_modes)
+    for algorithm in algorithms:
+        for (stride, normalized), sset in sets.items():
+            cfg, c_range = exp.rule_counts(algorithm, sset.n_rows,
+                                           exp.raw.get("clusters") == "sweep")
+            name = _combo_name(algorithm, stride, normalized)
+            try:
                 model, fit = fit_model(sset.joined(), cfg, c_range=c_range)
-                name = _combo_name(algorithm, stride, normalized)
-                # SC's rule count, and so the parameter count, is known only now
-                if sset.n_rows < model.consequents.size:
-                    raise DataValidationError(
-                        f"{name}: {sset.n_rows} rows cannot determine "
-                        f"{model.consequents.size} consequent parameters")
-                record = sset.normalization
-                norm = None if record is None else (tuple(record.mins.tolist()),
-                                                    tuple(record.maxs.tolist()))
-                scheme = core.Scheme(algorithm, stride, sset.lag, norm)
-                core.save_model(replace(model, scheme=scheme),
-                                exp.output("models", f"{name}.model.txt"))
-                fit.to_csv(exp.output("reports", f"fit_{name}.csv"))
-                print(f"trained {name}: rules={fit.n_rules} "
-                      f"train_rmse={fit.train.rmse:.6g}")
-    n_models = len(exp.algorithms) * len(exp.strides) * len(exp.normalization_modes)
-    print(f"{n_models} model(s) in {os.path.join(exp.out, 'models')}")
+            except DataValidationError as exc:
+                raise DataValidationError(f"train_csv: {name}: {exc}") from None
+            # SC's rule count, and so the parameter count, is known only now
+            if sset.n_rows < model.consequents.size:
+                raise DataValidationError(
+                    f"{name}: {sset.n_rows} rows cannot determine "
+                    f"{model.consequents.size} consequent parameters")
+            record = sset.normalization
+            norm = None if record is None else (tuple(record.mins.tolist()),
+                                                tuple(record.maxs.tolist()))
+            scheme = core.Scheme(algorithm, stride, sset.lag, norm)
+            core.save_model(replace(model, scheme=scheme),
+                            exp.output("models", f"{name}.model.txt"))
+            fit.to_csv(exp.output("reports", f"fit_{name}.csv"))
+            print(f"trained {name}: rules={fit.n_rules} "
+                  f"train_rmse={fit.train.rmse:.6g}")
+    print(f"{len(algorithms) * len(sets)} model(s) in {os.path.join(exp.out, 'models')}")
 
 
 def _metric_row(label, stride, split, ms):

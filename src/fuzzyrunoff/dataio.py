@@ -294,8 +294,13 @@ def scheme_sets(lag: int, stride: int, normalization: bool, train: EventSeries,
     shifts by ``lag - stride``, floored at 0 (a far horizon cannot see future
     rain); each set records the shift as its ``lag``.  With ``normalization``
     every set is scaled with the training set's min-max record, so nothing of
-    the other events leaks into the scaling."""
-    shift = max(0, lag - stride)
+    the other events leaks into the scaling.  An event shorter than
+    ``max(lag, stride) + 2`` samples is a data error naming ``lag``."""
+    shift, need = max(0, lag - stride), max(lag, stride) + 2
+    short = [len(series) for series in (train, *others) if len(series) < need]
+    if short:
+        raise DataValidationError(f"series of length {short[0]} too short for lag {lag} "
+                                  f"and stride {stride}; need at least {need} samples")
     tset = build_supervised(train, lag=shift, stride=stride, normalization=normalization)
     record = tset.normalization if normalization else False
     return [tset] + [build_supervised(series, lag=shift, stride=stride,

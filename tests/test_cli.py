@@ -11,10 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzyrunoff import cli, core
+from fuzzyrunoff import cli, core, dataio
 from fuzzyrunoff.atomicio import write_atomic
 from fuzzyrunoff.clustering import ClusterConfig
-from fuzzyrunoff.dataio import estimate_lag, load_event_csv, outside_unit_fraction, scheme_sets
+from fuzzyrunoff.dataio import (build_supervised, estimate_lag, load_event_csv,
+                                outside_unit_fraction, scheme_sets)
 from fuzzyrunoff.evalmetrics import metric_set
 
 BASE_CONFIG = (
@@ -245,6 +246,8 @@ REFUSALS = [
      "train_csv: constant column 'rain3' cannot be normalised (min == max == 0.0)"),
     ("train", "train_csv = dead_gauge.csv\nnormalization = on", 3,
      "train_csv: constant column 'rain3' cannot be normalised (min == max == 0.0)"),
+    ("train", "train_csv =", 2, "exp.conf:10: key 'train_csv' has no value"),
+    ("synth", "out =", 2, "exp.conf:10: key 'out' has no value"),
 ]
 # the event files that REFUSALS rows name; the 40-sample ones are long enough
 # for BASE_CONFIG's max_lag of 15
@@ -298,7 +301,7 @@ class TestConfigRefusals:
             text = "".join(line for line in BASE_CONFIG.splitlines(keepends=True)
                            if not line.startswith(setting))
         (tmp_path / "exp.conf").write_text(text)
-        assert run(tmp_path, command, config, monkeypatch, *options) == code
+        assert run(tmp_path, command, "exp.conf", monkeypatch, *options) == code
         kind = "config error" if code == 2 else "data error"
         assert capsys.readouterr().err == f"{kind}: {message}\n"
 
@@ -338,6 +341,32 @@ class TestTrain:
         assert run(tmp_path, "train", config, monkeypatch) == 0
         models = list((tmp_path / "out/models").glob("*.model.txt"))
         assert len(models) == 24
+
+    def test_each_training_set_is_built_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, "algorithms = gk,fcm,sc\n"
+                                        "strides = 1,2,5,10\n"
+                                        "normalization = both\n")
+        run(tmp_path, "synth", config, monkeypatch)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return build_supervised(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "build_supervised", counted)
+        assert run(tmp_path, "train", config, monkeypatch) == 0
+        assert len(calls) == 8
+
+    def test_a_fault_in_any_set_comes_before_the_first_fit(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # the dimensional sets of a dead gauge fit; its scaled ones cannot be built
+        write_degenerate_event(tmp_path, 40, dead_gauge=True)
+        config = write_config(tmp_path, "algorithms = gk\nnormalization = both\nlag = 0\n")
+        assert run(tmp_path, "train", config, monkeypatch) == 3
+        out, err = capsys.readouterr()
+        assert err == ("data error: train_csv: constant column 'rain3' cannot be "
+                       "normalised (min == max == 0.0)\n")
+        assert "trained" not in out
 
     def test_rerun_byte_identical(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"
@@ -382,10 +411,11 @@ class TestTrain:
 
     def test_constant_head_is_data_error(self, tmp_path, monkeypatch, capsys):
         write_degenerate_event(tmp_path, 80, constant_head=True)
-        config = write_config(tmp_path, "algorithms = fcm\nstrides = 1\n"
+        config = write_config(tmp_path, "algorithms = gk,sc\nstrides = 1\n"
                                         "normalization = off\nlag = 0\n")
         assert run(tmp_path, "train", config, monkeypatch) == 3
-        assert capsys.readouterr().err.startswith("data error:")
+        assert capsys.readouterr().err == ("data error: train_csv: gk_s1_dim: output column "
+                                           "is constant (5.0); there is nothing to fit\n")
 
     @pytest.mark.parametrize("clusters, key", [("8", "clusters"), ("sweep", "c_max")])
     def test_more_clusters_than_rows_is_config_error(self, tmp_path, monkeypatch, capsys,

@@ -235,6 +235,15 @@ class TestSchemeSets:
             want = build_supervised(series, lag=2, stride=2, normalization=tset.normalization)
             assert np.array_equal(sset.x, want.x) and np.array_equal(sset.y, want.y)
 
+    @pytest.mark.parametrize("short_one", ["train", "other"])
+    def test_too_short_names_the_configured_lag(self, short_one):
+        events = [simple_series(30)] if short_one == "train" else [simple_series(500),
+                                                                   simple_series(30)]
+        with pytest.raises(DataValidationError) as info:
+            scheme_sets(400, 1, False, *events)
+        assert str(info.value) == ("series of length 30 too short for lag 400 and stride 1; "
+                                   "need at least 402 samples")
+
     def test_training_set_alone(self):
         sets = scheme_sets(1, 1, True, simple_series(30))
         assert len(sets) == 1 and sets[0].lag == 0 and sets[0].normalization is not None
