@@ -289,13 +289,17 @@ def cmd_train(exp: Experiment) -> None:
     """Fit one model per algorithm, stride and scaling."""
     algorithms = exp.algorithms
     sets = exp.training_sets(exp.strides, exp.normalization_modes)
+    # sc clusters each stride once: both scalings of it normalise to the
+    # same bits, so they share one partition (see fit_model)
+    partitions = {}
     for algorithm in algorithms:
         for (stride, normalized), sset in sets.items():
             cfg, c_range = exp.rule_counts(algorithm, sset.n_rows,
                                            exp.raw.get("clusters") == "sweep")
             name = _combo_name(algorithm, stride, normalized)
             try:
-                model, fit = fit_model(sset.joined(), cfg, c_range=c_range)
+                model, fit = fit_model(sset.joined(), cfg, c_range=c_range,
+                                       partitions=partitions)
             except DataValidationError as exc:
                 raise DataValidationError(f"train_csv: {name}: {exc}") from None
             # SC's rule count, and so the parameter count, is known only now

@@ -222,17 +222,22 @@ def _sq_euclidean(cols: np.ndarray, points: np.ndarray, out: np.ndarray,
     sample, written into the (k, N) ``out``; ``cols`` holds the samples as
     contiguous columns (d, N), ``tmp`` is scratch of the shape of ``out``.
 
-    The coordinates are added to the zeroed ``out`` one at a time in column
-    order, starting from 0.  numpy sums an axis of fewer than 8 elements in
-    that same order, so for d <= 7 this equals ``(diff ** 2).sum(axis=-1)``
-    bit for bit; for d >= 8 numpy sums pairwise and the two can differ by
-    round-off.
+    The first coordinate's square is written into ``out`` and the others are
+    added to it one at a time in column order.  A square is never -0.0, so
+    this equals adding every term to a zeroed ``out``, numpy's order for an
+    axis of fewer than 8 elements: for d <= 7 it equals
+    ``(diff ** 2).sum(axis=-1)`` bit for bit; for d >= 8 numpy sums pairwise
+    and the two can differ by round-off.  With no coordinates every
+    distance is 0.
     """
-    out.fill(0.0)
+    if not len(cols):
+        out.fill(0.0)
     for j, col in enumerate(cols):
-        np.subtract(points[:, j, None], col[None, :], out=tmp)
-        np.square(tmp, out=tmp)
-        out += tmp
+        term = tmp if j else out
+        np.subtract(points[:, j, None], col[None, :], out=term)
+        np.square(term, out=term)
+        if j:
+            out += tmp
     return out
 
 
@@ -367,6 +372,13 @@ def run_sc(data, cfg: ClusterConfig):
     memberships of the normalised squared distances to the C accepted
     peaks, the (C, d) centers in original coordinates and an empty,
     converged IterationTrace.
+
+    Only the centers read ``data`` itself; the memberships depend on the
+    min-max normalised rows alone (and ``cfg``).  A data set and its own
+    min-max normalised copy normalise to the same bits: the copy's column
+    minima are 0.0 and its maxima (max - min) / (max - min) = 1.0 exactly,
+    and (v - 0.0) / 1.0 is v.  So both get the same memberships bit for bit,
+    which lets ``identify.fit_model`` cluster such a pair once.
 
     The potentials are computed over blocks of rows in two (rows, N)
     buffers, as many rows as keep both within ``_SC_BLOCK_BYTES`` (at least

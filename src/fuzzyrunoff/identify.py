@@ -18,7 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from .atomicio import write_csv
-from .clustering import NumericalError, ClusterConfig, _as_data, _membership_mass, run_clustering
+from .clustering import (NumericalError, ClusterConfig, _as_data, _membership_mass,
+                         _minmax_normalise, run_clustering)
 from .core import TsModel, normalized_truth, predict_batch
 from .dataio import DataValidationError
 from .evalmetrics import MetricSet, metric_set
@@ -158,7 +159,21 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def fit_model(data, cfg: ClusterConfig, c_range=None):
+def _partition(z: np.ndarray, cfg: ClusterConfig, partitions):
+    """(u, trace) of run_clustering on ``z``; sc's is looked up in the dict
+    ``partitions`` if given (see fit_model) and clustered only if missing."""
+    if partitions is None or cfg.algorithm != "sc" or not z.size:
+        u, _, trace = run_clustering(z, cfg)
+        return u, trace
+    scaled = _minmax_normalise(z)
+    key = (repr(cfg), scaled.shape, scaled.tobytes())
+    if key not in partitions:
+        u, _, trace = run_clustering(z, cfg)
+        partitions[key] = u, trace
+    return partitions[key]
+
+
+def fit_model(data, cfg: ClusterConfig, c_range=None, partitions=None):
     """Full identification pipeline on a joined (N, n+1) data matrix.
 
     Clustering -> premise parameters -> normalised truth values -> global
@@ -166,6 +181,13 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
     rule count is chosen first by the validity-index consensus over that
     range (gk/fcm only) and the sweep's partition of that C is used;
     otherwise cfg.n_clusters is used as-is.
+
+    ``partitions``, a dict a caller passes to several fits, lets sc fits
+    share one clustering: sc's memberships depend only on cfg and the rows
+    min-max normalised, so fits whose rows normalise to the same bits (a set
+    and its own normalised copy) reuse the first one's, kept in the dict
+    under cfg and those bits, and get the models they would get alone, bit
+    for bit.  gk and fcm are not scale-invariant bit for bit; they ignore it.
 
     Returns (TsModel, FitReport).
     """
@@ -179,7 +201,7 @@ def fit_model(data, cfg: ClusterConfig, c_range=None):
     consensus = None
     if c_range is None:
         with _stage("clustering"):
-            u, _, trace = run_clustering(z, cfg)
+            u, trace = _partition(z, cfg, partitions)
     else:  # the sweep refuses sc, and it has already clustered the consensus C
         with _stage("rule-count sweep"):
             sweep = sweep_clusters(z, cfg, c_range)

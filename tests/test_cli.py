@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzyrunoff import cli, core, dataio
+from fuzzyrunoff import cli, clustering, core, dataio
 from fuzzyrunoff.atomicio import write_atomic
 from fuzzyrunoff.clustering import ClusterConfig
 from fuzzyrunoff.dataio import (build_supervised, estimate_lag, load_event_csv,
@@ -184,8 +184,10 @@ class TestConfigParsing:
         assert not (tmp_path / "out" / "train.csv").exists()
 
     def test_zero_sc_squash_is_config_error(self, tmp_path, monkeypatch, capsys):
-        # unchecked, run_sc divides by zero
-        config = write_config(tmp_path, "algorithms = sc\nsc_squash = 0\n")
+        # unchecked, run_sc divides by zero; the scalings of a stride share
+        # their clustering, and the fault keeps its stage
+        config = write_config(tmp_path, "algorithms = sc\nsc_squash = 0\n"
+                                        "normalization = both\n")
         run(tmp_path, "synth", config, monkeypatch)
         capsys.readouterr()
         assert run(tmp_path, "train", config, monkeypatch) == 2
@@ -356,6 +358,35 @@ class TestTrain:
         monkeypatch.setattr(dataio, "build_supervised", counted)
         assert run(tmp_path, "train", config, monkeypatch) == 0
         assert len(calls) == 8
+
+    def test_sc_clusters_each_stride_once(self, tmp_path, monkeypatch):
+        # both scalings of a stride share one partition, and the scaled
+        # models and reports are those of a run that trains them alone
+        config = write_config(tmp_path, "algorithms = sc\nstrides = 1,2\n"
+                                        "normalization = both\n")
+        run(tmp_path, "synth", config, monkeypatch)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = clustering.run_sc
+        monkeypatch.setattr(clustering, "run_sc", counted)
+        assert run(tmp_path, "train", config, monkeypatch) == 0
+        assert len(calls) == 2
+        both = snapshot(tmp_path / "out")
+        shutil.rmtree(tmp_path / "out/models")
+        shutil.rmtree(tmp_path / "out/reports")
+        config = write_config(tmp_path, "algorithms = sc\nstrides = 1,2\n"
+                                        "normalization = on\n")
+        assert run(tmp_path, "train", config, monkeypatch) == 0
+        assert len(calls) == 4
+        alone = snapshot(tmp_path / "out")
+        scaled = [path for path in alone if "_norm" in path.name]
+        assert len(scaled) == 4
+        for path in scaled:
+            assert both[path] == alone[path], path
 
     def test_a_fault_in_any_set_comes_before_the_first_fit(self, tmp_path, monkeypatch,
                                                            capsys):

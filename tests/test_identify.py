@@ -292,6 +292,31 @@ class TestFitModel:
         assert model.rule_count == report.n_rules >= 1
         assert np.all(np.isfinite(core.predict_batch(model, x)))
 
+    def test_sc_fits_share_a_partition_through_the_dict(self, monkeypatch):
+        # a set and its min-max normalised copy cluster once; another cfg,
+        # other rows and gk cluster again; each fit equals its fit alone
+        rng = np.random.default_rng(14)
+        z = rng.normal(size=(60, 3)) * [1.0, 30.0, 1e-3] + [5.0, -2.0, 0.0]
+        lo, hi = z.min(axis=0), z.max(axis=0)
+        sc = ClusterConfig(algorithm="sc")
+        fits = [(z, sc), ((z - lo) / (hi - lo), sc), (z, replace(sc, sc_radius=0.4)),
+                (z[:-1], sc), (z, ClusterConfig(algorithm="gk", seed=0))]
+        runs = []
+        real = clustering.run_sc
+
+        def counting(data, cfg):
+            runs.append(cfg)
+            return real(data, cfg)
+
+        monkeypatch.setattr(clustering, "run_sc", counting)
+        partitions = {}
+        shared = [fit_model(data, cfg, partitions=partitions) for data, cfg in fits]
+        assert len(runs) == len(partitions) == 3
+        for (data, cfg), (model, report) in zip(fits, shared):
+            alone, alone_report = fit_model(data, cfg)
+            assert core.dump_model(model) == core.dump_model(alone)
+            assert report == alone_report
+
     def test_sweep_with_sc_rejected(self):
         z = np.random.default_rng(12).normal(size=(30, 2))
         cfg = ClusterConfig(algorithm="sc")

@@ -3,7 +3,7 @@ partitions, the validity indices and the consequent solve."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import replace
@@ -330,6 +330,36 @@ def test_sc_equals_the_full_matrix(z, ra, data):
     expected, expected_count = full_matrix_sc(z, cfg)
     assert len(centers) == expected_count
     assert centers.tobytes() == expected.tobytes()
+
+
+@st.composite
+def joined_rows(draw):
+    """Supervised rows, 4 inputs then the target, with no constant column:
+    grid clouds moved, and stretched by up to three decades either way,
+    column by column."""
+    z = draw(grid_clouds(dims=st.just(5)))
+    rng = np.random.default_rng(draw(seeds))
+    z = z * 10.0 ** rng.uniform(-3, 3, 5) + rng.uniform(-1e3, 1e3, 5)
+    assume(np.all(z.max(axis=0) > z.min(axis=0)))
+    return z
+
+
+@settings(max_examples=100, deadline=None)
+@given(joined_rows(), st.sampled_from([0.3, 0.5]))
+def test_sc_partitions_rows_and_their_normalised_copy_alike(z, ra):
+    # what lets train cluster both scalings of a stride once
+    record = NormalizationRecord.from_supervised(z[:, :4], z[:, 4])
+
+    def scaled(rows):
+        return np.column_stack([record.normalize_x(rows[:, :4]), record.normalize_y(rows[:, 4])])
+
+    cfg = ClusterConfig(algorithm="sc", sc_radius=ra)
+    u, centers, _ = run_sc(z, cfg)
+    u_scaled, centers_scaled, _ = run_sc(scaled(z), cfg)
+    assert u_scaled.shape == u.shape
+    assert u_scaled.tobytes() == u.tobytes()
+    # the same rows accepted as centers
+    assert centers_scaled.tobytes() == scaled(centers).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
