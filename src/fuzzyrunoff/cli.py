@@ -417,12 +417,13 @@ def _evaluate_scheme(models, record, validation, train, models_dir, output):
 
 def cmd_evaluate(exp: Experiment) -> None:
     """Score every model into the forecast report and series."""
-    validation = exp.load_series("validation_csv")
     include_train = exp.get("include_train")
     if include_train not in ("on", "off"):
         raise ConfigError("config key 'include_train' must be on or off")
-    train_series = exp.load_series("train_csv") if include_train == "on" else None
+    allowed = set(exp.strides)
     models_dir = exp.get("models_dir", os.path.join(exp.out, "models"))
+    validation = exp.load_series("validation_csv")
+    train_series = exp.load_series("train_csv") if include_train == "on" else None
     try:
         names = sorted(f[: -len(".model.txt")] for f in os.listdir(models_dir)
                        if f.endswith(".model.txt"))
@@ -435,7 +436,6 @@ def cmd_evaluate(exp: Experiment) -> None:
     # models are scored and written one scheme at a time, the schemes in the
     # order of their first model, so that only one scheme's rows and text
     # are held at once
-    allowed = set(exp.strides)
     schemes: dict[tuple, tuple] = {}
     for name in names:
         path = os.path.join(models_dir, f"{name}.model.txt")

@@ -290,59 +290,68 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split())
 
 
-def _value(entries: dict, key: str, convert):
-    """Convert the ``key`` line of ``entries``, naming the line on failure."""
-    if key not in entries:
-        raise ValueError(f"missing '{key}' line")
-    lineno, rest = entries[key]
-    try:
-        return convert(rest)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad {key} value {rest!r}") from None
-
-
 def parse_model(text: str) -> TsModel:
     """Inverse of :func:`dump_model`; values are restored bit-exactly.
 
-    Only ``tsmodel-v2`` text is read.  A malformed file raises ValueError
-    naming the bad line or missing key.
+    Only ``tsmodel-v2`` text is read, its lines in dump_model's order,
+    blank lines skipped.  Any other line, a missing one or a value that
+    does not convert raises ValueError naming the line.
     """
-    header: dict[str, tuple[int, str]] = {}
-    rules_raw: list[dict] = []
+    lines = []  # (line number, key, value) of each line that is not blank
     for lineno, line in enumerate(text.splitlines(), start=1):
         key, _, rest = line.strip().partition(" ")
-        if key == "rule":
-            rules_raw.append({})
-        elif key in ("means", "widths", "theta"):
-            if not rules_raw:
-                raise ValueError(f"line {lineno}: '{key}' before any rule header")
-            rules_raw[-1][key] = (lineno, rest)
-        elif key:
-            header[key] = (lineno, rest)
-    tag = header.get("format", (0, None))[1]
+        if key:
+            lines.append((lineno, key, rest))
+    lines.append((None, None, None))  # the end of the file
+    at = 0
+
+    def take(key: str, convert):
+        """Convert the value of the next line, which must be a ``key`` line."""
+        nonlocal at
+        lineno, found_key, rest = lines[at]
+        if found_key is None:
+            raise ValueError(f"missing '{key}' line, found the end of the file")
+        if found_key != key:
+            raise ValueError(f"missing '{key}' line, found '{found_key}' at line {lineno}")
+        at += 1
+        try:
+            return convert(rest)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad {key} value {rest!r}") from None
+
+    tag = take("format", str)
     if tag != _FORMAT_TAG:
         raise ValueError(f"unsupported model format: {tag!r}")
-    n = _value(header, "input_dim", int)
-    c = _value(header, "rule_count", int)
-    if len(rules_raw) != c:
-        raise ValueError(f"expected {c} rules, found {len(rules_raw)}")
-    rows = []
-    for i, raw in enumerate(rules_raw):
+    n = take("input_dim", int)
+    c = take("rule_count", int)
+    scheme = None
+    if lines[at][1] == "algorithm":
+        algorithm = take("algorithm", str)
+        stride = take("stride", int)
+        lag = take("lag", int)
+        normalization = None
+        if lines[at][1] == "norm_mins":
+            mins = take("norm_mins", _floats)
+            maxs = take("norm_maxs", _floats)
+            normalization = (mins, maxs)
+        scheme = Scheme(algorithm, stride, lag, normalization)
+    means, widths, theta = [], [], []
+    for i in range(c):
         try:
-            rows.append([_value(raw, k, _floats) for k in ("means", "widths", "theta")])
-            if [len(row) for row in rows[-1]] != [n, n, n + 1]:
+            lineno = lines[at][0]
+            index = take("rule", int)
+            if index != i:
+                raise ValueError(f"line {lineno}: found rule {index}")
+            means.append(take("means", _floats))
+            widths.append(take("widths", _floats))
+            theta.append(take("theta", _floats))
+            if (len(means[i]), len(widths[i]), len(theta[i])) != (n, n, n + 1):
                 raise ValueError(f"row lengths do not match input_dim {n}")
         except ValueError as exc:
             raise ValueError(f"rule {i}: {exc}") from None
-    scheme = None
-    if "algorithm" in header:
-        normalization = None
-        if "norm_mins" in header or "norm_maxs" in header:
-            normalization = (_value(header, "norm_mins", _floats),
-                             _value(header, "norm_maxs", _floats))
-        scheme = Scheme(header["algorithm"][1], _value(header, "stride", int),
-                        _value(header, "lag", int), normalization)
-    means, widths, theta = ([row[k] for row in rows] for k in range(3))
+    lineno, key, _ = lines[at]
+    if key is not None:
+        raise ValueError(f"line {lineno}: '{key}' after the last rule")
     return TsModel(means, widths, theta, scheme)
 
 

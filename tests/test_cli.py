@@ -233,6 +233,11 @@ REFUSALS = [
     ("train", "lag = x", 2, "config key 'lag' must be 'auto' or an integer"),
     ("train", "lag = -1", 2, "config key 'lag' must be >= 0"),
     ("evaluate", "include_train = yes", 2, "config key 'include_train' must be on or off"),
+    # evaluate reads its keys before its files, as train and sweep do
+    ("evaluate", "validation_csv = missing.csv\ninclude_train = maybe", 2,
+     "config key 'include_train' must be on or off"),
+    ("evaluate", "validation_csv = missing.csv\nstrides = 1,a", 2,
+     "config key 'strides' must be integers"),
     ("evaluate", "models_dir = nothere", 3,
      "cannot list models in nothere: [Errno 2] No such file or directory: 'nothere'"),
     ("evaluate", "models_dir = out", 3, "no models found in out"),
@@ -625,6 +630,7 @@ class TestModelFile:
         (r"input_dim [^\n]*\n", "", "missing 'input_dim' line"),
         (r"rule_count \d+", "rule_count x", "line 3: bad rule_count value 'x'"),
         (r"tsmodel-v2", "tsmodel-v9", "unsupported model format: 'tsmodel-v9'"),
+        (r"(stride \d+\n)", r"\1\1", "missing 'lag' line, found 'stride' at line 6"),
     ])
     def test_corrupt_model_is_data_error(self, trained, tmp_path, capsys,
                                          pattern, replacement, message):

@@ -408,6 +408,17 @@ class TestSerialization:
         (lambda t: t.replace("tsmodel-v2", "tsmodel-v9"), "unsupported model format"),
         (lambda t: t.replace("theta 1.0 -3.0", "theta 1.0"), "rule 0: row lengths do not match"),
         (lambda t: t.replace("widths 2.0", "widths 0.0"), "rule 0: premise widths must be > 0"),
+        # lines out of dump_model's order, repeated, unknown or trailing
+        (lambda t: t.replace("stride 2\n", "stride 2\nstride 7\n"),
+         r"^missing 'lag' line, found 'stride' at line 6$"),
+        (lambda t: t.replace("lag 12\n", "lag 12\nbogus 1\n"),
+         r"^rule 0: missing 'rule' line, found 'bogus' at line 7$"),
+        (lambda t: t + "theta 1.0 -3.0\n", r"^line 11: 'theta' after the last rule$"),
+        (lambda t: t.replace("algorithm gk\nstride 2\nlag 12\n",
+                             "norm_mins 0 0\nnorm_maxs 1 1\n"),
+         r"^rule 0: missing 'rule' line, found 'norm_mins' at line 4$"),
+        (lambda t: t.replace("rule 0", "rule 1"), r"^rule 0: line 7: found rule 1$"),
+        (lambda t: t + "stride 3\n", r"^line 11: 'stride' after the last rule$"),
     ])
     def test_malformed_file_names_line_or_key(self, edit, message):
         text = core.dump_model(one_input_model((0.5, 2.0, [1.0, -3.0]),

@@ -6,8 +6,8 @@ but the manifests (which hold paths and versions) is compared with the
 record in ``tests/fingerprint/``: the set of files and every byte that is
 not part of a number must be equal, and every number must lie within a
 relative 1e-12 of its recorded value.  The numbers are compared only under
-the numpy and scipy versions the record was made with; under others that
-test is skipped and says so.
+the numpy and scipy versions and the OpenBLAS kernels (its core name) the
+record was made with; under others that test is skipped and says so.
 
 A change that is meant to move the numbers (a labelled round-off change)
 re-records the fingerprint with
@@ -15,12 +15,14 @@ re-records the fingerprint with
     PYTHONPATH=src python tests/test_fingerprint.py --record
 """
 
+import ctypes
 import json
 import lzma
 import math
 import os
 import platform
 import re
+import subprocess
 import sys
 import tempfile
 from itertools import zip_longest
@@ -76,10 +78,24 @@ def fingerprint(outputs: dict[str, str]) -> dict:
             for name, text in outputs.items()}
 
 
+def openblas_core() -> str | None:
+    """The name of the kernels numpy's bundled OpenBLAS chose for this CPU
+    (``OPENBLAS_CORETYPE`` chooses others), or None if it cannot be read."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        corename = lib.scipy_openblas_get_corename64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "openblas_core": openblas_core(),
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "python": platform.python_version(), "machine": platform.machine()}
 
@@ -125,14 +141,22 @@ def test_the_outputs_keep_their_files_and_text(outputs, recorded):
                         f"(first at line {lineno})")
 
 
-def test_the_outputs_keep_their_numbers(outputs, recorded):
+@pytest.fixture(scope="module")
+def same_numerics():
+    """Skips, naming them, under numpy, scipy or OpenBLAS kernels other than
+    the record's.  Module-scoped and first in a test's fixtures, so it is set
+    up before ``outputs`` and a skipped test does not run the pipeline."""
     with open(RECORD / "environment.json", encoding="utf-8") as fh:
         made_with = json.load(fh)
-    running = {"numpy": np.__version__, "scipy": scipy.__version__}
+    running = {"numpy": np.__version__, "scipy": scipy.__version__,
+               "openblas_core": openblas_core()}
     other = [f"{lib} {running[lib]} (recorded {made_with[lib]})"
-             for lib in ("numpy", "scipy") if running[lib] != made_with[lib]]
+             for lib in running if running[lib] != made_with[lib]]
     if other:
         pytest.skip("numeric check skipped under " + ", ".join(other))
+
+
+def test_the_outputs_keep_their_numbers(same_numerics, outputs, recorded):
     now = fingerprint(outputs)
     moved = []  # the largest change of each file whose numbers moved
     for name, entry in recorded.items():
@@ -147,6 +171,27 @@ def test_the_outputs_keep_their_numbers(outputs, recorded):
                          f"now {numbers[k]!r})")
     if moved:
         pytest.fail("\n".join(moved))
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="OPENBLAS_CORETYPE=Prescott selects x86-64 kernels")
+def test_other_openblas_kernels_skip_the_numbers(tmp_path):
+    # the numeric test in a child process whose OpenBLAS runs other kernels
+    test = f"{Path(__file__).resolve()}::test_the_outputs_keep_their_numbers"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs", "--setup-show",
+                           "-p", "no:cacheprovider", test], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    made_with = json.loads((RECORD / "environment.json").read_text())["openblas_core"]
+    skipped = re.search(r"SKIPPED .*openblas_core (\S+) \(recorded (\S+)\)", proc.stdout)
+    assert skipped, proc.stdout
+    assert skipped[2] == str(made_with) and skipped[1] != skipped[2]
+    assert "1 skipped" in proc.stdout
+    # the skip comes before the pipeline: --setup-show lists no outputs fixture
+    assert "SETUP    M same_numerics" in proc.stdout
+    assert " outputs" not in proc.stdout, proc.stdout
 
 
 def record(root: Path) -> None:
