@@ -20,16 +20,22 @@ Each entry point checks its data once (2-d, finite).
 All three are deterministic for a fixed seed, and iteration traces
 reproduce bit for bit.  Distances, GK's induced ones included, work on the
 samples as contiguous (d, N) columns and sum the squared terms over the
-coordinates one at a time, in order (see ``_sq_euclidean``).  GK's scatter
-works on the same columns: one GEMM per cluster adds the samples' terms in
-the order OpenBLAS uses for those operand layouts, so moving an operand to
-another layout changes the round-off, and the bit-for-bit tests run with
-one BLAS thread (``OPENBLAS_NUM_THREADS=1``), whose order is fixed.  Every
-other reduction uses numpy's fixed summation order.
+coordinates one at a time, in order, starting from +0.0 (see
+``_sq_euclidean``).  GK subtracts a center from those columns row by row,
+one coordinate at a time, so no operand broadcasts along the short d axis.
+GK's scatter works on the same columns: one GEMM per cluster adds the
+samples' terms in the order OpenBLAS uses for those operand layouts, so
+moving an operand to another layout changes the round-off, and the
+bit-for-bit tests run with one BLAS thread (``OPENBLAS_NUM_THREADS=1``),
+whose order is fixed.  Every other reduction uses numpy's fixed summation
+order.
 
 The alternating-optimisation loop takes u**m once per iteration (the
 objective's weights are the next iteration's), the GK blend scale and the
 (d, N) columns once per run, and reuses its scratch buffers across clusters.
+The partition change and the objective are formed in the (C, N) arrays the
+iteration is done with (the previous partition and the distances), not in
+fresh ones.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ def init_partition(n_samples: int, n_clusters: int, seed: int) -> np.ndarray:
 def _membership_mass(um: np.ndarray) -> np.ndarray:
     """Row sums of mu^m; a cluster without any membership is refused."""
     mass = um.sum(axis=1)
-    if np.any(mass == 0):
+    if (mass == 0).any():
         i = int(np.argmax(mass == 0))
         raise NumericalError(f"cluster {i} has zero membership mass")
     return mass
@@ -144,10 +150,11 @@ def scatter_matrices(z: np.ndarray, um: np.ndarray, centers: np.ndarray) -> np.n
     Works on the samples as contiguous (d, N) columns; ``z`` given as the
     transpose of such columns, as ``_run_alternating`` passes it, is not
     copied.  Per cluster the center is subtracted into one (d, N) buffer,
-    weighted by ``um[i]`` into a second, and one GEMM ``weighted @ diff.T``
-    sums over the samples in the order OpenBLAS uses for those operand
-    layouts.  Another layout of the same operands gives another order, so
-    it moves the result by round-off.
+    row by row (each coordinate from its contiguous column), weighted by
+    ``um[i]`` into a second, and one GEMM ``weighted @ diff.T`` sums over
+    the samples in the order OpenBLAS uses for those operand layouts.
+    Another layout of the same operands gives another order, so it moves
+    the result by round-off.
     """
     mass = _membership_mass(um)
     cols = np.ascontiguousarray(z.T)
@@ -155,8 +162,9 @@ def scatter_matrices(z: np.ndarray, um: np.ndarray, centers: np.ndarray) -> np.n
     out = np.empty((c, d, d))
     diff = np.empty(cols.shape)
     weighted = np.empty(cols.shape)
-    for i in range(c):
-        np.subtract(cols, centers[i][:, None], out=diff)
+    for i, v in enumerate(centers):
+        for j in range(d):
+            np.subtract(cols[j], v[j], out=diff[j])
         np.multiply(diff, um[i], out=weighted)
         np.matmul(weighted, diff.T, out=out[i])
         out[i] /= mass[i]
@@ -193,8 +201,8 @@ def update_covariances(scatter: np.ndarray, gamma: float,
             raise ValueError(f"a blend with gamma = {gamma} needs scale = blend_scale(z), "
                              "got None")
         d = scatter.shape[-1]
-        covs = (1.0 - gamma) * scatter
-        covs[:, range(d), range(d)] += gamma * scale
+        covs = np.multiply(1.0 - gamma, scatter, order="C")  # so reshape is a view
+        covs.reshape(len(covs), d * d)[:, ::d + 1] += gamma * scale  # the diagonals
     smallest = np.linalg.eigvalsh(covs)[:, 0]
     singular = smallest <= 1e-12 * np.trace(covs, axis1=1, axis2=2)
     if singular.any():
@@ -245,24 +253,24 @@ def _squared_distances(z: np.ndarray, centers: np.ndarray, norms=None) -> np.nda
     """(C, N) matrix of squared induced distances; ``norms=None`` is the
     Euclidean norm, computed by ``_sq_euclidean``.
 
-    Per cluster the (d, N) terms (A^T diff) * diff are formed in place from
-    the samples' contiguous columns, and their rows are added into the
-    zeroed output row in order, the summation order of ``_sq_euclidean``.
+    Per cluster the center is subtracted from the samples' contiguous
+    columns row by row, the (d, N) terms (A^T diff) * diff are formed in
+    place, and one reduce adds their rows into the output row in order,
+    starting from +0.0: the summation order of ``_sq_euclidean``.
     """
     cols = np.ascontiguousarray(z.T)
     shape = (centers.shape[0], z.shape[0])
     if norms is None:
         return _sq_euclidean(cols, centers, np.empty(shape), np.empty(shape))
-    out = np.zeros(shape)
+    out = np.empty(shape)
     diff = np.empty(cols.shape)
     terms = np.empty(cols.shape)
-    for i in range(shape[0]):
-        np.subtract(cols, centers[i][:, None], out=diff)
+    for i, v in enumerate(centers):
+        for j in range(len(cols)):
+            np.subtract(cols[j], v[j], out=diff[j])
         np.matmul(norms[i].T, diff, out=terms)
         terms *= diff
-        row = out[i]
-        for t in terms:
-            row += t
+        np.add.reduce(terms, axis=0, out=out[i], initial=0.0)
     # tiny negatives from round-off would break the power update
     np.maximum(out, 0.0, out=out)
     return out
@@ -272,19 +280,22 @@ def update_memberships(distances, m: float) -> np.ndarray:
     """(C, N) membership update mu_ik = 1 / sum_q (G_ik^2 / G_qk^2)^(1/(m-1)).
 
     Columns with one or more exactly-zero distances put all membership on
-    those clusters (split equally) and zero elsewhere.
+    those clusters (split equally) and zero elsewhere.  The result is
+    formed in one new (C, N) array; ``distances`` is left unchanged.
     """
     d2 = np.asarray(distances, dtype=float)
-    if np.any(d2 < 0):
+    if (d2 < 0).any():
         raise ValueError("squared distances must be non-negative")
     p = 1.0 / (m - 1.0)
     # Scale each column by its min distance: ratios >= 1, no overflow.
     dmin = d2.min(axis=0)
     hit = np.flatnonzero(dmin == 0.0)  # the columns holding an exact zero
-    dmin[hit] = 1.0
-    ratio = d2 / dmin
-    ratio[:, hit] = 1.0  # placeholder; these columns are rewritten below
-    u = ratio ** (-p)
+    if hit.size:
+        dmin[hit] = 1.0
+    u = d2 / dmin
+    if hit.size:
+        u[:, hit] = 1.0  # placeholder; these columns are rewritten below
+    u **= -p
     u /= u.sum(axis=0)
     if hit.size:
         zero = d2[:, hit] == 0.0
@@ -293,8 +304,9 @@ def update_memberships(distances, m: float) -> np.ndarray:
 
 
 def _objective(um: np.ndarray, d2: np.ndarray) -> float:
-    """J = sum_ik mu_ik^m d2_ik from the weights ``um`` = u**m."""
-    return float((um * d2).sum())
+    """J = sum_ik mu_ik^m d2_ik from the weights ``um`` = u**m; the products
+    are written into ``d2``, which the caller no longer needs."""
+    return float(np.multiply(um, d2, out=d2).sum())
 
 
 def run_gk(data, cfg: ClusterConfig):
@@ -333,7 +345,7 @@ def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
         d2 = _squared_distances(cols.T, centers, norms)  # takes cols, no copy
         u_new = update_memberships(d2, cfg.m)
         um = u_new**cfg.m  # the objective's weights and the next iteration's
-        delta = float(np.abs(u_new - u).max())
+        delta = float(np.abs(np.subtract(u_new, u, out=u), out=u).max())
         trace.objective.append(_objective(um, d2))
         trace.delta_u.append(delta)
         u = u_new

@@ -56,6 +56,19 @@ class Scheme:
             raise ValueError(f"scheme needs stride >= 1 and lag >= 0, got {self.stride}, {self.lag}")
 
 
+def _refused_rule(means: np.ndarray, widths: np.ndarray, theta: np.ndarray):
+    """(index, reason) of the first of the (C, .) rule rows a model refuses,
+    a parameter that is not finite or a premise width that is not > 0, or
+    None."""
+    finite = np.isfinite(np.hstack([means, widths, theta])).all(axis=1)
+    if not finite.all():
+        return int(np.argmin(finite)), "parameters must be finite"
+    positive = (widths > 0).all(axis=1)
+    if not positive.all():
+        return int(np.argmin(positive)), "premise widths must be > 0"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class TsModel:
     """Immutable Takagi-Sugeno model; safe for concurrent read-only use.
@@ -84,12 +97,9 @@ class TsModel:
         if widths.shape != (c, n) or theta.shape != (c, n + 1):
             raise ValueError(f"expected widths of shape {(c, n)} and consequents of shape "
                              f"{(c, n + 1)}, got {widths.shape} and {theta.shape}")
-        finite = np.isfinite(np.hstack([means, widths, theta])).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"rule {int(np.argmin(finite))}: parameters must be finite")
-        positive = (widths > 0).all(axis=1)
-        if not positive.all():
-            raise ValueError(f"rule {int(np.argmin(positive))}: premise widths must be > 0")
+        refused = _refused_rule(means, widths, theta)
+        if refused:
+            raise ValueError("rule %d: %s" % refused)
         # views of the parameters as the rule-major kernels broadcast them
         # over (n, C, N): means, widths and input coefficients (n, C, 1),
         # intercepts (C, 1)
@@ -295,7 +305,9 @@ def parse_model(text: str) -> TsModel:
 
     Only ``tsmodel-v2`` text is read, its lines in dump_model's order,
     blank lines skipped.  Any other line, a missing one or a value that
-    does not convert raises ValueError naming the line.
+    does not convert raises ValueError naming the line.  Values that
+    convert but that ``Scheme`` or ``TsModel`` refuses raise their
+    ValueError, prefixed with the lines they were read from.
     """
     lines = []  # (line number, key, value) of each line that is not blank
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -319,29 +331,40 @@ def parse_model(text: str) -> TsModel:
         except ValueError:
             raise ValueError(f"line {lineno}: bad {key} value {rest!r}") from None
 
+    def taken_since(first: int) -> str:
+        """The lines from ``first`` to the last one taken."""
+        return f"lines {first}-{lines[at - 1][0]}"
+
     tag = take("format", str)
     if tag != _FORMAT_TAG:
         raise ValueError(f"unsupported model format: {tag!r}")
+    first = lines[at][0]
     n = take("input_dim", int)
     c = take("rule_count", int)
+    shape_lines = taken_since(first)
     scheme = None
     if lines[at][1] == "algorithm":
         algorithm = take("algorithm", str)
+        first = lines[at][0]
         stride = take("stride", int)
         lag = take("lag", int)
+        scheme_lines = taken_since(first)
         normalization = None
         if lines[at][1] == "norm_mins":
             mins = take("norm_mins", _floats)
             maxs = take("norm_maxs", _floats)
             normalization = (mins, maxs)
-        scheme = Scheme(algorithm, stride, lag, normalization)
+        try:
+            scheme = Scheme(algorithm, stride, lag, normalization)
+        except ValueError as exc:
+            raise ValueError(f"{scheme_lines}: {exc}") from None
     means, widths, theta = [], [], []
     for i in range(c):
+        first = lines[at][0]
         try:
-            lineno = lines[at][0]
             index = take("rule", int)
             if index != i:
-                raise ValueError(f"line {lineno}: found rule {index}")
+                raise ValueError(f"line {first}: found rule {index}")
             means.append(take("means", _floats))
             widths.append(take("widths", _floats))
             theta.append(take("theta", _floats))
@@ -349,10 +372,17 @@ def parse_model(text: str) -> TsModel:
                 raise ValueError(f"row lengths do not match input_dim {n}")
         except ValueError as exc:
             raise ValueError(f"rule {i}: {exc}") from None
+        refused = _refused_rule(np.array([means[i]]), np.array([widths[i]]),
+                                np.array([theta[i]]))
+        if refused:
+            raise ValueError(f"{taken_since(first)}: rule {i}: {refused[1]}")
     lineno, key, _ = lines[at]
     if key is not None:
         raise ValueError(f"line {lineno}: '{key}' after the last rule")
-    return TsModel(means, widths, theta, scheme)
+    try:
+        return TsModel(means, widths, theta, scheme)
+    except ValueError as exc:  # no rule or no input
+        raise ValueError(f"{shape_lines}: {exc}") from None
 
 
 def save_model(model: TsModel, path) -> None:

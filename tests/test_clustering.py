@@ -260,6 +260,30 @@ class TestKernels:
                         err = np.abs(got[i] - rows).max()
                         assert err <= 1e-13 * np.abs(rows).max(), (d, c, kind, i, err)
 
+    def test_scatter_is_the_columns_formula_bit_for_bit(self):
+        # the same operand layouts as the kernel's, so the same GEMM order:
+        # the center subtracted from the (d, N) columns, weighted, times the
+        # transpose of the centered columns, over the mass (whose sum order
+        # follows the layout of the weights given)
+        rng = np.random.default_rng(47)
+        for d in range(1, 13):
+            for _ in range(5):
+                n, c = int(rng.integers(d + 2, 300)), int(rng.integers(2, 7))
+                z = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+                z[0] = -0.0
+                u = rng.random((c, n)) + 1e-3
+                um = (u / u.sum(axis=0)) ** float(rng.uniform(1.2, 3.0))
+                centers = update_centers(z, um)
+                centers[0] = 0.0
+                cols = np.ascontiguousarray(z.T)
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    args = tuple(layout(a) for a in (z, um, centers))
+                    mass = args[1].sum(axis=1)
+                    expected = np.stack([((cols - v[:, None]) * um[i]) @ (cols - v[:, None]).T
+                                         / mass[i] for i, v in enumerate(centers)])
+                    got = scatter_matrices(*args)
+                    assert got.tobytes() == expected.tobytes(), (d, n, c, layout)
+
     def test_distances_match_einsum(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -404,6 +428,15 @@ class TestUpdateMemberships:
             got = update_memberships(d2, m)
             assert got.tobytes() == expected.tobytes()
             assert got.shape == expected.shape
+
+    def test_distances_are_left_unchanged(self):
+        rng = np.random.default_rng(10)
+        d2 = rng.random((4, 60)).round(1)
+        d2[:, 5] = 0.0
+        d2[2, 7] = 0.0
+        keep = d2.copy()
+        update_memberships(d2, m=2.0)
+        assert d2.tobytes() == keep.tobytes()
 
     def test_negative_distance_refused_beside_a_nan(self):
         d2 = np.array([[1.0, np.nan], [2.0, -1e-300]])

@@ -419,6 +419,17 @@ class TestSerialization:
          r"^rule 0: missing 'rule' line, found 'norm_mins' at line 4$"),
         (lambda t: t.replace("rule 0", "rule 1"), r"^rule 0: line 7: found rule 1$"),
         (lambda t: t + "stride 3\n", r"^line 11: 'stride' after the last rule$"),
+        # values that convert but that Scheme or TsModel refuses
+        (lambda t: t.replace("stride 2", "stride 0"),
+         r"^lines 5-6: scheme needs stride >= 1 and lag >= 0, got 0, 12$"),
+        (lambda t: t.replace("lag 12", "lag -1"),
+         r"^lines 5-6: scheme needs stride >= 1 and lag >= 0, got 2, -1$"),
+        (lambda t: t.replace("widths 2.0", "widths -1.0"),
+         r"^lines 7-10: rule 0: premise widths must be > 0$"),
+        (lambda t: t.replace("means 0.5", "means nan"),
+         r"^lines 7-10: rule 0: parameters must be finite$"),
+        (lambda t: t.replace("rule_count 1", "rule_count 0").split("rule 0")[0],
+         r"^lines 2-3: model needs at least one rule and one input"),
     ])
     def test_malformed_file_names_line_or_key(self, edit, message):
         text = core.dump_model(one_input_model((0.5, 2.0, [1.0, -3.0]),
