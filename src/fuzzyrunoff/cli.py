@@ -274,9 +274,15 @@ def cmd_sweep(exp: Experiment) -> None:
     if not algorithms:
         raise ConfigError("sweep needs gk or fcm in 'algorithms' "
                           "(subtractive clustering has no C parameter)")
+    for algorithm in algorithms:  # a bad setting comes before a fault in train_csv
+        exp.rule_counts(algorithm, math.inf, True)
     sset, = exp.training_sets(exp.strides[:1], [True in exp.normalization_modes]).values()
     for algorithm in algorithms:
-        report = sweep_clusters(sset.joined(), *exp.rule_counts(algorithm, sset.n_rows, True))
+        cfg, c_range = exp.rule_counts(algorithm, sset.n_rows, True)
+        try:
+            report = sweep_clusters(sset.joined(), cfg, c_range)
+        except NumericalError as exc:
+            raise NumericalError(f"{algorithm}: {exc}") from None
         report.to_csv(exp.output(f"validity_{algorithm}.csv"))
         lines = [f"consensus {report.consensus}"]
         lines += [f"{name} {c}" for name, c in sorted(report.per_index_optimum.items())]
@@ -288,20 +294,22 @@ def cmd_sweep(exp: Experiment) -> None:
 def cmd_train(exp: Experiment) -> None:
     """Fit one model per algorithm, stride and scaling."""
     algorithms = exp.algorithms
+    sweep = exp.raw.get("clusters") == "sweep"
+    for algorithm in algorithms:  # a bad setting comes before a fault in train_csv
+        exp.rule_counts(algorithm, math.inf, sweep)
     sets = exp.training_sets(exp.strides, exp.normalization_modes)
     # sc clusters each stride once: both scalings of it normalise to the
     # same bits, so they share one partition (see fit_model)
     partitions = {}
     for algorithm in algorithms:
         for (stride, normalized), sset in sets.items():
-            cfg, c_range = exp.rule_counts(algorithm, sset.n_rows,
-                                           exp.raw.get("clusters") == "sweep")
+            cfg, c_range = exp.rule_counts(algorithm, sset.n_rows, sweep)
             name = _combo_name(algorithm, stride, normalized)
             try:
                 model, fit = fit_model(sset.joined(), cfg, c_range=c_range,
                                        partitions=partitions)
-            except DataValidationError as exc:
-                raise DataValidationError(f"train_csv: {name}: {exc}") from None
+            except (DataValidationError, NumericalError, np.linalg.LinAlgError) as exc:
+                raise type(exc)(f"train_csv: {name}: {exc}") from None
             # SC's rule count, and so the parameter count, is known only now
             if sset.n_rows < model.consequents.size:
                 raise DataValidationError(

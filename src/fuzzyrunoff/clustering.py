@@ -49,7 +49,7 @@ class NumericalError(RuntimeError):
     """Numerical failure inside a clustering or fitting stage."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterConfig:
     """Knobs shared by the clustering algorithms.
 
@@ -58,6 +58,9 @@ class ClusterConfig:
     covariance toward a scaled identity so collinear clusters stay
     invertible (0 disables the blend).  The sc_* fields parametrise
     subtractive clustering on min-max normalised data.
+
+    Frozen: a bad field is a ValueError when a config is built, by
+    ``dataclasses.replace`` too, so the runners take every config as valid.
     """
 
     algorithm: str = "gk"
@@ -72,7 +75,7 @@ class ClusterConfig:
     sc_accept: float = 0.5
     sc_reject: float = 0.15
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.algorithm not in ("gk", "fcm", "sc"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not 1 < self.m < np.inf:
@@ -327,7 +330,6 @@ def run_fcm(data, cfg: ClusterConfig):
 
 
 def _run_alternating(data, cfg: ClusterConfig, adaptive_norm: bool):
-    cfg.validate()
     z = _as_data(data)
     u = init_partition(z.shape[0], cfg.n_clusters, cfg.seed)
     um = u**cfg.m
@@ -401,7 +403,6 @@ def run_sc(data, cfg: ClusterConfig):
     included, comes from ``_sq_euclidean``, so the result does not depend
     on the block.
     """
-    cfg.validate()
     z = _as_data(data)
     n = z.shape[0]
     if n == 0:
@@ -458,6 +459,4 @@ def run_clustering(data, cfg: ClusterConfig):
         return run_gk(data, cfg)
     if cfg.algorithm == "fcm":
         return run_fcm(data, cfg)
-    if cfg.algorithm == "sc":
-        return run_sc(data, cfg)
-    raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+    return run_sc(data, cfg)

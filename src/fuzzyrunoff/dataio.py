@@ -312,7 +312,7 @@ def scheme_sets(lag: int, stride: int, normalization: bool, train: EventSeries,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StormParams:
     """Shape of a synthetic storm and of the catchment response.
 
@@ -328,6 +328,8 @@ class StormParams:
     tipping-bucket quantum (exact zeros between tips); the recursion is
     driven by the emitted (quantised) rainfall so the head stays an exact
     function of the reported inputs.
+
+    Frozen: a bad field is a ValueError when the parameters are built.
     """
 
     pulses: tuple[int, int] = (1, 3)                   # inclusive draw range
@@ -343,7 +345,7 @@ class StormParams:
     initial_head: float = 5.0  # mm
     rain_resolution: float = 0.0  # tipping-bucket quantum, mm; 0 = exact
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rain_resolution < 0:
             raise ValueError("rain_resolution must be >= 0")
         if not 0 <= self.storage < 1:
@@ -372,7 +374,6 @@ class StormParams:
 def synth_storm(seed: int, duration: float, base_interval: float,
                 params: StormParams) -> EventSeries:
     """Deterministic synthetic storm event for desk-scale experiments."""
-    params.validate()
     if base_interval <= 0 or duration < base_interval:
         raise ValueError("need duration >= base_interval > 0")
     n = int(round(duration / base_interval)) + 1

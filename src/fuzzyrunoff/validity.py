@@ -154,10 +154,10 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     Per-index optimum follows the index direction; the consensus C is the
     mode of the six optima with ties going to the smallest C.  A numerical
     failure at some C is recorded and that C excluded; if every C fails a
-    NumericalError is raised.  A bad setting in ``cfg_template`` is a
-    ValueError, not a failure.  Only the gk and fcm algorithms sweep -
-    subtractive clustering derives its count from the radius, not from a C
-    input.
+    NumericalError is raised.  A bad setting, a C below 2 included, is a
+    ValueError from building its config, before anything is clustered, not
+    a failure.  Only the gk and fcm algorithms sweep - subtractive
+    clustering derives its count from the radius, not from a C input.
     """
     if cfg_template.algorithm not in ("gk", "fcm"):
         raise ValueError(f"sweep supports 'gk' and 'fcm', not {cfg_template.algorithm!r}")
@@ -165,8 +165,6 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values:
         raise ValueError("empty cluster range")
-    if c_values[0] < 2:
-        raise ValueError("cluster counts must be >= 2")
     if c_values[-1] >= z.shape[0]:
         raise ValueError(f"C_max={c_values[-1]} must be < N={z.shape[0]}")
     names = list(INDEX_DIRECTIONS)

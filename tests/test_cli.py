@@ -192,7 +192,7 @@ class TestConfigParsing:
         capsys.readouterr()
         assert run(tmp_path, "train", config, monkeypatch) == 2
         assert capsys.readouterr().err == \
-            "config error: clustering: sc_squash must be > 0 and finite, got 0.0\n"
+            "config error: sc_squash must be > 0 and finite, got 0.0\n"
 
     @pytest.mark.parametrize("command", ["sweep", "train"])
     def test_bad_setting_in_a_sweep_is_config_error(self, tmp_path, monkeypatch, capsys,
@@ -255,6 +255,28 @@ REFUSALS = [
      "train_csv: constant column 'rain3' cannot be normalised (min == max == 0.0)"),
     ("train", "train_csv =", 2, "exp.conf:10: key 'train_csv' has no value"),
     ("synth", "out =", 2, "exp.conf:10: key 'out' has no value"),
+    ("train", "train_csv = empty.csv", 3, "empty.csv: empty file"),
+    ("train", "train_csv = abc.csv", 3, "abc.csv: unparseable number at line 3"),
+    ("train", "train_csv = one_row.csv", 3, "one_row.csv: need at least 2 data rows"),
+    # every setting is refused before train_csv, which holds a nan, is read
+    *[(command, f"train_csv = nan.csv\n{setting}", 2, message)
+      for command in ("train", "sweep")
+      for setting, message in [
+          ("m = 0.5", "fuzziness m must be > 1 and finite, got 0.5"),
+          ("xi = 0", "termination constant xi must be > 0 and finite, got 0.0"),
+          ("max_iter = 0", "max_iter must be >= 1"),
+          ("gamma = 2", "gamma must be in [0, 1], got 2.0"),
+          ("sc_radius = 0", "sc_radius must be in (0, 1], got 0.0"),
+          ("sc_squash = 0", "sc_squash must be > 0 and finite, got 0.0"),
+          ("sc_accept = 0.1", "need 0 < sc_reject <= sc_accept <= 1, got sc_reject=0.15, "
+                              "sc_accept=0.1"),
+          ("sc_reject = 0", "need 0 < sc_reject <= sc_accept <= 1, got sc_reject=0.0, "
+                            "sc_accept=0.5"),
+      ]],
+    ("train", "train_csv = nan.csv\nclusters = 1", 2, "config key 'clusters' must be >= 2"),
+    ("train", "train_csv = nan.csv\nclusters = sweep\nc_max = 1", 2,
+     "config key 'c_max' must be >= 2"),
+    ("sweep", "train_csv = nan.csv\nc_max = 1", 2, "config key 'c_max' must be >= 2"),
 ]
 # the event files that REFUSALS rows name; the 40-sample ones are long enough
 # for BASE_CONFIG's max_lag of 15
@@ -263,7 +285,10 @@ BAD_EVENTS = {"nan.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n30,nan,0,
               "dry.csv": "timestamp,rain1,rain2,rain3,head\n" + "".join(
                   f"{30 * k},0,0,0,{5 + k % 7}\n" for k in range(40)),
               "dead_gauge.csv": "timestamp,rain1,rain2,rain3,head\n" + "".join(
-                  f"{30 * k},{k % 5},{k % 3},0,{5 + k % 7}\n" for k in range(40))}
+                  f"{30 * k},{k % 5},{k % 3},0,{5 + k % 7}\n" for k in range(40)),
+              "empty.csv": "",
+              "abc.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n30,abc,0,0,5\n",
+              "one_row.csv": "timestamp,rain1,rain2,rain3,head\n0,0,0,0,5\n"}
 
 
 NOT_UTF8 = [  # (file, its text with a byte 0xE9, command, kind of error, message head)
@@ -418,14 +443,18 @@ class TestTrain:
         config = write_config(tmp_path, "algorithms = gk\nstrides = 1\n")
         assert run(tmp_path, "train", config, monkeypatch) == 3
 
-    def test_numerical_failure_is_exit_four(self, tmp_path, monkeypatch):
+    def test_numerical_failure_is_exit_four(self, tmp_path, monkeypatch, capsys):
         # a dead gauge makes the joined data collinear; with gamma = 0 the raw
-        # fuzzy covariance GK inverts is singular and clustering fails
+        # fuzzy covariance GK inverts is singular and clustering fails, at
+        # the first combination, which the message names
         write_degenerate_event(tmp_path, 40, dead_gauge=True)
-        config = write_config(tmp_path, "algorithms = gk\nstrides = 1\n"
+        config = write_config(tmp_path, "algorithms = gk\nstrides = 1,2\n"
                                         "normalization = off\ngamma = 0\n"
                                         "lag = 0\n")
         assert run(tmp_path, "train", config, monkeypatch) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: train_csv: gk_s1_dim: clustering: covariance of "
+            "cluster 0 is singular after regularisation\n")
 
     def test_numerical_failure_after_a_fit_writes_nothing(self, tmp_path, monkeypatch):
         # fcm fits the event of the test above; gk then fails on it
@@ -1091,6 +1120,16 @@ class TestSweep:
         capsys.readouterr()
         assert run(tmp_path, "sweep", config, monkeypatch) == 4
         assert "clustering failed for every C" in capsys.readouterr().err
+
+    def test_numerical_failure_names_the_algorithm(self, tmp_path, monkeypatch, capsys):
+        # fcm sweeps the dead gauge of TestTrain's numerical failure; gk
+        # fails at every C and the message names it
+        write_degenerate_event(tmp_path, 40, dead_gauge=True)
+        config = write_config(tmp_path, "algorithms = fcm,gk\nnormalization = off\n"
+                                        "gamma = 0\nlag = 0\nc_max = 4\n")
+        assert run(tmp_path, "sweep", config, monkeypatch) == 4
+        assert capsys.readouterr().err == \
+            "numerical failure: gk: clustering failed for every C in [2, 3, 4]\n"
 
     def test_scores_the_rows_train_fits(self, tmp_path, monkeypatch):
         # at this seed GK's consensus on the rows with the unshifted lag is

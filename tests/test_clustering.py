@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -796,12 +797,9 @@ class TestDispatch:
             np.testing.assert_allclose(u.sum(axis=0), 1.0, atol=1e-9)
 
     def test_unknown_algorithm_rejected(self):
-        from fuzzyrunoff.clustering import run_clustering
-
-        cfg = ClusterConfig(algorithm="gk", n_clusters=2)
-        cfg.algorithm = "kmeans"
+        # refused when the config is built, so run_clustering never sees it
         with pytest.raises(ValueError, match="kmeans"):
-            run_clustering(two_blobs(seed=51), cfg)
+            ClusterConfig(algorithm="kmeans", n_clusters=2)
 
 
 class TestValidate:
@@ -820,12 +818,35 @@ class TestValidate:
         ("sc_reject", 0.6, "sc_reject"),  # above sc_accept = 0.5
         ("sc_accept", math.nan, "sc_accept"),
         ("sc_accept", 1.5, "sc_accept"),
+        ("algorithm", "kmeans", "unknown algorithm 'kmeans'"),
+        ("m", 1.0, "fuzziness m"),
+        ("xi", 0.0, "termination constant xi"),
+        ("n_clusters", 1, "need at least 2 clusters, got 1"),
+        ("max_iter", 0, "max_iter must be >= 1"),
+        ("gamma", -0.1, "gamma must be in"),
+        ("gamma", 1.5, "gamma must be in"),
+        ("sc_radius", 0.0, "sc_radius must be in"),
+        ("sc_radius", 1.5, "sc_radius must be in"),
     ])
     def test_refuses(self, field, value, message):
-        # unchecked, sc_reject <= 0 or nan lets run_sc pick a zeroed
-        # candidate forever, and sc_squash = 0 divides by zero
+        # every refusal, raised when the config is built; unchecked,
+        # sc_reject <= 0 or nan lets run_sc pick a zeroed candidate forever,
+        # and sc_squash = 0 divides by zero
         with pytest.raises(ValueError, match=message):
-            ClusterConfig(algorithm="sc", **{field: value}).validate()
+            ClusterConfig(**{field: value})
+
+    def test_replace_checks_the_copy(self):
+        with pytest.raises(ValueError, match="need at least 2 clusters, got 1"):
+            dataclasses.replace(ClusterConfig(), n_clusters=1)
+
+    def test_sc_takes_no_rule_count(self):
+        assert ClusterConfig(algorithm="sc", n_clusters=0).n_clusters == 0
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = ClusterConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.m = 0.5
+        assert cfg.m == 2.0
 
 
 ENTRY_POINTS = {
@@ -841,6 +862,10 @@ class TestInputCheck:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
             _as_data(np.array([[1.0, np.nan]]))
+
+    def test_run_sc_refuses_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty data matrix"):
+            run_sc(np.empty((0, 3)), ClusterConfig(algorithm="sc"))
 
     def test_two_d_input_is_kept_as_floats(self):
         z = _as_data(np.ones((4, 3), dtype=int))

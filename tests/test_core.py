@@ -159,6 +159,12 @@ class TestPredict:
         scaled = ((7.3 * w) * out).sum() / (7.3 * w).sum()
         assert abs(base - scaled) <= 1e-12 * max(1.0, abs(base))
 
+    def test_input_of_the_wrong_length_refused(self):
+        model = one_input_model((0.0, 1.0, [2.0, -1.0]))
+        with pytest.raises(ValueError, match=r"^input length \(2,\) does not match model "
+                                             r"dimension 1$"):
+            predict(model, [1.0, 2.0])
+
     def test_zero_rules_rejected(self):
         with pytest.raises(ValueError, match="at least one rule"):
             TsModel(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 2)))

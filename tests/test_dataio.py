@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestEventSeries:
     def test_length_mismatch(self):
         with pytest.raises(DataValidationError):
             EventSeries(np.arange(4) * 30.0, np.zeros((3, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("t, message", [
+        ([0.0], "event series needs at least 2 samples"),
+        ([30.0, 0.0], "timestamps must be strictly increasing"),
+        ([0.0, 0.0, 0.0], "timestamps must be strictly increasing"),
+    ])
+    def test_too_few_samples_or_time_not_increasing(self, t, message):
+        n = len(t)
+        with pytest.raises(DataValidationError, match=f"^{message}$"):
+            EventSeries(np.array(t), np.zeros((n, 3)), np.zeros(n))
 
     def test_channel_accessors(self):
         s = simple_series(5)
@@ -145,6 +157,21 @@ class TestEstimateLag:
         with pytest.raises(DataValidationError):
             estimate_lag(s, max_lag=5)
 
+    def test_default_window_is_a_quarter_of_the_series_and_at_least_one(self):
+        # three samples: n // 4 is 0, and the window of 1 still finds the delay
+        s = EventSeries(np.arange(3) * 30.0, [[1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3],
+                        [0.0, 1.0, 0.0])
+        assert estimate_lag(s) == 1
+        # a delay of 12 lies beyond the default window of 40 // 4 = 10
+        s = delayed_series(12, n=40)
+        assert estimate_lag(s, max_lag=15) == 12
+        assert estimate_lag(s) == estimate_lag(s, max_lag=10) != 12
+
+    def test_constant_head_has_no_correlation(self):
+        s = simple_series(20, head=np.full(20, 5.0))
+        with pytest.raises(DataValidationError, match="^correlation undefined at every lag$"):
+            estimate_lag(s, max_lag=3)
+
     def test_window_precondition(self):
         s = simple_series(20)
         with pytest.raises(DataValidationError):
@@ -199,6 +226,14 @@ class TestBuildSupervised:
         # validation head exceeds the training max -> values above 1
         assert vset.y.max() > 1.0
         assert outside_unit_fraction(vset.y) > 0.0
+
+    @pytest.mark.parametrize("lag, stride, message", [
+        (0, 0, "stride must be >= 1, got 0"),
+        (-1, 1, "lag must be >= 0, got -1"),
+    ])
+    def test_bad_lag_or_stride_refused(self, lag, stride, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_supervised(simple_series(20), lag=lag, stride=stride)
 
     def test_too_short_rejected(self):
         s = simple_series(12)
@@ -272,6 +307,9 @@ class TestNormalization:
         assert outside_unit_fraction(normalized) == 1.0
         assert rec.denormalize_y(normalized)[0] == pytest.approx(12.0, rel=1e-12)
 
+    def test_no_values_give_a_zero_fraction(self):
+        assert outside_unit_fraction([]) == 0.0
+
     def test_apply_normalization_guard(self):
         # a training record re-applied to its own series reproduces the
         # training set; anything but False, True or a record is refused
@@ -322,11 +360,47 @@ class TestSynthStorm:
 
     def test_validates_params(self):
         with pytest.raises(ValueError):
-            StormParams(storage=1.2).validate()
+            StormParams(storage=1.2)
         with pytest.raises(ValueError):
-            StormParams(exponent=0.0).validate()
+            StormParams(exponent=0.0)
         with pytest.raises(ValueError):
-            StormParams(station_gains=(1.0, 0.0, 1.0)).validate()
+            StormParams(station_gains=(1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rain_resolution", -0.1, "rain_resolution must be >= 0"),
+        ("storage", 1.0, r"storage must be in \[0, 1\), got 1.0"),
+        ("gain", -1.0, "gain and noise must be >= 0, exponent > 0"),
+        ("noise", -1.0, "gain and noise must be >= 0, exponent > 0"),
+        ("exponent", -1.0, "gain and noise must be >= 0, exponent > 0"),
+        ("routing_lag", -1, "routing_lag must be >= 0, got -1"),
+        ("pulses", (0, 2), r"bad pulses range \(0, 2\)"),
+        ("pulses", (3, 2), r"bad pulses range \(3, 2\)"),
+        ("amplitude_range", (-1.0, 2.0), r"bad amplitude_range \(-1.0, 2.0\)"),
+        ("amplitude_range", (3.0, 2.0), r"bad amplitude_range \(3.0, 2.0\)"),
+        ("width_range", (0.0, 10.0), r"bad width_range \(0.0, 10.0\)"),
+        ("width_range", (20.0, 10.0), r"bad width_range \(20.0, 10.0\)"),
+        ("station_gains", (1.0, 1.0), "station_gains must be 3 positive factors"),
+        ("station_gains", (1.0, -1.0, 1.0), "station_gains must be 3 positive factors"),
+        ("station_delays", (0.0, 0.0), "station_delays must be 3 non-negative offsets"),
+        ("station_delays", (0.0, -1.0, 0.0), "station_delays must be 3 non-negative offsets"),
+        ("initial_head", -1.0, "initial_head must be >= 0"),
+    ])
+    def test_refuses_each_bad_field_when_built(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            StormParams(**{field: value})
+
+    def test_fields_cannot_be_assigned(self):
+        params = StormParams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.storage = 1.2
+        assert params.storage == 0.9
+
+    @pytest.mark.parametrize("duration, base_interval", [
+        (3000.0, 0.0), (3000.0, -30.0), (20.0, 30.0)])
+    def test_duration_below_one_interval_refused(self, duration, base_interval):
+        with pytest.raises(ValueError, match=r"^need duration >= base_interval > 0$"):
+            synth_storm(seed=1, duration=duration, base_interval=base_interval,
+                        params=StormParams())
 
     def test_series_is_valid_event(self):
         s = synth_storm(seed=5, duration=9000.0, base_interval=30.0,

@@ -131,6 +131,12 @@ class TestBuildRegressors:
         truth = rng.random((11, 4))
         assert build_regressors(X, truth).shape == (11, 16)
 
+    @pytest.mark.parametrize("x_shape, truth_shape", [
+        ((3, 2), (4, 2)), ((3,), (3, 2)), ((3, 2), (3,))])
+    def test_shape_mismatch_refused(self, x_shape, truth_shape):
+        with pytest.raises(ValueError, match="^shape mismatch: X "):
+            build_regressors(np.ones(x_shape), np.ones(truth_shape))
+
 
 class TestSolveConsequents:
     def test_square_full_rank_exact(self):
@@ -194,6 +200,11 @@ class TestSolveConsequents:
         for _ in range(100):
             other = zeta + rng.normal(size=4) * 0.1
             assert np.linalg.norm(y - pi @ other) >= res - 1e-12
+
+    @pytest.mark.parametrize("pi_shape, y_shape", [((4, 3), (5,)), ((4,), (4,))])
+    def test_shape_mismatch_refused(self, pi_shape, y_shape):
+        with pytest.raises(ValueError, match="^shape mismatch: pi "):
+            solve_consequents(np.ones(pi_shape), np.ones(y_shape))
 
     def test_all_zero_regressors_rejected(self):
         with pytest.raises(NumericalError, match="regressor matrix is identically zero"):
@@ -316,6 +327,10 @@ class TestFitModel:
             alone, alone_report = fit_model(data, cfg)
             assert core.dump_model(model) == core.dump_model(alone)
             assert report == alone_report
+
+    def test_data_without_an_input_column_refused(self):
+        with pytest.raises(ValueError, match="^joined data needs at least one input column$"):
+            fit_model(np.arange(10.0)[:, None], ClusterConfig())
 
     def test_sweep_with_sc_rejected(self):
         z = np.random.default_rng(12).normal(size=(30, 2))

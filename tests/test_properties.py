@@ -179,7 +179,7 @@ def test_model_file_roundtrip_is_bit_exact(model, scheme):
 
 @settings(max_examples=200, deadline=None)
 @given(models(values=any_float))
-def test_v1_text_loads_to_the_same_parameters(model):
+def test_v1_text_is_refused(model):
     # tsmodel-v1 is no longer read, whatever the parameters
     with pytest.raises(ValueError, match=r"^unsupported model format: 'tsmodel-v1'$"):
         parse_model(v1_text(model))

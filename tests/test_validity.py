@@ -291,6 +291,8 @@ class TestSweep:
         assert consensus_count([3, 3, 3, 4, 2, 3]) == 3
         assert consensus_count([2, 2, 4, 4, 5, 3]) == 2  # tie -> smaller C
         assert consensus_count([5]) == 5
+        with pytest.raises(ValueError, match="^no per-index optima to take a consensus of$"):
+            consensus_count([])
 
     def test_failed_c_excluded_from_consensus(self, monkeypatch):
         import fuzzyrunoff.validity as validity_mod
@@ -371,6 +373,17 @@ class TestSweep:
         z = three_blobs(seed=23)
         with pytest.raises(ValueError, match="fuzziness m"):
             sweep_clusters(z, ClusterConfig(algorithm="gk", m=0.5), range(2, 5))
+
+    def test_empty_range_refused(self):
+        with pytest.raises(ValueError, match="^empty cluster range$"):
+            sweep_clusters(three_blobs(seed=23), ClusterConfig(), range(2, 2))
+
+    def test_count_below_two_refused_before_any_clustering(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(clustering, "run_gk", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^need at least 2 clusters, got 1$"):
+            sweep_clusters(three_blobs(seed=23), ClusterConfig(), range(1, 4))
+        assert not calls
 
     def test_rejects_subtractive(self):
         z = three_blobs(seed=15)

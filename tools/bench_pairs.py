@@ -10,7 +10,9 @@ change first in the odd ones.  The JSON it writes holds every run's ``env``
 and ``samples`` lines and its last-line result, the parent's commit id, the
 commit the working tree sits on and a digest of its diff to that commit
 under src, the host line and, per workload, the median of each end-to-end
-metric on each side.  Each run takes the benchmark's own run length.
+metric on each side and its ``verdicts`` (see ``verdicts``).  The workloads
+and the end-to-end metrics, with their directions and bounds, are those
+BENCHMARK.json declares.  Each run takes the benchmark's own run length.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("cli-experiment", "rule-sweep", "forecast")
 PAIRS = 10
 
 
@@ -65,11 +66,47 @@ def medians(runs: list[dict]) -> dict:
             for name in names}
 
 
+def verdicts(runs: dict, end_to_end: list[dict]) -> dict:
+    """What one workload's paired ``runs`` show for each metric of
+    ``end_to_end`` (BENCHMARK.json's entries: name, better, bound).
+
+    Per metric: ``wins``, the pairs in which the change reads better, ties
+    counting for neither side; ``parent_iqr``, the distance between the
+    parent's quartiles over its median; ``move``, the change of the median
+    over the parent's, signed as the metric moves; and ``verdict``:
+    ``worse`` where the change's median is worse than the parent's by more
+    than the bound, ``unresolved`` where the parent's spread is wider than
+    the bound and not every change run beats every parent run, and
+    ``within`` otherwise.
+    """
+    out = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        # a lower-is-better view of each side's values
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        parent, change = ([sign * r["result"]["metrics"][name]["value"] for r in runs[side]]
+                          for side in ("parent", "change"))
+        base = statistics.median(parent)
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        spread = (q3 - q1) / abs(base)
+        worsening = (statistics.median(change) - base) / abs(base)
+        if worsening > metric["bound"]:
+            verdict = "worse"
+        elif spread > metric["bound"] and max(change) >= min(parent):
+            verdict = "unresolved"
+        else:
+            verdict = "within"
+        out[name] = {"wins": sum(c < p for p, c in zip(parent, change)),
+                     "parent_iqr": spread, "move": sign * worsening, "verdict": verdict}
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", help="the parent commit")
     p.add_argument("--out", required=True, help="the JSON file to write")
     args = p.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     # the change is the working tree, not yet a commit: name the commit it
     # sits on and the digest of its diff to that commit under src
     record = {"parent": {"commit": git("rev-parse", args.parent).decode().strip()},
@@ -81,7 +118,7 @@ def main(argv=None) -> int:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         copy_parent(args.parent, sides["parent"])
         copy_worktree(sides["change"])
-        for workload in WORKLOADS:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs = {"parent": [], "change": []}
             for k in range(PAIRS):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
@@ -93,7 +130,8 @@ def main(argv=None) -> int:
                               "python": env["python"], "numpy": env["numpy"],
                               "scipy": env["scipy"], "blas": env["blas"]}
             record["workloads"][workload] = {
-                "median": {side: medians(r) for side, r in runs.items()}, "runs": runs}
+                "median": {side: medians(r) for side, r in runs.items()},
+                "verdicts": verdicts(runs, benchmark["end_to_end"]), "runs": runs}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
