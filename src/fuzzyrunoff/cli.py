@@ -207,8 +207,10 @@ class Experiment:
         """The supervised set of the train_csv event for each (stride,
         normalized) of ``strides`` and ``modes``, built once by scheme_sets
         at the configured or estimated lag; a data error names train_csv.
-        The lag is read before the event, as callers read the other keys,
-        so that a config fault comes before a data fault."""
+        The lag, and max_lag when the lag is estimated, are read before the
+        event, as callers read the other keys, so that a config fault comes
+        before a data fault; an unset max_lag leaves estimate_lag its own
+        window."""
         lag = self.get("lag")
         if lag != "auto":
             try:
@@ -217,10 +219,13 @@ class Experiment:
                 raise ConfigError("config key 'lag' must be 'auto' or an integer") from None
             if lag < 0:
                 raise ConfigError("config key 'lag' must be >= 0")
+        max_lag = self.get("max_lag", 0) if lag == "auto" and "max_lag" in self.raw else None
+        if max_lag is not None and max_lag < 0:
+            raise ConfigError(f"max_lag must be >= 0, got {max_lag}")
         series = self.load_series("train_csv")
         try:
             if lag == "auto":
-                lag = estimate_lag(series, max_lag=self.get("max_lag", len(series) // 4))
+                lag = estimate_lag(series, max_lag=max_lag)
             return {(stride, normalized): scheme_sets(lag, stride, normalized, series)[0]
                     for stride in strides for normalized in modes}
         except DataValidationError as exc:

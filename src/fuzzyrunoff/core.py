@@ -12,7 +12,10 @@ outputs are formed in one (n, C, N) scratch buffer and reduced over the
 inputs to (C, N) arrays; the firing total and the weighted sum are sums of
 (C, N) arrays over the rules.  Every one of these sums, over the inputs and
 over the rules, adds its terms in index order starting from +0.0, whatever
-the number of rows, so a single row is bit for bit its row in a batch.
+the number of rows, so a single row is bit for bit its row in a batch.  The
+rule parameters are held in that layout as C-contiguous read-only copies,
+made once per model, so that one column's arithmetic with them runs numpy's
+same-shape loops.
 
 Note on the membership function: the Gaussian used here is
 
@@ -100,11 +103,14 @@ class TsModel:
         refused = _refused_rule(means, widths, theta)
         if refused:
             raise ValueError("rule %d: %s" % refused)
-        # views of the parameters as the rule-major kernels broadcast them
-        # over (n, C, N): means, widths and input coefficients (n, C, 1),
-        # intercepts (C, 1)
-        object.__setattr__(self, "_rule_major", (
+        # the parameters as the rule-major kernel broadcasts them over
+        # (n, C, N), copied C-contiguous and read-only: means, widths and
+        # input coefficients (n, C, 1), intercepts (C, 1)
+        rule_major = tuple(np.ascontiguousarray(a) for a in (
             means.T[:, :, None], widths.T[:, :, None], theta[:, 1:].T[:, :, None], theta[:, :1]))
+        for a in rule_major:
+            a.setflags(write=False)
+        object.__setattr__(self, "_rule_major", rule_major)
 
     @property
     def input_dim(self) -> int:
@@ -120,7 +126,8 @@ def firing_matrix(model: TsModel, X) -> np.ndarray:
     exp(-max_k z_k^2) on (n, C, N) arrays: one exp per (row, rule), equal to
     min_k exp(-z_k^2) bit for bit because exp is monotone."""
     cols = _columns(model, X)
-    return np.ascontiguousarray(_firing_rows(model, cols, _scratch(model, cols)).T)
+    scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
+    return np.ascontiguousarray(_firing_rows(model, cols[:, None, :], scratch).T)
 
 
 def nearest_rule_index(model: TsModel, X) -> np.ndarray:
@@ -165,11 +172,13 @@ def predict_batch(model: TsModel, X) -> np.ndarray:
 
 
 def _predict_columns(model: TsModel, cols: np.ndarray) -> np.ndarray:
-    """The forecasts of the (n, N) columns ``cols``, one per column."""
-    scratch = _scratch(model, cols)
-    w, wsum, degenerate, nearest = _firing_with_fallback(model, cols, scratch)
-    outputs = _rule_output_rows(model, cols, scratch)
-    yhat = _ordered_sum(np.multiply(w, outputs, out=w))
+    """The forecasts of the (n, N) columns ``cols``, one per column; the
+    firing and then the rule outputs are formed in one (n, C, N) buffer."""
+    x = cols[:, None, :]
+    scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
+    w, wsum, degenerate, nearest = _firing_with_fallback(model, x, scratch)
+    outputs = _rule_output_rows(model, x, scratch)
+    yhat = _ordered_sum(np.multiply(w, outputs, w))
     yhat /= wsum
     if nearest is not None:
         yhat[degenerate] = outputs[nearest, np.flatnonzero(degenerate)]
@@ -184,8 +193,8 @@ def normalized_truth(model: TsModel, X) -> np.ndarray:
     refused as :func:`predict_batch` refuses it.
     """
     cols = _columns(model, X)
-    scratch = _scratch(model, cols)
-    w, wsum, degenerate, nearest = _firing_with_fallback(model, cols, scratch)
+    scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
+    w, wsum, degenerate, nearest = _firing_with_fallback(model, cols[:, None, :], scratch)
     truth = np.ascontiguousarray((w / wsum).T)
     if nearest is not None:
         truth[degenerate] = np.eye(model.rule_count)[nearest]
@@ -198,27 +207,23 @@ def _columns(model: TsModel, X) -> np.ndarray:
     return np.ascontiguousarray(_check_batch(model, X).T)
 
 
-def _scratch(model: TsModel, cols: np.ndarray) -> np.ndarray:
-    """The (n, C, N) buffer that the firing and the rule outputs share."""
-    return np.empty((cols.shape[0], model.rule_count, cols.shape[1]))
-
-
-def _firing_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(C, N) firing strengths of the (n, N) columns, formed in ``scratch``."""
+def _firing_rows(model: TsModel, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(C, N) firing strengths of the (n, 1, N) columns ``x``, formed in the
+    (n, C, N) ``scratch``."""
     means, widths, _, _ = model._rule_major
-    z = np.subtract(cols[:, None, :], means, out=scratch)
-    z /= widths
-    z *= z
-    a = z.max(axis=0)
-    return np.exp(np.negative(a, out=a), out=a)
+    z = np.subtract(x, means, scratch)
+    np.divide(z, widths, z)
+    np.multiply(z, z, z)
+    a = np.maximum.reduce(z, 0)
+    return np.exp(np.negative(a, a), a)
 
 
-def _rule_output_rows(model: TsModel, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(C, N) rule outputs of the (n, N) columns: the products x_k * theta_k
-    formed in ``scratch``, added over the inputs in order, then the
-    intercepts."""
+def _rule_output_rows(model: TsModel, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(C, N) rule outputs of the (n, 1, N) columns ``x``: the products
+    x_k * theta_k formed in ``scratch``, added over the inputs in order,
+    then the intercepts."""
     _, _, slopes, intercepts = model._rule_major
-    y = _ordered_sum(np.multiply(cols[:, None, :], slopes, out=scratch))
+    y = _ordered_sum(np.multiply(x, slopes, scratch))
     y += intercepts
     return y
 
@@ -228,24 +233,25 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
     slices of an outer axis in that order, but sums one contiguous run of 8
     or more terms pairwise; its cumulative sum keeps the order there."""
     if len(a) < 8 or a.size > len(a):
-        return a.sum(axis=0)
+        return np.add.reduce(a, 0)
     return np.cumsum(a, axis=0)[-1] + 0.0
 
 
-def _firing_with_fallback(model: TsModel, cols: np.ndarray, scratch: np.ndarray):
-    """(w, wsum, degenerate, nearest) for the (n, N) columns ``cols``: the
-    (C, N) firing, its sums over the rules with 1.0 where the total is below
-    DEGENERACY_FLOOR, the mask of those rows and their nearest rules (both
-    None if there are none).
+def _firing_with_fallback(model: TsModel, x: np.ndarray, scratch: np.ndarray):
+    """(w, wsum, degenerate, nearest) for the (n, 1, N) columns ``x``, formed
+    in the (n, C, N) ``scratch``: the (C, N) firing, its sums over the rules
+    with 1.0 where the total is below DEGENERACY_FLOOR, the mask of those
+    rows and their nearest rules (both None if there are none).
 
     A non-finite input makes its total NaN or 0, so one minimum of the
     totals clears a batch of finite inputs with no fallback rows; only when
     it does not are the inputs checked, naming the first non-finite row in a
     ValueError."""
-    w = _firing_rows(model, cols, scratch)
+    w = _firing_rows(model, x, scratch)
     wsum = _ordered_sum(w)
-    if wsum.min(initial=np.inf) >= DEGENERACY_FLOOR:
+    if np.minimum.reduce(wsum, initial=np.inf) >= DEGENERACY_FLOOR:
         return w, wsum, None, None
+    cols = x[:, 0]
     finite = np.isfinite(cols).all(axis=0)
     if not finite.all():
         raise ValueError(f"non-finite input at row {int(np.argmin(finite))}")

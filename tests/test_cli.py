@@ -273,6 +273,11 @@ REFUSALS = [
           ("sc_reject = 0", "need 0 < sc_reject <= sc_accept <= 1, got sc_reject=0.0, "
                             "sc_accept=0.5"),
       ]],
+    *[(command, "train_csv = nan.csv\nmax_lag = -1", 2, "max_lag must be >= 0, got -1")
+      for command in ("train", "sweep")],
+    # a configured lag leaves max_lag unread
+    ("train", "train_csv = nan.csv\nlag = 1\nmax_lag = -1", 3,
+     "nan.csv: non-finite value in column 'rain'"),
     ("train", "train_csv = nan.csv\nclusters = 1", 2, "config key 'clusters' must be >= 2"),
     ("train", "train_csv = nan.csv\nclusters = sweep\nc_max = 1", 2,
      "config key 'c_max' must be >= 2"),
@@ -481,6 +486,19 @@ class TestTrain:
         assert run(tmp_path, "train", config, monkeypatch) == 3
         assert capsys.readouterr().err == ("data error: train_csv: gk_s1_dim: output column "
                                            "is constant (5.0); there is nothing to fit\n")
+
+    def test_unset_max_lag_searches_the_library_window(self, tmp_path, monkeypatch, capsys):
+        # the head follows the rain by one sample; estimate_lag's own window,
+        # max(1, 3 // 4), reaches that lag, so the length error names it
+        (tmp_path / "short.csv").write_text("timestamp,rain1,rain2,rain3,head\n"
+                                            "0,1,0,0,5\n30,0,0,0,6\n60,0,0,0,5\n")
+        assert estimate_lag(load_event_csv(str(tmp_path / "short.csv"), 30.0)) == 1
+        config = tmp_path / "exp.conf"
+        config.write_text("out = out\ntrain_csv = short.csv\nlag = auto\nstrides = 2\n")
+        assert run(tmp_path, "train", str(config), monkeypatch) == 3
+        assert capsys.readouterr().err == ("data error: train_csv: series of length 3 too "
+                                           "short for lag 1 and stride 2; need at least 4 "
+                                           "samples\n")
 
     @pytest.mark.parametrize("clusters, key", [("8", "clusters"), ("sweep", "c_max")])
     def test_more_clusters_than_rows_is_config_error(self, tmp_path, monkeypatch, capsys,

@@ -43,7 +43,8 @@ def rule_output_rows(model: TsModel, X) -> np.ndarray:
     """(N, C) affine consequent values of the rows of ``X``, from the
     rule-major kernel that predict and predict_batch run."""
     cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
-    return core._rule_output_rows(model, cols, core._scratch(model, cols)).T
+    scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
+    return core._rule_output_rows(model, cols[:, None, :], scratch).T
 
 
 def rule_outputs(model: TsModel, x) -> np.ndarray:
@@ -237,6 +238,39 @@ class TestPredictBatch:
         for k in range(X.shape[0]):
             assert predict(model, X[k]) == batch[k], k
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "transposed", "reversed"])
+    @pytest.mark.parametrize("c", [1, 3, 8, 9])
+    def test_parameter_layout_does_not_change_the_bits(self, c, layout):
+        # the model copies its parameters in their own memory order; from
+        # 8 rules on a single row's rule sums are one contiguous run
+        rng = np.random.default_rng(c)
+        params = [rng.normal(size=(c, 3)) * 0.5, rng.random((c, 3)) * 5.0 + 0.2,
+                  rng.normal(size=(c, 4))]
+        if layout == "fortran":
+            held = [np.asfortranarray(a) for a in params]
+        elif layout == "strided":  # every other row, every third column
+            held = []
+            for a in params:
+                wide = np.full((2 * a.shape[0], 3 * a.shape[1]), np.nan)
+                wide[::2, ::3] = a
+                held.append(wide[::2, ::3])
+        elif layout == "transposed":  # of C-contiguous (n, C) arrays
+            held = [np.ascontiguousarray(a.T).T for a in params]
+        else:  # negative strides
+            held = [np.array(a[::-1, ::-1])[::-1, ::-1] for a in params]
+        # one row in Fortran order is C-contiguous too
+        one_row = c == 1 and layout in ("fortran", "transposed")
+        assert one_row or not any(a.flags.c_contiguous for a in held)
+        reference = TsModel(*(np.ascontiguousarray(a) for a in params))
+        model = TsModel(*held)
+        X = rng.normal(size=(60, 3))
+        want = predict_batch(reference, X)
+        assert predict_batch(model, X).tobytes() == want.tobytes()
+        assert (firing_matrix(model, X).tobytes()
+                == firing_matrix(reference, X).tobytes())
+        for k in range(len(X)):
+            assert predict(model, X[k]) == predict(reference, X[k]) == want[k], k
+
     def test_ordered_sum_adds_in_index_order_from_plus_zero(self):
         # C = 1..40: fewer than 8 terms, then runs that numpy would sum
         # pairwise; C = 129..136: more than 128 terms, which numpy's pairwise
@@ -310,6 +344,24 @@ class TestImmutability:
             model.premise_widths[0, 0] = 9.9
         with pytest.raises(ValueError):
             model.consequents[0, 0] = 9.9
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_every_array_the_model_holds_is_read_only(self, order):
+        # the kernel's rule-major copies of the parameters included: a
+        # contiguous copy of a read-only view is writable unless made not so
+        rng = np.random.default_rng(3)
+        model = TsModel(*(np.array(a, order=order) for a in (
+            rng.normal(size=(3, 2)), rng.random((3, 2)) + 0.5, rng.normal(size=(3, 3)))))
+        held = []
+        for value in vars(model).values():
+            held += value if isinstance(value, tuple) else [value]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert len(arrays) == 3 + len(model._rule_major)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 9.9
+        assert predict(model, [0.1, 0.2]) == predict_batch(model, [[0.1, 0.2]])[0]
 
     def test_caller_arrays_are_copied(self):
         means, widths, theta = np.zeros((1, 1)), np.ones((1, 1)), np.array([[0.5, 1.5]])

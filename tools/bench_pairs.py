@@ -75,7 +75,9 @@ def verdicts(runs: dict, end_to_end: list[dict]) -> dict:
     parent's quartiles over its median; ``move``, the change of the median
     over the parent's, signed as the metric moves; and ``verdict``:
     ``worse`` where the change's median is worse than the parent's by more
-    than the bound, ``unresolved`` where the parent's spread is wider than
+    than the bound, ``better`` where the change wins at least nine tenths
+    of the pairs and its median beats the parent's by more than
+    ``parent_iqr``, ``unresolved`` where the parent's spread is wider than
     the bound and not every change run beats every parent run, and
     ``within`` otherwise.
     """
@@ -90,13 +92,16 @@ def verdicts(runs: dict, end_to_end: list[dict]) -> dict:
         q1, _, q3 = statistics.quantiles(parent, n=4)
         spread = (q3 - q1) / abs(base)
         worsening = (statistics.median(change) - base) / abs(base)
+        wins = sum(c < p for p, c in zip(parent, change))
         if worsening > metric["bound"]:
             verdict = "worse"
+        elif 10 * wins >= 9 * len(parent) and -worsening > spread:
+            verdict = "better"
         elif spread > metric["bound"] and max(change) >= min(parent):
             verdict = "unresolved"
         else:
             verdict = "within"
-        out[name] = {"wins": sum(c < p for p, c in zip(parent, change)),
+        out[name] = {"wins": wins,
                      "parent_iqr": spread, "move": sign * worsening, "verdict": verdict}
     return out
 
