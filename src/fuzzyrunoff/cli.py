@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__, core
 from .atomicio import write_atomic, write_csv, write_numeric_csv
-from .clustering import ClusterConfig, NumericalError
+from .clustering import ALGORITHMS, TAKES_RULE_COUNT, ClusterConfig, NumericalError
 from .dataio import (
     SUPERVISED_COLUMNS,
     DataValidationError,
@@ -93,7 +93,7 @@ _STORM_KEYS = {f"storm_{f.name.removesuffix('_range')}": f.name for f in fields(
 # it is read
 CONFIG_DEFAULTS = {
     "out": "out", "seed": 0, "base_interval": 30.0, "train_csv": None, "validation_csv": None,
-    "algorithms": "gk,fcm,sc", "clusters": 3, "c_max": 8,
+    "algorithms": ",".join(ALGORITHMS), "clusters": 3, "c_max": 8,
     **{f.name: f.default for f in _TUNED},
     "strides": "1", "normalization": "off", "lag": "auto", "max_lag": None,
     "include_train": "off", "models_dir": None, "reports": None, "synth_duration": 9000.0,
@@ -152,7 +152,7 @@ class Experiment:
         if not names:
             raise ConfigError("config key 'algorithms' must list at least one algorithm")
         for a in names:
-            if a not in ("gk", "fcm", "sc"):
+            if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm '{a}' in config")
         if len(set(names)) < len(names):
             raise ConfigError("config key 'algorithms' repeats an algorithm")
@@ -185,7 +185,7 @@ class Experiment:
         2..c_max; otherwise the count is ``clusters`` (3 by default)."""
         cfg = ClusterConfig(algorithm=algorithm, n_clusters=2, seed=self.seed,
                             **{f.name: self.get(f.name) for f in _TUNED})
-        if algorithm == "sc":
+        if algorithm not in TAKES_RULE_COUNT:
             return cfg, None
         key = "c_max" if sweep else "clusters"
         c = self.get("c_max") if sweep else self.get("clusters")
@@ -268,16 +268,20 @@ def cmd_synth(exp: Experiment) -> None:
     params = exp.storm_params()
     duration = exp.get("synth_duration")
     for name, seed in (("train.csv", exp.seed), ("validation.csv", exp.seed + 1)):
-        series = synth_storm(seed, duration, exp.get("base_interval"), params)
+        try:
+            series = synth_storm(seed, duration, exp.get("base_interval"), params)
+        except MemoryError as exc:
+            raise ConfigError("config keys 'synth_duration' and 'base_interval': "
+                              f"{exc}") from None
         write_event_csv(series, exp.output(name))
         print(f"wrote {os.path.join(exp.out, name)} ({len(series)} samples)")
 
 
 def cmd_sweep(exp: Experiment) -> None:
     """Score the six validity indices over C for gk and fcm."""
-    algorithms = [a for a in exp.algorithms if a in ("gk", "fcm")]
+    algorithms = [a for a in exp.algorithms if a in TAKES_RULE_COUNT]
     if not algorithms:
-        raise ConfigError("sweep needs gk or fcm in 'algorithms' "
+        raise ConfigError(f"sweep needs {' or '.join(TAKES_RULE_COUNT)} in 'algorithms' "
                           "(subtractive clustering has no C parameter)")
     for algorithm in algorithms:  # a bad setting comes before a fault in train_csv
         exp.rule_counts(algorithm, math.inf, True)
@@ -318,7 +322,7 @@ def cmd_train(exp: Experiment) -> None:
             # SC's rule count, and so the parameter count, is known only now
             if sset.n_rows < model.consequents.size:
                 raise DataValidationError(
-                    f"{name}: {sset.n_rows} rows cannot determine "
+                    f"train_csv: {name}: {sset.n_rows} rows cannot determine "
                     f"{model.consequents.size} consequent parameters")
             record = sset.normalization
             norm = None if record is None else (tuple(record.mins.tolist()),

@@ -40,9 +40,15 @@ fresh ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Every algorithm name, and those given their rule count C by n_clusters
+# (the others find their own and read neither n_clusters nor a C range).
+ALGORITHMS = ("gk", "fcm", "sc")
+TAKES_RULE_COUNT = ("gk", "fcm")
 
 
 class NumericalError(RuntimeError):
@@ -76,13 +82,13 @@ class ClusterConfig:
     sc_reject: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("gk", "fcm", "sc"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not 1 < self.m < np.inf:
             raise ValueError(f"fuzziness m must be > 1 and finite, got {self.m}")
         if not 0 < self.xi < np.inf:
             raise ValueError(f"termination constant xi must be > 0 and finite, got {self.xi}")
-        if self.algorithm != "sc" and self.n_clusters < 2:
+        if self.algorithm in TAKES_RULE_COUNT and self.n_clusters < 2:
             raise ValueError(f"need at least 2 clusters, got {self.n_clusters}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -92,6 +98,18 @@ class ClusterConfig:
             raise ValueError(f"sc_radius must be in (0, 1], got {self.sc_radius}")
         if not 0 < self.sc_squash < np.inf:
             raise ValueError(f"sc_squash must be > 0 and finite, got {self.sc_squash}")
+        # run_sc's exponents: a square that underflows to 0 or overflows, or
+        # one so small that 4 over it overflows, leaves run_sc none
+        for name, term, scale in (("sc_radius", "sc_radius", self.sc_radius),
+                                  ("sc_squash", "(sc_squash * sc_radius)",
+                                   self.sc_squash * self.sc_radius)):
+            try:
+                finite = math.isfinite(4.0 / float(scale) ** 2)
+            except (ZeroDivisionError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must leave 4 / {term}**2 finite, "
+                                 f"got {getattr(self, name)}")
         if not 0 < self.sc_reject <= self.sc_accept <= 1:
             raise ValueError("need 0 < sc_reject <= sc_accept <= 1, got "
                              f"sc_reject={self.sc_reject}, sc_accept={self.sc_accept}")
@@ -378,11 +396,16 @@ def run_sc(data, cfg: ClusterConfig):
     """Subtractive clustering: density-peak center selection.
 
     Potentials P_k = sum_j exp(-4 |Z_k - Z_j|^2 / r_a^2) are computed on
-    min-max normalised data.  The max-potential point becomes a center, its
-    squash-scaled potential is subtracted everywhere, and further candidates
-    are accepted or rejected against the first peak (accept ratio, reject
-    ratio, and the distance/potential trade-off rule in between).  Ties pick
-    the lowest row index.  Returns (u, centers, trace): the (C, N)
+    min-max normalised data.  Each pass of the center search accepts the
+    eligible point of highest potential (ties pick the lowest row index)
+    and subtracts its squash-scaled potential everywhere, or stops if there
+    is none.  Eligible is a potential above the accept ratio of the first
+    peak, or one in the gray zone down to the reject ratio whose distance
+    to the nearest center (infinite before the first) over r_a plus its
+    potential over the first peak is >= 1.  Both only fall, so a point
+    refused once stays refused, as in the classic search that sets each
+    refused candidate aside.
+    Returns (u, centers, trace): the (C, N)
     memberships of the normalised squared distances to the C accepted
     peaks, the (C, d) centers in original coordinates and an empty,
     converged IterationTrace.
@@ -419,36 +442,27 @@ def run_sc(data, cfg: ClusterConfig):
         stop = min(start + block, n)
         size = stop - start
         e = _sq_euclidean(cols, zn[start:stop], out[:size], tmp[:size])
-        e *= -alpha
+        # an exponent past the float range is -inf, whose exp is the limit 0
+        with np.errstate(over="ignore"):
+            e *= -alpha
         np.exp(e, out=e)
         potential[start:stop] = e.sum(axis=1)
 
     first_peak = float(potential.max())
-    idx = int(potential.argmax())
-    accepted = [idx]
-    center_rows = []  # squared distances from each accepted center
+    nearest = np.full(n, np.inf)  # squared distance to the nearest center
+    accepted, center_rows = [], []  # the centers' row indices, their distances
     while True:
-        dist = _sq_euclidean(cols, zn[idx:idx + 1], np.empty((1, n)), tmp[:1])
-        center_rows.append(dist[0])
-        p_star = float(potential[idx])
-        potential = potential - p_star * np.exp(-beta * center_rows[-1])
-        rejected_all = False
-        while True:
-            idx = int(potential.argmax())
-            p_cand = float(potential[idx])
-            if p_cand > cfg.sc_accept * first_peak:
-                break
-            if p_cand < cfg.sc_reject * first_peak:
-                rejected_all = True
-                break
-            # gray zone: trade off distance to existing centers vs potential
-            dmin = np.sqrt(min(row[idx] for row in center_rows))
-            if dmin / ra + p_cand / first_peak >= 1.0:
-                break
-            potential[idx] = 0.0
-        if rejected_all:
+        eligible = (potential >= cfg.sc_reject * first_peak) & (
+            (potential > cfg.sc_accept * first_peak)
+            | (np.sqrt(nearest) / ra + potential / first_peak >= 1.0))
+        if not eligible.any():
             break
+        idx = int(np.where(eligible, potential, -np.inf).argmax())
         accepted.append(idx)
+        center_rows.append(_sq_euclidean(cols, zn[idx:idx + 1], np.empty((1, n)), tmp[:1])[0])
+        np.minimum(nearest, center_rows[-1], out=nearest)
+        with np.errstate(over="ignore"):
+            potential = potential - potential[idx] * np.exp(-beta * center_rows[-1])
     u = update_memberships(np.array(center_rows), cfg.m)
     return u, z[np.array(accepted)], IterationTrace(converged=True)
 

@@ -373,12 +373,19 @@ class StormParams:
 
 def synth_storm(seed: int, duration: float, base_interval: float,
                 params: StormParams) -> EventSeries:
-    """Deterministic synthetic storm event for desk-scale experiments."""
-    if base_interval <= 0 or duration < base_interval:
+    """Deterministic synthetic storm event for desk-scale experiments.
+
+    An event too long to allocate, or too long for numpy to size, is a
+    MemoryError that gives its number of samples."""
+    if not 0 < base_interval <= duration:
         raise ValueError("need duration >= base_interval > 0")
-    n = int(round(duration / base_interval)) + 1
+    try:
+        n = int(round(duration / base_interval)) + 1
+        t = np.arange(n) * float(base_interval)
+    except (OverflowError, ValueError, MemoryError):  # ValueError: past numpy's limit
+        raise MemoryError(f"an event of {duration / base_interval:.6g} samples is "
+                          "too long to allocate") from None
     rng = np.random.default_rng(seed)
-    t = np.arange(n) * float(base_interval)
 
     rain = np.zeros((n, 3))
     lo, hi = params.pulses

@@ -20,6 +20,7 @@ import numpy as np
 
 from .atomicio import write_csv
 from .clustering import (
+    TAKES_RULE_COUNT,
     ClusterConfig,
     NumericalError,
     _as_data,
@@ -156,11 +157,12 @@ def sweep_clusters(data, cfg_template: ClusterConfig, c_range) -> ValidityReport
     failure at some C is recorded and that C excluded; if every C fails a
     NumericalError is raised.  A bad setting, a C below 2 included, is a
     ValueError from building its config, before anything is clustered, not
-    a failure.  Only the gk and fcm algorithms sweep - subtractive
+    a failure.  Only the algorithms in ``TAKES_RULE_COUNT`` sweep - subtractive
     clustering derives its count from the radius, not from a C input.
     """
-    if cfg_template.algorithm not in ("gk", "fcm"):
-        raise ValueError(f"sweep supports 'gk' and 'fcm', not {cfg_template.algorithm!r}")
+    if cfg_template.algorithm not in TAKES_RULE_COUNT:
+        raise ValueError(f"sweep supports {' and '.join(map(repr, TAKES_RULE_COUNT))}, "
+                         f"not {cfg_template.algorithm!r}")
     z = _as_data(data)
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values:

@@ -224,6 +224,18 @@ REFUSALS = [
     ("train", "strides = 1,2,1", 2, "config key 'strides' repeats a stride"),
     ("train", "max_lag = -1", 2, "max_lag must be >= 0, got -1"),
     ("synth", "base_interval = 0", 2, "config key 'base_interval' must be > 0"),
+    # sizes that no host can allocate, refused before any array is made
+    ("synth", "synth_duration = 1e16", 2, "config keys 'synth_duration' and 'base_interval': "
+                                          "an event of 3.33333e+14 samples is too long to "
+                                          "allocate"),
+    ("synth", "base_interval = 1e-300", 2, "config keys 'synth_duration' and "
+                                           "'base_interval': an event of 6e+303 samples is "
+                                           "too long to allocate"),
+    ("synth", "base_interval = 1e-310", 2, "config keys 'synth_duration' and "
+                                           "'base_interval': an event of inf samples is too "
+                                           "long to allocate"),
+    ("sweep", "algorithms = sc", 2, "sweep needs gk or fcm in 'algorithms' "
+                                    "(subtractive clustering has no C parameter)"),
     ("train", "base_interval = 0", 2, "config key 'base_interval' must be > 0"),
     ("train", "base_interval = -30", 2, "config key 'base_interval' must be > 0"),
     ("train", "normalization = maybe", 2,
@@ -268,6 +280,12 @@ REFUSALS = [
           ("gamma = 2", "gamma must be in [0, 1], got 2.0"),
           ("sc_radius = 0", "sc_radius must be in (0, 1], got 0.0"),
           ("sc_squash = 0", "sc_squash must be > 0 and finite, got 0.0"),
+          ("sc_radius = 1e-200", "sc_radius must leave 4 / sc_radius**2 finite, got 1e-200"),
+          ("sc_radius = 1e-160", "sc_radius must leave 4 / sc_radius**2 finite, got 1e-160"),
+          ("sc_squash = 1e-200", "sc_squash must leave 4 / (sc_squash * sc_radius)**2 "
+                                 "finite, got 1e-200"),
+          ("sc_squash = 1e-160", "sc_squash must leave 4 / (sc_squash * sc_radius)**2 "
+                                 "finite, got 1e-160"),
           ("sc_accept = 0.1", "need 0 < sc_reject <= sc_accept <= 1, got sc_reject=0.15, "
                               "sc_accept=0.1"),
           ("sc_reject = 0", "need 0 < sc_reject <= sc_accept <= 1, got sc_reject=0.0, "
@@ -351,6 +369,17 @@ class TestSynth:
         valid = load_event_csv(tmp_path / "out/validation.csv", 30.0)
         assert len(train) == len(valid) == 201
         assert (tmp_path / "out/manifest_synth.txt").exists()
+
+    @pytest.mark.parametrize("setting", ["synth_duration = 1e16", "base_interval = 1e-300"])
+    def test_event_too_long_to_allocate_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                       setting):
+        # numpy refuses these sizes without allocating anything; unchecked,
+        # they end in a MemoryError traceback or in a message naming no key
+        config = write_config(tmp_path, f"{setting}\n")
+        assert run(tmp_path, "synth", config, monkeypatch) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config keys 'synth_duration' and 'base_interval': an event of ")
+        assert not (tmp_path / "out").exists()
 
     def test_train_validation_differ(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
@@ -521,8 +550,8 @@ class TestTrain:
         run(tmp_path, "synth", str(config), monkeypatch)
         capsys.readouterr()
         assert run(tmp_path, "train", str(config), monkeypatch) == 3
-        assert capsys.readouterr().err == (f"data error: {algorithm}_s95_dim: 6 rows cannot "
-                                           f"determine {params} consequent parameters\n")
+        assert capsys.readouterr().err == (f"data error: train_csv: {algorithm}_s95_dim: 6 rows "
+                                           f"cannot determine {params} consequent parameters\n")
         # the s1 combination was fitted first, but nothing is put in place
         assert not list((tmp_path / "out").rglob("*.model.txt"))
 
@@ -1002,8 +1031,8 @@ class TestFailedRunChangesNothing:
         config.write_text(text + "clusters = 3\nstrides = 1,95\n")
         capsys.readouterr()
         assert run(tmp_path, "train", str(config), monkeypatch) == 3
-        assert capsys.readouterr().err == ("data error: gk_s95_dim: 6 rows cannot determine "
-                                           "15 consequent parameters\n")
+        assert capsys.readouterr().err == ("data error: train_csv: gk_s95_dim: 6 rows cannot "
+                                           "determine 15 consequent parameters\n")
         assert snapshot(tmp_path / "out") == before
         assert not list(tmp_path.rglob("*.pending"))
 

@@ -7,6 +7,8 @@ import pytest
 
 from fuzzyrunoff import clustering
 from fuzzyrunoff.clustering import (
+    ALGORITHMS,
+    TAKES_RULE_COUNT,
     ClusterConfig,
     NumericalError,
     _as_data,
@@ -17,6 +19,7 @@ from fuzzyrunoff.clustering import (
     blend_scale,
     init_partition,
     norm_matrices,
+    run_clustering,
     run_fcm,
     run_gk,
     run_sc,
@@ -827,13 +830,37 @@ class TestValidate:
         ("gamma", 1.5, "gamma must be in"),
         ("sc_radius", 0.0, "sc_radius must be in"),
         ("sc_radius", 1.5, "sc_radius must be in"),
+        ("sc_radius", 1e-200, r"sc_radius must leave 4 / sc_radius\*\*2 finite, got 1e-200"),
+        ("sc_radius", 1e-160, r"sc_radius must leave 4 / sc_radius\*\*2 finite, got 1e-160"),
+        ("sc_squash", 1e-200, r"sc_squash must leave 4 / \(sc_squash \* sc_radius\)\*\*2 "
+                              "finite, got 1e-200"),
+        ("sc_squash", 1e-160, "sc_squash must leave"),
+        ("sc_squash", 1e200, "sc_squash must leave"),
     ])
     def test_refuses(self, field, value, message):
         # every refusal, raised when the config is built; unchecked,
         # sc_reject <= 0 or nan lets run_sc pick a zeroed candidate forever,
-        # and sc_squash = 0 divides by zero
+        # and sc_squash = 0 divides by zero.  So do the sc_radius and
+        # sc_squash that leave run_sc's exponent 4 / r**2 or
+        # 4 / (sc_squash * r)**2 without a finite value: a square of 0
+        # (1e-200) divides by zero, an overflowing one (sc_squash = 1e200)
+        # raises OverflowError, and an infinite exponent (1e-160) makes the
+        # potentials nan, on which run_sc's center search never ends, so no
+        # test runs run_sc on such a value
         with pytest.raises(ValueError, match=message):
             ClusterConfig(**{field: value})
+
+    def test_smallest_radius_gives_finite_memberships(self):
+        # the smallest radius whose exponent 4 / r**2 is finite: every
+        # point of a tiny set becomes its own center, without a warning
+        radius = 1.4916681462400417e-154
+        with pytest.raises(ValueError, match="sc_radius must leave"):
+            ClusterConfig(algorithm="sc", sc_radius=np.nextafter(radius, 0.0))
+        z = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2], [0.3, 0.9]])
+        u, centers, _ = run_sc(z, ClusterConfig(algorithm="sc", sc_radius=radius))
+        assert np.all(np.isfinite(u))
+        np.testing.assert_array_equal(u, np.eye(4))
+        np.testing.assert_array_equal(centers, z)
 
     def test_replace_checks_the_copy(self):
         with pytest.raises(ValueError, match="need at least 2 clusters, got 1"):
@@ -847,6 +874,22 @@ class TestValidate:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.m = 0.5
         assert cfg.m == 2.0
+
+
+class TestAlgorithms:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_each_name_clusters_and_only_a_counted_one_sweeps(self, algorithm):
+        z = np.random.default_rng(3).random((30, 2))
+        cfg = ClusterConfig(algorithm=algorithm, n_clusters=2)
+        u, centers, _ = run_clustering(z, cfg)
+        assert u.shape == (len(centers), len(z))
+        np.testing.assert_allclose(u.sum(axis=0), 1.0)
+        if algorithm in TAKES_RULE_COUNT:
+            assert sweep_clusters(z, cfg, range(2, 4)).c_values == [2, 3]
+        else:
+            with pytest.raises(ValueError) as refused:
+                sweep_clusters(z, cfg, range(2, 4))
+            assert str(refused.value) == f"sweep supports 'gk' and 'fcm', not {algorithm!r}"
 
 
 ENTRY_POINTS = {
