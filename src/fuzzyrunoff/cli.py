@@ -196,7 +196,19 @@ class Experiment:
         return (cfg, range(2, c + 1)) if sweep else (replace(cfg, n_clusters=c), None)
 
     def storm_params(self) -> StormParams:
-        return StormParams(**{name: self.get(key) for key, name in _STORM_KEYS.items()})
+        """_STORM with the storm_<field> keys set.  Every key is read before
+        any is set, so that a value that does not parse comes first; then
+        each is set on its own, so that a refused value names its key.  That
+        is sound because each condition StormParams checks reads one field:
+        no refusal depends on the order in which the keys are set."""
+        values = {key: self.get(key) for key in _STORM_KEYS}
+        params = _STORM
+        for key, value in values.items():
+            try:
+                params = replace(params, **{_STORM_KEYS[key]: value})
+            except ValueError as exc:
+                raise ConfigError(f"config key '{key}': {exc}") from None
+        return params
 
     def load_series(self, key) -> EventSeries:
         if key not in self.raw:
@@ -380,58 +392,6 @@ def _evaluable_model(path: str, name: str, allowed):
     return model, record
 
 
-def _evaluate_scheme(models, record, validation, train, models_dir, output):
-    """Score the (name, model) pairs ``models`` of one scheme, writing each
-    series file to the name ``output("series", file)`` gives, in
-    name order, from one build of its supervised rows, scaled by ``record``
-    if not None, and one formatting of the columns its series files share.
-    Returns the report rows and the extrapolation fraction of each model by
-    name.  An event too short for the scheme's lag and stride, or a record
-    that scales a row beyond the largest float (a valid but tiny range), is
-    a data error naming the scheme's first model file and the event's key."""
-    scheme = models[0][1].scheme
-    path = os.path.join(models_dir, f"{models[0][0]}.model.txt")
-
-    def rows_of(series, key):
-        try:
-            with np.errstate(over="raise"):
-                return build_supervised(series, lag=scheme.lag, stride=scheme.stride,
-                                        normalization=record or False)
-        except DataValidationError as exc:
-            raise DataValidationError(f"{path}: {key}: {exc}") from None
-        except FloatingPointError:
-            raise DataValidationError(f"{path}: scaling the {key} rows by its "
-                                      "normalization record overflows") from None
-
-    vset, tset = rows_of(validation, "validation_csv"), None
-    header = ["index", "observed", "predicted"]
-    # the text of the columns every model shares, and lazily that of each
-    # model's forecasts: the repr of a float is the text csv writes for it
-    shared = [list(map(str, range(vset.n_rows))), list(map(repr, vset.y.tolist()))]
-    if record is not None:
-        header += ["observed_mm", "predicted_mm"]
-        observed_mm = list(map(repr, record.denormalize_y(vset.y).tolist()))
-        # validation values outside the training min-max appear out of
-        # [0, 1]; summarised per combination in extrapolation.csv
-        fraction = repr(outside_unit_fraction(np.concatenate([vset.x.ravel(), vset.y])))
-    rows, fractions = {}, {}
-    for name, model in models:
-        metrics, yhat = _score(model, vset, "validation_csv")
-        label = _combo_label(model.scheme.algorithm, record is not None)
-        rows[name] = [_metric_row(label, scheme.stride, "validation", metrics)]
-        if train is not None:
-            if tset is None:  # after a validation score: a bad validation split goes first
-                tset = rows_of(train, "train_csv")
-            rows[name].append(_metric_row(label, scheme.stride, "train",
-                                          _score(model, tset, "train_csv")[0]))
-        columns = shared + [map(repr, yhat.tolist())]
-        if record is not None:
-            fractions[name] = fraction
-            columns += [observed_mm, map(repr, record.denormalize_y(yhat).tolist())]
-        write_numeric_csv(output("series", f"series_{name}.csv"), header, columns)
-    return rows, fractions
-
-
 def cmd_evaluate(exp: Experiment) -> None:
     """Score every model into the forecast report and series."""
     include_train = exp.get("include_train")
@@ -459,13 +419,49 @@ def cmd_evaluate(exp: Experiment) -> None:
         model, record = _evaluable_model(path, name, allowed)
         # repr tells the scaling records apart bit for bit (-0.0 from 0.0)
         key = (model.scheme.stride, model.scheme.lag, repr(model.scheme.normalization))
-        schemes.setdefault(key, (record, []))[1].append((name, model))
+        schemes.setdefault(key, (path, record, []))[2].append((name, model))
     report, extrapolation = {}, {}
-    for record, models in schemes.values():
-        rows, fractions = _evaluate_scheme(models, record, validation, train_series,
-                                           models_dir, exp.output)
-        report.update(rows)
-        extrapolation.update(fractions)
+    for (stride, lag, _), (path, record, models) in schemes.items():
+        # the scheme's rows of an event, built once; an event too short for its
+        # lag and stride, or a record that scales a row beyond the largest
+        # float (a valid but tiny range), is a data error naming the scheme's
+        # first model file and the event's key
+        def rows_of(series, key):
+            try:
+                with np.errstate(over="raise"):
+                    return build_supervised(series, lag=lag, stride=stride,
+                                            normalization=record or False)
+            except DataValidationError as exc:
+                raise DataValidationError(f"{path}: {key}: {exc}") from None
+            except FloatingPointError:
+                raise DataValidationError(f"{path}: scaling the {key} rows by its "
+                                          "normalization record overflows") from None
+
+        vset, tset = rows_of(validation, "validation_csv"), None
+        header = ["index", "observed", "predicted"]
+        # the text of the columns every model shares, and lazily that of each
+        # model's forecasts: the repr of a float is the text csv writes for it
+        shared = [list(map(str, range(vset.n_rows))), list(map(repr, vset.y.tolist()))]
+        if record is not None:
+            header += ["observed_mm", "predicted_mm"]
+            observed_mm = list(map(repr, record.denormalize_y(vset.y).tolist()))
+            # validation values outside the training min-max appear out of
+            # [0, 1]; summarised per combination in extrapolation.csv
+            fraction = repr(outside_unit_fraction(np.concatenate([vset.x.ravel(), vset.y])))
+        for name, model in models:
+            metrics, yhat = _score(model, vset, "validation_csv")
+            label = _combo_label(model.scheme.algorithm, record is not None)
+            report[name] = [_metric_row(label, stride, "validation", metrics)]
+            if train_series is not None:
+                if tset is None:  # after a validation score: a bad validation split goes first
+                    tset = rows_of(train_series, "train_csv")
+                report[name].append(_metric_row(label, stride, "train",
+                                                _score(model, tset, "train_csv")[0]))
+            columns = shared + [map(repr, yhat.tolist())]
+            if record is not None:
+                extrapolation[name] = fraction
+                columns += [observed_mm, map(repr, record.denormalize_y(yhat).tolist())]
+            write_numeric_csv(exp.output("series", f"series_{name}.csv"), header, columns)
 
     report_path = os.path.join(exp.out, "forecast_report.csv")
     rows = [row for name in names for row in report[name]]
@@ -483,11 +479,17 @@ def cmd_compare(exp: Experiment) -> None:
     paths = [p.strip() for p in
              exp.get("reports", os.path.join(exp.out, "forecast_report.csv")).split(",")
              if p.strip()]
+    if not paths:
+        raise ConfigError("config key 'reports' must list at least one report")
+    if len(set(paths)) < len(paths):
+        raise ConfigError("config key 'reports' repeats a report")
     rows = []  # (scheme, rmse, algorithm) of each validation row
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 reader = csv.DictReader(fh)
+                if "split" not in (reader.fieldnames or ()):
+                    raise DataValidationError(f"{path}: the report has no 'split' column")
                 for r in (r for r in reader if r.get("split") == "validation"):
                     try:
                         row = (int(r["scheme"]), float(r["rmse"]), r["algorithm"])

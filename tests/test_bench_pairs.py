@@ -1,5 +1,6 @@
 """The verdicts that tools/bench_pairs.py writes beside its medians, on a
-hand-made record of four pairs, with no benchmark run."""
+hand-made record of four pairs, and the source line count it records, on a
+small tree, with no benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,14 @@ def test_verdicts(name, wins, parent_iqr, move, verdict):
     got = bench_pairs.verdicts(runs(), END_TO_END)[name]
     assert got == {"wins": wins, "parent_iqr": pytest.approx(parent_iqr),
                    "move": pytest.approx(move), "verdict": verdict}
+
+
+def test_src_lines_counts_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "fuzzyrunoff"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "b.py").write_text("y = 2\nz = 3")  # wc counts no line without a newline
+    (package / "empty.py").write_text("")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

@@ -224,6 +224,15 @@ REFUSALS = [
     ("train", "strides = 1,2,1", 2, "config key 'strides' repeats a stride"),
     ("train", "max_lag = -1", 2, "max_lag must be >= 0, got -1"),
     ("synth", "base_interval = 0", 2, "config key 'base_interval' must be > 0"),
+    # a refused storm setting names its key; every storm key is read first
+    ("synth", "storm_amplitude = 8,6", 2,
+     "config key 'storm_amplitude': bad amplitude_range (8.0, 6.0)"),
+    ("synth", "storm_exponent = 0", 2,
+     "config key 'storm_exponent': gain and noise must be >= 0, exponent > 0"),
+    ("synth", "storm_storage = 1", 2,
+     "config key 'storm_storage': storage must be in [0, 1), got 1.0"),
+    ("synth", "storm_amplitude = 8,6\nstorm_gain = abc", 2,
+     "config key 'storm_gain' must be a number"),
     # sizes that no host can allocate, refused before any array is made
     ("synth", "synth_duration = 1e16", 2, "config keys 'synth_duration' and 'base_interval': "
                                           "an event of 3.33333e+14 samples is too long to "
@@ -255,6 +264,10 @@ REFUSALS = [
     ("evaluate", "models_dir = out", 3, "no models found in out"),
     ("compare", "reports = nothere.csv", 3,
      "cannot read report nothere.csv: [Errno 2] No such file or directory: 'nothere.csv'"),
+    # refused before any report is read
+    ("compare", "reports = ,", 2, "config key 'reports' must list at least one report"),
+    ("compare", "reports = nothere.csv,nothere.csv", 2,
+     "config key 'reports' repeats a report"),
     ("train", "clusters = 1", 2, "config key 'clusters' must be >= 2"),
     ("sweep", "c_max = 1", 2, "config key 'c_max' must be >= 2"),
     ("train", "clusters = sweep\nc_max = 1", 2, "config key 'c_max' must be >= 2"),
@@ -806,6 +819,49 @@ class TestBadModelPrecedence:
         assert not list(out.rglob("series_*.csv"))
 
 
+class TestShortEventPrecedence:
+    """Of the schemes a validation event is too short for, evaluate reports
+    the one scored first, the schemes in the order of their first model in
+    name order, naming that scheme's first model file."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("short") / "out"
+        config = write_model_config(out, "lag = 1\nstrides = 1,2,5,10\n")
+        for command in ("synth", "train"):
+            assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+        return out
+
+    def evaluate_on(self, models, tmp_path, capsys, n_samples, copy=None):
+        out = tmp_path / "out"
+        shutil.copytree(models, out)
+        if copy is not None:
+            shutil.copy(out / "models" / copy[0], out / "models" / copy[1])
+        (out / "short.csv").write_text("timestamp,rain1,rain2,rain3,head\n" + "".join(
+            f"{30 * k},{k % 3},{k % 2},1,{5 + k}\n" for k in range(n_samples)))
+        config = write_model_config(out, f"lag = 1\nstrides = 1,2,5,10\n"
+                                         f"validation_csv = {out}/short.csv\n")
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 3
+        assert not list(out.rglob("series_*.csv"))
+        return capsys.readouterr().err
+
+    def test_first_scheme_in_name_order_is_reported(self, models, tmp_path, capsys):
+        # stride 5 and stride 10 both need more than 6 samples; gk_s10_dim
+        # sorts before gk_s5_dim
+        assert self.evaluate_on(models, tmp_path, capsys, 6) == (
+            f"data error: {tmp_path}/out/models/gk_s10_dim.model.txt: validation_csv: "
+            "series of length 6 too short for lag 0 and stride 10; need at least 12 "
+            "samples\n")
+
+    def test_the_schemes_first_model_file_is_named(self, models, tmp_path, capsys):
+        # a_copy, a stride-5 model, puts its scheme before gk_s10_dim's
+        assert self.evaluate_on(models, tmp_path, capsys, 4,
+                                copy=("gk_s5_dim.model.txt", "a_copy.model.txt")) == (
+            f"data error: {tmp_path}/out/models/a_copy.model.txt: validation_csv: "
+            "series of length 4 too short for lag 0 and stride 5; need at least 7 "
+            "samples\n")
+
+
 def csv_module_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -1098,6 +1154,8 @@ class TestCompare:
     @pytest.mark.parametrize("report, message", [
         ("algorithm,split,rmse\nGK,validation,1.0\n", "the report has no 'scheme' column"),
         ("scheme,split,rmse\n1,validation,1.0\n", "the report has no 'algorithm' column"),
+        ("algorithm,scheme,rmse\nGK,1,1.0\n", "the report has no 'split' column"),
+        ("", "the report has no 'split' column"),
         ("algorithm,scheme,split,rmse\nGK,1,validation,abc\n",
          "line 2: scheme '1' or rmse 'abc' is not a number"),
         ("algorithm,scheme,split,rmse\nGK,x,validation,1.0\n",
@@ -1110,7 +1168,7 @@ class TestCompare:
          "line 2: rmse 'inf' is not a finite, non-negative number"),
         ("algorithm,scheme,split,rmse\nGK,1,validation,-1.0\n",
          "line 2: rmse '-1.0' is not a finite, non-negative number"),
-    ], ids=["no-scheme", "no-algorithm", "bad-rmse", "bad-scheme", "short-row", "nan-rmse",
+    ], ids=["no-scheme", "no-algorithm", "no-split", "empty-file", "bad-rmse", "bad-scheme", "short-row", "nan-rmse",
             "inf-rmse", "negative-rmse"])
     def test_malformed_report_is_data_error(self, tmp_path, monkeypatch, capsys, report,
                                             message):

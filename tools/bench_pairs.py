@@ -9,8 +9,9 @@ each, in ten pairs per workload, the parent first in the even pairs and the
 change first in the odd ones.  The JSON it writes holds every run's ``env``
 and ``samples`` lines and its last-line result, the parent's commit id, the
 commit the working tree sits on and a digest of its diff to that commit
-under src, the host line and, per workload, the median of each end-to-end
-metric on each side and its ``verdicts`` (see ``verdicts``).  The workloads
+under src, each side's ``src_lines`` (see ``src_lines``), the host line
+and, per workload, the median of each end-to-end metric on each side and
+its ``verdicts`` (see ``verdicts``).  The workloads
 and the end-to-end metrics, with their directions and bounds, are those
 BENCHMARK.json declares.  Each run takes the benchmark's own run length.
 """
@@ -47,6 +48,12 @@ def copy_worktree(dest: Path) -> None:
         if (ROOT / name).is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
+
+
+def src_lines(root: Path) -> int:
+    """The lines of ``root``'s src/fuzzyrunoff/*.py as ``wc -l`` counts
+    them: their newline characters."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "fuzzyrunoff").glob("*.py"))
 
 
 def run(root: Path, workload: str) -> dict:
@@ -123,6 +130,8 @@ def main(argv=None) -> int:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         copy_parent(args.parent, sides["parent"])
         copy_worktree(sides["change"])
+        for side, root in sides.items():
+            record[side]["src_lines"] = src_lines(root)
         for workload in (w["name"] for w in benchmark["workloads"]):
             runs = {"parent": [], "change": []}
             for k in range(PAIRS):
