@@ -7,15 +7,16 @@ across input dimensions as the rule firing strength, and returns the
 firing-weighted average of the per-rule affine outputs.
 
 Inference is rule-major from input to output.  The (N, n) input rows are
-taken once as a contiguous (n, N) array; the firing and then the rule
-outputs are formed in one (n, C, N) scratch buffer and reduced over the
-inputs to (C, N) arrays; the firing total and the weighted sum are sums of
-(C, N) arrays over the rules.  Every one of these sums, over the inputs and
-over the rules, adds its terms in index order starting from +0.0, whatever
-the number of rows, so a single row is bit for bit its row in a batch.  The
-rule parameters are held in that layout as C-contiguous read-only copies,
-made once per model, so that one column's arithmetic with them runs numpy's
-same-shape loops.
+taken in blocks of B rows, each copied as a contiguous (n, B) array; the
+firing and then the rule outputs are formed in one (n, C, B) scratch buffer
+and reduced over the inputs to (C, B) arrays; the firing total and the
+weighted sum are sums of (C, B) arrays over the rules.  Every one of these
+sums, over the inputs and over the rules, adds its terms in index order
+starting from +0.0, whatever the number of rows, so a single row is bit for
+bit its row in a batch, whatever block it falls in.  The rule parameters
+are held in that layout as C-contiguous read-only copies, made once per
+model, so that one column's arithmetic with them runs numpy's same-shape
+loops.
 
 Note on the membership function: the Gaussian used here is
 
@@ -123,11 +124,15 @@ class TsModel:
 
 def firing_matrix(model: TsModel, X) -> np.ndarray:
     """(N, C) min-operator firing strengths for every row of ``X``, taken as
-    exp(-max_k z_k^2) on (n, C, N) arrays: one exp per (row, rule), equal to
-    min_k exp(-z_k^2) bit for bit because exp is monotone."""
-    cols = _columns(model, X)
-    scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
-    return np.ascontiguousarray(_firing_rows(model, cols[:, None, :], scratch).T)
+    exp(-max_k z_k^2) on (n, C, B) blocks (see :func:`predict_batch`): one
+    exp per (row, rule), equal to min_k exp(-z_k^2) bit for bit because exp
+    is monotone."""
+    X = _check_batch(model, X)
+    firing = np.empty((len(X), model.rule_count))
+    for rows, cols in _column_blocks(model, X):
+        scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
+        firing[rows] = _firing_rows(model, cols[:, None, :], scratch).T
+    return firing
 
 
 def nearest_rule_index(model: TsModel, X) -> np.ndarray:
@@ -162,21 +167,38 @@ def predict(model: TsModel, x) -> float:
         raise ValueError(
             f"input length {x.shape} does not match model dimension {model.input_dim}"
         )
-    return float(_predict_columns(model, x[:, None])[0])
+    return float(_predict_columns(model, x[:, None], 0)[0])
 
 
 def predict_batch(model: TsModel, X) -> np.ndarray:
     """Vectorised :func:`predict` over the rows of an (N, n) matrix, in the
-    rule-major layout and summation order of the module docstring."""
-    return _predict_columns(model, _columns(model, X))
+    rule-major layout and summation order of the module docstring.
+
+    The rows are taken in ceil(N * n * C * 8 / _BLOCK_BYTES) blocks of equal
+    width B (the last one narrower by less than a block count), so each
+    block's (n, C, B) scratch fits the byte budget.  Beyond the (N,) result,
+    memory is O(budget) for a float64 ``X``, which is read in place; any
+    other input is first converted, N * n more.  The budget has a floor:
+    numpy runs the kernel's (n, 1, B) - (n, C, 1) broadcasts about 4 times
+    slower per element when C * B is at most its buffer size of 8192
+    elements, and 1 MiB keeps C * B = 2**17 / n above that for n <= 16.
+    Equal widths keep a narrow last block off that threshold.  Each output
+    depends only on its own row, so the blocks change no bit.
+    """
+    X = _check_batch(model, X)
+    yhat = np.empty(len(X))
+    for rows, cols in _column_blocks(model, X):
+        yhat[rows] = _predict_columns(model, cols, rows.start)
+    return yhat
 
 
-def _predict_columns(model: TsModel, cols: np.ndarray) -> np.ndarray:
-    """The forecasts of the (n, N) columns ``cols``, one per column; the
-    firing and then the rule outputs are formed in one (n, C, N) buffer."""
+def _predict_columns(model: TsModel, cols: np.ndarray, first: int) -> np.ndarray:
+    """The forecasts of the (n, N) columns ``cols``, one per column, the
+    first of which is row ``first`` of the batch; the firing and then the
+    rule outputs are formed in one (n, C, N) buffer."""
     x = cols[:, None, :]
     scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
-    w, wsum, degenerate, nearest = _firing_with_fallback(model, x, scratch)
+    w, wsum, degenerate, nearest = _firing_with_fallback(model, x, scratch, first)
     outputs = _rule_output_rows(model, x, scratch)
     yhat = _ordered_sum(np.multiply(w, outputs, w))
     yhat /= wsum
@@ -190,21 +212,37 @@ def normalized_truth(model: TsModel, X) -> np.ndarray:
 
     Rows whose total firing underflows get a one-hot row at the nearest
     rule, matching the prediction-time fallback.  A non-finite row is
-    refused as :func:`predict_batch` refuses it.
+    refused as :func:`predict_batch` refuses it.  The rows are taken in the
+    blocks of :func:`predict_batch`, so beyond the (N, C) result memory is
+    O(budget) for a float64 ``X``.
     """
-    cols = _columns(model, X)
-    scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
-    w, wsum, degenerate, nearest = _firing_with_fallback(model, cols[:, None, :], scratch)
-    truth = np.ascontiguousarray((w / wsum).T)
-    if nearest is not None:
-        truth[degenerate] = np.eye(model.rule_count)[nearest]
+    X = _check_batch(model, X)
+    truth = np.empty((len(X), model.rule_count))
+    for rows, cols in _column_blocks(model, X):
+        scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
+        w, wsum, degenerate, nearest = _firing_with_fallback(
+            model, cols[:, None, :], scratch, rows.start)
+        block = truth[rows]
+        np.divide(w, wsum, out=block.T)
+        if nearest is not None:
+            block[degenerate] = np.eye(model.rule_count)[nearest]
     return truth
 
 
-def _columns(model: TsModel, X) -> np.ndarray:
-    """The rows of ``X``, checked against the model, as one contiguous
-    (n, N) array."""
-    return np.ascontiguousarray(_check_batch(model, X).T)
+# Byte budget of the (n, C, B) scratch that one block of B batch rows is
+# formed in (see predict_batch).
+_BLOCK_BYTES = 2**20
+
+
+def _column_blocks(model: TsModel, X: np.ndarray):
+    """Yield (rows, cols) for each block of the checked (N, n) ``X``: the
+    slice of its rows and them as contiguous (n, B) columns, in row order."""
+    n, c = X.shape[1], model.rule_count
+    blocks = max(1, -(-len(X) * n * c * 8 // _BLOCK_BYTES))
+    width = max(1, -(-len(X) // blocks))
+    for first in range(0, len(X), width):
+        rows = slice(first, min(first + width, len(X)))
+        yield rows, np.ascontiguousarray(X[rows].T)
 
 
 def _firing_rows(model: TsModel, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -237,16 +275,17 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] + 0.0
 
 
-def _firing_with_fallback(model: TsModel, x: np.ndarray, scratch: np.ndarray):
-    """(w, wsum, degenerate, nearest) for the (n, 1, N) columns ``x``, formed
-    in the (n, C, N) ``scratch``: the (C, N) firing, its sums over the rules
+def _firing_with_fallback(model: TsModel, x: np.ndarray, scratch: np.ndarray, first: int):
+    """(w, wsum, degenerate, nearest) for the (n, 1, N) columns ``x``, the
+    first of which is row ``first`` of the batch, formed in the (n, C, N)
+    ``scratch``: the (C, N) firing, its sums over the rules
     with 1.0 where the total is below DEGENERACY_FLOOR, the mask of those
     rows and their nearest rules (both None if there are none).
 
     A non-finite input makes its total NaN or 0, so one minimum of the
     totals clears a batch of finite inputs with no fallback rows; only when
-    it does not are the inputs checked, naming the first non-finite row in a
-    ValueError."""
+    it does not are the inputs checked, naming the first non-finite row of
+    the batch in a ValueError."""
     w = _firing_rows(model, x, scratch)
     wsum = _ordered_sum(w)
     if np.minimum.reduce(wsum, initial=np.inf) >= DEGENERACY_FLOOR:
@@ -254,7 +293,7 @@ def _firing_with_fallback(model: TsModel, x: np.ndarray, scratch: np.ndarray):
     cols = x[:, 0]
     finite = np.isfinite(cols).all(axis=0)
     if not finite.all():
-        raise ValueError(f"non-finite input at row {int(np.argmin(finite))}")
+        raise ValueError(f"non-finite input at row {first + int(np.argmin(finite))}")
     degenerate = wsum < DEGENERACY_FLOOR
     wsum[degenerate] = 1.0
     return w, wsum, degenerate, nearest_rule_index(model, cols[:, degenerate].T.copy())

@@ -1,8 +1,9 @@
 """The verdicts that tools/bench_pairs.py writes beside its medians, on a
-hand-made record of four pairs, and the source line count it records, on a
-small tree, with no benchmark run."""
+hand-made record of four pairs, the source line count it records, on a
+small tree, and its host line's BLAS threads, with no benchmark run."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,29 @@ def test_src_lines_counts_as_wc_does(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (package / "sub" / "c.py").write_text("not counted\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_numpy_blas_threads_are_those_numpy_runs_with(monkeypatch, threads):
+    # the probe inherits the environment, as a benchmark run does
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    got = bench_pairs.numpy_blas_threads()
+    if got is None:
+        pytest.skip("numpy's bundled OpenBLAS reports no thread count here")
+    # OpenBLAS runs no more threads than the CPUs the process may use
+    assert got == min(int(threads), len(os.sched_getaffinity(0)))
+
+
+def test_numpy_blas_threads_is_null_without_the_symbol(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "BLAS_PROBE", bench_pairs.BLAS_PROBE.replace(
+        "scipy_openblas_get_num_threads64_", "no_such_symbol_"))
+    assert bench_pairs.numpy_blas_threads() is None
+
+
+def test_host_names_the_requested_and_the_reported_threads(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "numpy_blas_threads", lambda: 2)
+    env = {"nproc": 2, "blas_threads": "1", "python": "3.x", "numpy": "2.x",
+           "scipy": "1.x", "blas": "scipy-openblas"}
+    assert bench_pairs.host(env) == {
+        "vcpus": 2, "blas_threads_requested": "1", "numpy_blas_threads": 2,
+        "python": "3.x", "numpy": "2.x", "scipy": "1.x", "blas": "scipy-openblas"}

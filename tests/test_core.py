@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +46,14 @@ def rule_output_rows(model: TsModel, X) -> np.ndarray:
     cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
     return core._rule_output_rows(model, cols[:, None, :], scratch).T
+
+
+def set_block_rows(monkeypatch, model: TsModel, rows: int | None) -> None:
+    """Set the inference block budget to blocks of ``rows`` rows of
+    ``model``, one (n, C) float64 scratch column each; None keeps the
+    default."""
+    if rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", rows * model.input_dim * model.rule_count * 8)
 
 
 def rule_outputs(model: TsModel, x) -> np.ndarray:
@@ -499,13 +508,19 @@ class TestSerialization:
 class TestNonFiniteInput:
     """A non-finite entry is refused with the index of the first row holding
     one, by the batch and the single-row path alike, also beside a row that
-    takes the nearest-rule fallback, and with no RuntimeWarning."""
+    takes the nearest-rule fallback, whatever block each row falls in, and
+    with no RuntimeWarning."""
 
+    # blocks of 2 rows: rows 3 and 6 and the far rows 4 and 6 are in later
+    # blocks; the default budget's case keeps the test's name
+    @pytest.mark.parametrize("block", [pytest.param(None, id=pytest.HIDDEN_PARAM),
+                                       pytest.param(2, id="rows2")])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", [0, 1, 2])
     @pytest.mark.parametrize("row", [0, 3, 6])
     @pytest.mark.parametrize("far_row", [None, 0, 4, 6])
-    def test_first_non_finite_row_is_named(self, value, column, row, far_row):
+    def test_first_non_finite_row_is_named(self, monkeypatch, value, column, row, far_row,
+                                           block):
         rng = np.random.default_rng(5)
         model = random_model(rng, 3, 3)
         X = rng.normal(size=(7, 3))
@@ -513,6 +528,7 @@ class TestNonFiniteInput:
             X[far_row] = 1e3
             assert firing_matrix(model, X[far_row:far_row + 1]).sum() < DEGENERACY_FLOOR
         X[row, column] = value
+        set_block_rows(monkeypatch, model, block)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^non-finite input at row {row}$"):
@@ -520,11 +536,80 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match=r"^non-finite input at row 0$"):
                 predict(model, X[row])
 
+    # blocks of 1 and 2 rows: row 2 opens a later block, and with 1 the far
+    # row 1 too
+    @pytest.mark.parametrize("block", [pytest.param(None, id=pytest.HIDDEN_PARAM),
+                                       pytest.param(1, id="rows1"), pytest.param(2, id="rows2")])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_normalized_truth_refuses_non_finite_rows(self, value):
+    def test_normalized_truth_refuses_non_finite_rows(self, monkeypatch, value, block):
         model = random_model(np.random.default_rng(6), 2, 2)
         X = np.array([[0.0, 0.0], [1e3, 1e3], [0.5, value]])
+        set_block_rows(monkeypatch, model, block)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^non-finite input at row 2$"):
                 core.normalized_truth(model, X)
+
+
+class TestBlockedInference:
+    BATCH = (predict_batch, core.normalized_truth, firing_matrix)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("c", [3, 9])
+    def test_blocks_match_one_block_and_predict(self, monkeypatch, c, rows):
+        # at C = 9 a one-row block's rule sums are one run of 9 terms, which
+        # _ordered_sum adds by cumsum, a wider block's by reduce; the default
+        # budget takes these 5 000 rows in one block at C = 3, two at C = 9
+        rng = np.random.default_rng(c)
+        model = random_model(rng, c, 4, mean_scale=0.5, width_scale=2.0)
+        X = rng.normal(size=(5_000, 4))
+        far = [0, 2_600, 4_999]  # nearest-rule fallback rows, first block and later
+        X[far] = 1e3
+        assert (firing_matrix(model, X[far]).sum(axis=1) < DEGENERACY_FLOOR).all()
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 2**62)
+        whole = [fn(model, X) for fn in self.BATCH]
+        monkeypatch.undo()
+        set_block_rows(monkeypatch, model, rows)
+        for fn, want in zip(self.BATCH, whole):
+            got = fn(model, X)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), fn.__name__
+            assert fn(model, X[:0]).shape == want[:0].shape
+        for k in range(len(X)):
+            assert predict(model, X[k]) == whole[0][k], k
+
+    @pytest.mark.parametrize("budget", [1, 8 * 12, 8 * 12 * 7, 2**20])
+    @pytest.mark.parametrize("rows", [0, 1, 7, 100, 12_000])
+    def test_equal_blocks_within_the_budget(self, monkeypatch, rows, budget):
+        model = random_model(np.random.default_rng(1), 3, 4)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+        X = np.zeros((rows, 4))
+        blocks = list(core._column_blocks(model, X))
+        # ceil(N * n * C * 8 / budget) blocks, but none empty
+        assert len(blocks) == min(rows, math.ceil(rows * 4 * 3 * 8 / budget))
+        widths = [cols.shape[1] for _, cols in blocks]
+        assert [r.stop - r.start for r, _ in blocks] == widths
+        stops = [0] + [r.stop for r, _ in blocks]  # the blocks cover the rows in order
+        assert [r.start for r, _ in blocks] == stops[:-1] and stops[-1] == rows
+        if blocks:
+            width = widths[0]
+            assert width == math.ceil(rows / len(blocks))
+            assert set(widths[:-1]) <= {width} and width - widths[-1] < len(blocks)
+            assert (width - 1) * 4 * 3 * 8 < budget
+        assert all(cols.shape == (4, w) and cols.flags.c_contiguous
+                   for (_, cols), w in zip(blocks, widths))
+
+    @pytest.mark.parametrize("fn", [predict_batch, core.normalized_truth])
+    def test_memory_stays_bounded(self, fn):
+        # beyond the result, one block's 1 MiB (n, C, B) scratch and its
+        # (C, B) arrays; one (n, C, N) array alone would take 55 MiB here
+        rng = np.random.default_rng(47)
+        model = random_model(rng, 9, 4)
+        X = rng.normal(size=(200_000, 4))
+        tracemalloc.start()
+        try:
+            out = fn(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 4 * 2**20

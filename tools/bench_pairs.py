@@ -10,9 +10,9 @@ change first in the odd ones.  The JSON it writes holds every run's ``env``
 and ``samples`` lines and its last-line result, the parent's commit id, the
 commit the working tree sits on and a digest of its diff to that commit
 under src, each side's ``src_lines`` (see ``src_lines``), the host line
-and, per workload, the median of each end-to-end metric on each side and
-its ``verdicts`` (see ``verdicts``).  The workloads
-and the end-to-end metrics, with their directions and bounds, are those
+(see ``host``) and, per workload, the median of each end-to-end metric on
+each side and its ``verdicts`` (see ``verdicts``).  The workloads and the
+end-to-end metrics, with their directions and bounds, are those
 BENCHMARK.json declares.  Each run takes the benchmark's own run length.
 """
 
@@ -54,6 +54,42 @@ def src_lines(root: Path) -> int:
     """The lines of ``root``'s src/fuzzyrunoff/*.py as ``wc -l`` counts
     them: their newline characters."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "fuzzyrunoff").glob("*.py"))
+
+
+# Prints the threads numpy's bundled OpenBLAS runs with, or null where the
+# library or its symbol is missing; numpy is imported first.
+BLAS_PROBE = """
+import ctypes, pathlib, numpy
+libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+try:
+    lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+    threads = lib.scipy_openblas_get_num_threads64_
+except (StopIteration, OSError, AttributeError):
+    print("null")
+else:
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    print(threads())
+"""
+
+
+def numpy_blas_threads() -> int | None:
+    """The threads numpy's bundled OpenBLAS runs with in a fresh process of
+    this environment that imports numpy before anything else, as
+    benchmarks/run.py does (its imports load numpy before it sets
+    OPENBLAS_NUM_THREADS), or None where the library has no such count."""
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def host(env: dict) -> dict:
+    """The record's host line from a run's ``env`` line: ``blas_threads_requested``
+    is the OPENBLAS_NUM_THREADS value benchmarks/run.py sets, and
+    ``numpy_blas_threads`` the count numpy's OpenBLAS reports (see
+    ``numpy_blas_threads``)."""
+    return {"vcpus": env["nproc"], "blas_threads_requested": env["blas_threads"],
+            "numpy_blas_threads": numpy_blas_threads(), "python": env["python"],
+            "numpy": env["numpy"], "scipy": env["scipy"], "blas": env["blas"]}
 
 
 def run(root: Path, workload: str) -> dict:
@@ -139,10 +175,7 @@ def main(argv=None) -> int:
                     runs[side].append(run(sides[side], workload))
                     wall = runs[side][-1]["result"]["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {k} {side}: wall_s {wall:.4g}", file=sys.stderr)
-            env = runs["change"][0]["env"]
-            record["host"] = {"vcpus": env["nproc"], "OPENBLAS_NUM_THREADS": env["blas_threads"],
-                              "python": env["python"], "numpy": env["numpy"],
-                              "scipy": env["scipy"], "blas": env["blas"]}
+            record["host"] = host(runs["change"][0]["env"])
             record["workloads"][workload] = {
                 "median": {side: medians(r) for side, r in runs.items()},
                 "verdicts": verdicts(runs, benchmark["end_to_end"]), "runs": runs}
