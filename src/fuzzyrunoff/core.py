@@ -18,6 +18,13 @@ are held in that layout as C-contiguous read-only copies, made once per
 model, so that one column's arithmetic with them runs numpy's same-shape
 loops.
 
+A single row is worked by :func:`predict` in Python floats instead, the
+kernel's arithmetic in the kernel's order with the kernel's exp, so it too
+is bit for bit its batch row; the kernel runs every row that path cannot
+vouch for, and so owns the nearest-rule fallback, the non-finite input
+error and, under numpy's default error handling, every floating-point
+warning.
+
 Note on the membership function: the Gaussian used here is
 
     mf(x) = exp(-(x - mean)^2 / width^2)
@@ -31,6 +38,7 @@ other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +120,11 @@ class TsModel:
         for a in rule_major:
             a.setflags(write=False)
         object.__setattr__(self, "_rule_major", rule_major)
+        # the same parameters as Python floats for predict's row path: per
+        # rule, its (mean, width, slope) of each input and its intercept
+        object.__setattr__(self, "_rule_floats", tuple(
+            (tuple(zip(m, w, t[1:])), t[0])
+            for m, w, t in zip(means.tolist(), widths.tolist(), theta.tolist())))
 
     @property
     def input_dim(self) -> int:
@@ -159,15 +172,64 @@ def predict(model: TsModel, x) -> float:
 
     Weighted average of the rule outputs with the firing strengths as
     weights.  When all firings underflow (input far outside every cluster)
-    the output of the nearest rule is returned instead.  This is the kernel
-    of :func:`predict_batch` on one (n, 1) column, so both agree bit for bit.
+    the output of the nearest rule is returned instead.  The kernel's
+    arithmetic is run in Python floats (:func:`_predict_row`), checked to
+    agree with :func:`predict_batch` bit for bit; every row it does not
+    vouch for runs the kernel on one (n, 1) column, with its fallback,
+    errors and warnings.  Python float arithmetic ignores ``np.errstate``,
+    so the float path follows numpy's default error handling: an overflow
+    or an invalid result still reaches the kernel, which warns or raises as
+    configured, but an underflow is reported only where it happens in the
+    one ``np.exp`` call, not in the squares, products or sums.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.input_dim,):
         raise ValueError(
             f"input length {x.shape} does not match model dimension {model.input_dim}"
         )
-    return float(_predict_columns(model, x[:, None], 0)[0])
+    y = _predict_row(model._rule_floats, x.tolist())
+    if y is not None:
+        return y
+    out = np.empty(1)
+    _predict_columns(model, x[:, None], 0, out)
+    return float(out[0])
+
+
+def _predict_row(rule_floats: tuple, x: list) -> float | None:
+    """The kernel's forecast of the row ``x``, a list of n floats, from a
+    model's ``_rule_floats``, or None where the kernel must decide: for a
+    firing total below DEGENERACY_FLOOR, or an intermediate that is not
+    finite, which makes a maximum or the result inf or NaN.
+
+    The arithmetic is the kernel's, in its order: z = (x_k - m_ik) / w_ik
+    and z * z maximised over the inputs, the rule output added over the
+    inputs in index order from 0.0 and then the intercept, one np.exp call
+    on the negated maxima (the kernel's ufunc loop; math.exp differs), the
+    firing total and the weighted sum added over the rules in index order
+    from 0.0, and one division.  The sums are plain additions: sum() (from
+    Python 3.12) and math.fsum compensate.
+    """
+    negated, outputs = [], []
+    for terms, intercept in rule_floats:
+        a = y = 0.0
+        for xk, (mean, width, slope) in zip(x, terms):
+            z = (xk - mean) / width
+            z *= z
+            if z > a:
+                a = z
+            y += xk * slope
+        negated.append(-a)
+        outputs.append(y + intercept)
+    if -math.inf in negated:
+        return None
+    wsum = yhat = 0.0
+    for w, y in zip(np.exp(np.array(negated)).tolist(), outputs):
+        wsum += w
+        yhat += w * y
+    if wsum < DEGENERACY_FLOOR:
+        return None
+    yhat /= wsum
+    return yhat if math.isfinite(yhat) else None
 
 
 def predict_batch(model: TsModel, X) -> np.ndarray:
@@ -188,23 +250,22 @@ def predict_batch(model: TsModel, X) -> np.ndarray:
     X = _check_batch(model, X)
     yhat = np.empty(len(X))
     for rows, cols in _column_blocks(model, X):
-        yhat[rows] = _predict_columns(model, cols, rows.start)
+        _predict_columns(model, cols, rows.start, yhat[rows])
     return yhat
 
 
-def _predict_columns(model: TsModel, cols: np.ndarray, first: int) -> np.ndarray:
-    """The forecasts of the (n, N) columns ``cols``, one per column, the
-    first of which is row ``first`` of the batch; the firing and then the
-    rule outputs are formed in one (n, C, N) buffer."""
+def _predict_columns(model: TsModel, cols: np.ndarray, first: int, out: np.ndarray) -> None:
+    """Write into the (N,) ``out`` the forecasts of the (n, N) columns
+    ``cols``, one per column, the first of which is row ``first`` of the
+    batch; the firing and then the rule outputs are formed in one (n, C, N)
+    buffer."""
     x = cols[:, None, :]
     scratch = np.empty((len(cols), model.rule_count, cols.shape[1]))
     w, wsum, degenerate, nearest = _firing_with_fallback(model, x, scratch, first)
     outputs = _rule_output_rows(model, x, scratch)
-    yhat = _ordered_sum(np.multiply(w, outputs, w))
-    yhat /= wsum
+    np.divide(_ordered_sum(np.multiply(w, outputs, w)), wsum, out)
     if nearest is not None:
-        yhat[degenerate] = outputs[nearest, np.flatnonzero(degenerate)]
-    return yhat
+        out[degenerate] = outputs[nearest, np.flatnonzero(degenerate)]
 
 
 def normalized_truth(model: TsModel, X) -> np.ndarray:

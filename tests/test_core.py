@@ -61,6 +61,21 @@ def rule_outputs(model: TsModel, x) -> np.ndarray:
     return rule_output_rows(model, [x])[0]
 
 
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class KernelCalled(Exception):
+    pass
+
+
+def refuse_kernel(monkeypatch) -> None:
+    """Make every call of the inference kernel raise KernelCalled."""
+    def refuse(*args):
+        raise KernelCalled
+    monkeypatch.setattr(core, "_predict_columns", refuse)
+
+
 class TestGaussianMf:
     def test_peak_at_mean(self):
         assert membership(5.0, 2.0, 5.0) == 1.0
@@ -227,7 +242,8 @@ class TestPredictBatch:
     @pytest.mark.parametrize("n", [8, 9, 12, 17])
     def test_one_rule_row_alone_matches_the_batch(self, n):
         # a one-rule model's single row is one contiguous run of products,
-        # which numpy sums pairwise from 8 inputs on unless told otherwise
+        # which numpy sums pairwise from 8 inputs on unless told otherwise;
+        # predict adds them in floats one by one
         rng = np.random.default_rng(n)
         model = random_model(rng, 1, n, width_scale=10.0)
         X = rng.normal(size=(200, n)) * 10.0 ** rng.integers(-3, 4, size=(200, n))
@@ -338,6 +354,106 @@ class TestDegenerateFallback:
             assert core.nearest_rule_index(model, [[1e6, 10.0]]).tolist() == [1]
 
 
+class TestRowPath:
+    """predict works a finite, non-degenerate row in Python floats, bit for
+    bit its batch row, and leaves every other row to the kernel, with its
+    fallback, errors and warnings."""
+
+    @pytest.mark.parametrize("c,n", [(1, 1), (3, 4), (6, 4), (4, 8), (1, 40), (40, 1),
+                                     (12, 3)])
+    def test_an_ordinary_row_does_not_run_the_kernel(self, monkeypatch, c, n):
+        rng = np.random.default_rng(100 * c + n)
+        model = random_model(rng, c, n, mean_scale=0.3, width_floor=1.0)
+        X = rng.normal(size=(20, n)) * 0.3
+        want = predict_batch(model, X)
+        refuse_kernel(monkeypatch)
+        for k in range(len(X)):
+            assert bits(predict(model, X[k])) == bits(want[k]), k
+
+    @pytest.mark.parametrize("row", ["degenerate", "non-finite"])
+    def test_every_other_row_runs_the_kernel(self, monkeypatch, row):
+        model = random_model(np.random.default_rng(4), 3, 3, mean_scale=0.3, width_floor=1.0)
+        x = {"degenerate": [1e3] * 3, "non-finite": [0.1, np.nan, 0.2]}[row]
+        refuse_kernel(monkeypatch)
+        with pytest.raises(KernelCalled):
+            predict(model, x)
+
+    @pytest.mark.parametrize("x", [[0.0, -0.0], [0.5, -0.0]])
+    def test_sums_start_from_plus_zero(self, monkeypatch, x):
+        # every product x_k * theta_ik and every intercept is -0.0: added
+        # from +0.0 each rule output is +0.0, and so is the forecast; added
+        # from the first term, or from -0.0, both would be -0.0
+        model = TsModel([[0.0, 1.0], [1.0, 0.0]], np.ones((2, 2)),
+                        [[-0.0, -0.0 if x[0] else -2.0, 0.0], [-0.0, -0.0, 3.0]])
+        want = predict_batch(model, [x])[0]
+        assert bits(want) == bits(0.0)
+        refuse_kernel(monkeypatch)
+        assert bits(predict(model, x)) == bits(want)
+
+    @pytest.mark.parametrize("sum_over", ["inputs", "rules"])
+    def test_sums_are_not_compensated(self, monkeypatch, sum_over):
+        # 1e16 + 1.0 rounds to 1e16, so added in order the terms 1e16, 1.0,
+        # -1e16 give 0.0, where a compensated sum (math.fsum, and sum() from
+        # Python 3.12 on) gives 1.0
+        terms = [1e16, 1.0, -1e16]
+        if sum_over == "inputs":  # one rule's products x_k * theta_k
+            model, x = TsModel(np.zeros((1, 3)), np.ones((1, 3)), [[0.0, *terms]]), [1.0] * 3
+        else:  # three rules firing alike: their weighted outputs
+            model, x = TsModel(np.zeros((3, 1)), np.ones((3, 1)), [[t, 0.0] for t in terms]), [0.0]
+        want = predict_batch(model, [x])[0]
+        assert want == 0.0 and math.fsum(terms) == 1.0
+        refuse_kernel(monkeypatch)
+        assert bits(predict(model, x)) == bits(want)
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_firing_total_at_the_degeneracy_floor(self, monkeypatch, side):
+        # both rules fire exp(-d^2) at (0, d): their weighted mean is 1.5,
+        # and below the floor the nearest-rule fallback gives rule 0's 1.0;
+        # d_above is the largest d whose total is at least the floor
+        model = TsModel([[-1.0, 0.0], [1.0, 0.0]], np.ones((2, 2)),
+                        [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        total = lambda d: firing_matrix(model, [[0.0, d]]).sum()  # noqa: E731
+        d = math.sqrt(-math.log(DEGENERACY_FLOOR / 2))  # within a few ulps
+        while total(d) < DEGENERACY_FLOOR:
+            d = np.nextafter(d, 0.0)
+        while total(np.nextafter(d, np.inf)) >= DEGENERACY_FLOOR:
+            d = np.nextafter(d, np.inf)
+        x = [0.0, d if side == "above" else np.nextafter(d, np.inf)]
+        want = predict_batch(model, [x])[0]
+        assert want == (1.0 if side == "below" else pytest.approx(1.5))
+        assert bits(predict(model, x)) == bits(want)
+        refuse_kernel(monkeypatch)
+        if side == "below":
+            with pytest.raises(KernelCalled):
+                predict(model, x)
+        else:  # the float path alone
+            predict(model, x)
+
+    @pytest.mark.parametrize("case", ["square", "difference", "product"])
+    def test_an_overflow_warns_as_in_the_batch(self, case):
+        # rule 1's z * z, x - m or x * theta overflows while rule 0 fires;
+        # the kernel warns, so predict must leave the row to it
+        means, widths, theta = np.zeros((2, 2)), np.ones((2, 2)), [[1.0, 2.0, 0.0],
+                                                                  [5.0, 0.0, 1.0]]
+        x = [0.5, 0.1]
+        if case == "square":  # z = 1e159
+            widths[1, 1] = 1e-160
+        elif case == "difference":
+            means[1, 1], widths[0, 1], x[1] = -1e308, 1e308, 1e308
+        else:
+            theta[1][2], widths[:, 1], x[1] = 1e300, 1e10, 1e10
+        model = TsModel(means, widths, theta)
+        with warnings.catch_warnings(record=True) as batch_warned:
+            warnings.simplefilter("always")
+            want = predict_batch(model, [x])[0]
+        with warnings.catch_warnings(record=True) as row_warned:
+            warnings.simplefilter("always")
+            got = predict(model, x)
+        assert [str(w.message) for w in batch_warned] == [str(w.message) for w in row_warned]
+        assert any("overflow" in str(w.message) for w in batch_warned)
+        assert bits(got) == bits(want)
+
+
 class TestImmutability:
     def test_model_fields_frozen(self):
         model = one_input_model((0, 1, [0, 1]))
@@ -357,14 +473,22 @@ class TestImmutability:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_every_array_the_model_holds_is_read_only(self, order):
         # the kernel's rule-major copies of the parameters included: a
-        # contiguous copy of a read-only view is writable unless made not so
+        # contiguous copy of a read-only view is writable unless made not so;
+        # and whatever else the model holds, its float copies of the
+        # parameters among them, is immutable: tuples of numbers and strings
         rng = np.random.default_rng(3)
         model = TsModel(*(np.array(a, order=order) for a in (
-            rng.normal(size=(3, 2)), rng.random((3, 2)) + 0.5, rng.normal(size=(3, 3)))))
-        held = []
-        for value in vars(model).values():
-            held += value if isinstance(value, tuple) else [value]
-        arrays = [a for a in held if isinstance(a, np.ndarray)]
+            rng.normal(size=(3, 2)), rng.random((3, 2)) + 0.5, rng.normal(size=(3, 3)))),
+            Scheme("gk", 1, 2, ((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))))
+        arrays, held = [], list(vars(model).values())
+        while held:
+            value = held.pop()
+            if isinstance(value, (tuple, Scheme)):
+                held += value if isinstance(value, tuple) else vars(value).values()
+            elif isinstance(value, np.ndarray):
+                arrays.append(value)
+            else:
+                assert isinstance(value, (float, int, str, type(None))), type(value)
         assert len(arrays) == 3 + len(model._rule_major)
         for a in arrays:
             assert not a.flags.writeable
